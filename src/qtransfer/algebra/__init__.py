@@ -15,6 +15,7 @@ from .partitions import (
     sn_class_size,
     ssyt_tableaux,
     ssyt_weight,
+    subsets,
     z_order,
 )
 from .qcount import (
@@ -40,7 +41,7 @@ __all__ = [
     "partitions", "compositions", "composition_count", "conjugate",
     "as_partition", "as_composition", "is_weakly_decreasing", "dominant",
     "orbit", "z_order", "sn_class_size", "ssyt_tableaux", "ssyt_weight",
-    "render_partition", "parse_partition",
+    "render_partition", "parse_partition", "subsets",
     "qint_balanced", "qbinom", "gl_order", "parabolic_order",
     "parahoric_index", "is_prime",
     "SymPoly", "monomial_sym", "elementary", "powersum", "schur",

@@ -15,6 +15,7 @@ from typing import Iterator, Sequence
 
 __all__ = [
     "partitions",
+    "subsets",
     "compositions",
     "composition_count",
     "conjugate",
@@ -55,14 +56,20 @@ def partitions(n: int, max_part: int | None = None,
     yield from rec(n, max_part, max_length)
 
 
+def subsets(n: int) -> Iterator[frozenset[int]]:
+    """All 2**n subsets of {1, .., n}, ordered by their 0/1 indicator
+    vectors read as binary numbers with the bit of 1 most significant."""
+    for bits in itertools.product((0, 1), repeat=n):
+        yield frozenset(i + 1 for i, b in enumerate(bits) if b)
+
+
 def compositions(n: int) -> Iterator[tuple[int, ...]]:
     """All 2**(n-1) compositions of n (ordered sequences of positive parts)."""
     if n == 0:
         yield ()
         return
-    # cut points: subset of {1, .., n-1}
-    for bits in itertools.product((0, 1), repeat=n - 1):
-        cuts = [0] + [i + 1 for i, b in enumerate(bits) if b] + [n]
+    for cut_points in subsets(n - 1):
+        cuts = [0, *sorted(cut_points), n]
         yield tuple(cuts[i + 1] - cuts[i] for i in range(len(cuts) - 1))
 
 

@@ -2,22 +2,26 @@
 machine-readable JSON output (schema "1") and an optional table mode.
 
 Exit codes: 0 all checks passed, 1 a mathematical identity evaluated and
-differed, 2 usage or precondition error.
+differed, 2 usage, precondition or budget error, 3 internal fault (any other
+exception; the JSON error names its type).
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .algebra.partitions import (
     parse_partition,
     partitions,
     render_partition,
+    subsets,
 )
 from .algebra.sympoly import SymPoly, elementary, monomial_sym, powersum, schur
 from .epfun import (
@@ -171,31 +175,36 @@ def _pmap(fn: Callable, cases: Sequence, workers: int) -> list:
         return list(pool.map(fn, cases))
 
 
+@dataclass(frozen=True)
+class Suite:
+    """A verification suite: the case set its budgets select, and the exact
+    check of one case, which returns a JSON-ready dict with an "ok" verdict.
+    This is the one definition of each case set; the acceptance tests run
+    it too."""
+
+    cases: Callable[[argparse.Namespace], list]
+    check: Callable[[object], dict]
+
+    def __call__(self, args: argparse.Namespace) -> tuple[bool, list]:
+        details = _pmap(self.check, self.cases(args), args.workers)
+        return all(c["ok"] for c in details), details
+
+
 def _transfer_case(case: tuple[int, int, int]) -> dict:
     r, d, degmax = case
     p = TransferParams(r=r, d=d)
     failures = []
-    for k in range(1, min(p.n, degmax) + 1):
-        if transfer_sym(p, elementary(p.n, k)) != image_e(p, k):
-            failures.append(f"e_{k}")
-    for k in range(1, degmax + 1):
-        f = powersum(p.n, k)
-        if not (transfer_sym(p, f) == image_p(p, k) == substitution_image(p, f)):
-            failures.append(f"p_{k}")
+    for name, basis, image, kmax in (("e", elementary, image_e, min(p.n, degmax)),
+                                     ("p", powersum, image_p, degmax)):
+        for k in range(1, kmax + 1):
+            f = basis(p.n, k)
+            if not transfer_sym(p, f) == image(p, k) == substitution_image(p, f):
+                failures.append(f"{name}_{k}")
     for size in range(1, degmax + 1):
         for mu in partitions(size):
             if transfer_sym(p, schur(p.n, mu)) != image_schur(p, mu):
                 failures.append(f"s_{render_partition(mu)}")
     return {"r": r, "d": d, "ok": not failures, "failures": failures}
-
-
-def _suite_transfer(args) -> tuple[bool, list]:
-    cases = [(r, d, args.degmax)
-             for n in range(1, args.nmax + 1)
-             for d in range(1, n + 1) if n % d == 0
-             for r in [n // d]]
-    details = _pmap(_transfer_case, cases, args.workers)
-    return all(c["ok"] for c in details), details
 
 
 def _comb_prop_case(d: int) -> dict:
@@ -207,50 +216,31 @@ def _comb_prop_case(d: int) -> dict:
     return {"d": d, "ok": ok, "values": values}
 
 
-def _suite_comb_prop(args) -> tuple[bool, list]:
-    details = _pmap(_comb_prop_case, list(range(1, args.dmax + 1)), args.workers)
-    return all(c["ok"] for c in details), details
-
-
 def _weyl_vanishing_case(case: tuple[int, tuple[int, ...]]) -> dict:
-    import itertools as it
-    d, M = case
-    sums = proper_levi_vanishing(d, frozenset(M))
+    # vanishing needs a proper Levi; the support equality, which
+    # restriction_support raises on, is checked for M = {1, .., d-1} too
+    d, simple = case
+    M = frozenset(simple)
+    sums = proper_levi_vanishing(d, M) if len(M) < d - 1 else {}
     bad = {str(sorted(J)): str(v) for J, v in sums.items() if v != 0}
-    support_ok = True
-    for kI in range(d):
-        for I in it.combinations(range(1, d), kI):
-            for w in min_double_coset_reps(frozenset(M), frozenset(I), d):
-                restriction_support(frozenset(M), frozenset(I), w)
-    return {"d": d, "M": list(M), "ok": not bad and support_ok,
-            "nonzero_sums": bad}
+    for I in subsets(d - 1):
+        for w in min_double_coset_reps(M, I, d):
+            restriction_support(M, I, w)
+    return {"d": d, "M": list(simple), "ok": not bad, "nonzero_sums": bad}
 
 
-def _suite_weyl_vanishing(args) -> tuple[bool, list]:
-    import itertools as it
-    cases = []
-    for d in range(2, args.dmax + 1):
-        for k in range(d - 1):
-            for M in it.combinations(range(1, d), k):
-                cases.append((d, M))
-    details = _pmap(_weyl_vanishing_case, cases, args.workers)
-    return all(c["ok"] for c in details), details
+_GL_IDENTITIES = {
+    "comb_prop": lambda group: comb_prop_check(group)["equal"],
+    "ind_identity": lambda group: ind_conjugate_identity_exhaustive(group)["ok"],
+}
 
 
-def _finite_gl_case(case: tuple[int, int]) -> dict:
-    d, q = case
-    group = cached_group(d, q)
-    rep = comb_prop_check(group)
-    ind = ind_conjugate_identity_exhaustive(group) if d <= 3 else {"ok": True}
-    return {"d": d, "q": q, "ok": rep["equal"] and ind["ok"],
-            "comb_prop": rep["equal"], "ind_identity": ind["ok"]}
-
-
-def _suite_finite_gl(args) -> tuple[bool, list]:
-    cases = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]
-    cases = [c for c in cases if c[0] <= args.dmax]
-    details = _pmap(_finite_gl_case, cases, args.workers)
-    return all(c["ok"] for c in details), details
+def _finite_gl_case(case: tuple[str, int, int]) -> dict:
+    identity, d, q = case
+    ok = _GL_IDENTITIES[identity](cached_group(d, q))
+    out = {"d": d, "q": q, "ok": ok, "comb_prop": None, "ind_identity": None}
+    out[identity] = ok
+    return out
 
 
 def _ep_shadow_case(case: tuple[int, tuple[int, ...], int]) -> dict:
@@ -259,25 +249,33 @@ def _ep_shadow_case(case: tuple[int, tuple[int, ...], int]) -> dict:
     return {"d": d, "parts": list(parts), "q": q, "ok": rep["equal"]}
 
 
-def _suite_ep_shadow(args) -> tuple[bool, list]:
-    cases = []
-    for q in args.q:
-        for n in range(1, args.n + 1):
-            for d in range(1, n + 1):
-                if n % d:
-                    continue
-                for parts in partitions(n // d):
-                    cases.append((d, parts, q))
-    details = _pmap(_ep_shadow_case, cases, args.workers)
-    return all(c["ok"] for c in details), details
-
-
 SUITES = {
-    "transfer-consistency": _suite_transfer,
-    "comb-prop": _suite_comb_prop,
-    "weyl-vanishing": _suite_weyl_vanishing,
-    "finite-gl": _suite_finite_gl,
-    "ep-shadow": _suite_ep_shadow,
+    "transfer-consistency": Suite(
+        lambda args: [(n // d, d, args.degmax)
+                      for n in range(1, args.nmax + 1)
+                      for d in range(1, n + 1) if n % d == 0],
+        _transfer_case),
+    "comb-prop": Suite(lambda args: list(range(1, args.dmax + 1)),
+                       _comb_prop_case),
+    "weyl-vanishing": Suite(
+        lambda args: [(d, M) for d in range(2, args.dmax + 1)
+                      for k in range(d)
+                      for M in itertools.combinations(range(1, d), k)],
+        _weyl_vanishing_case),
+    # the induction identity enumerates the group, so it stops at d = 3
+    "finite-gl": Suite(
+        lambda args: [("comb_prop", d, q)
+                      for d, q in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]
+                      if d <= args.dmax]
+        + [("ind_identity", d, q)
+           for d in range(1, min(args.dmax, 3) + 1) for q in (2, 3)],
+        _finite_gl_case),
+    "ep-shadow": Suite(
+        lambda args: [(d, parts, q) for q in args.q
+                      for n in range(1, args.n + 1)
+                      for d in range(1, n + 1) if n % d == 0
+                      for parts in partitions(n // d)],
+        _ep_shadow_case),
 }
 
 
@@ -443,14 +441,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         report = args.func(args)
     except UsageError as exc:
-        print(json.dumps({"schema": SCHEMA, "status": ERROR,
-                          "error": str(exc)}))
-        return 2
-    except (ValueError, KeyError, BudgetError, EnumerationBudgetError) as exc:
-        print(json.dumps({"schema": SCHEMA, "status": ERROR,
-                          "error": f"{type(exc).__name__}: {exc}"}))
-        return 2
+        return _error(str(exc), 2)
+    except (ValueError, BudgetError, EnumerationBudgetError) as exc:
+        return _error(f"{type(exc).__name__}: {exc}", 2)
+    except Exception as exc:  # an internal fault, not a verdict or a misuse
+        return _error(f"{type(exc).__name__}: {exc}", 3)
     return _emit(report, args.table)
+
+
+def _error(message: str, code: int) -> int:
+    print(json.dumps({"schema": SCHEMA, "status": ERROR, "error": message}))
+    return code
 
 
 if __name__ == "__main__":

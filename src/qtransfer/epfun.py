@@ -29,12 +29,13 @@ from .algebra.partitions import (
     partitions,
     render_partition,
     sn_class_size,
+    subsets,
 )
 from .algebra.qcount import parahoric_index
 from .algebra.scalars import QScalar
 from .finitegl import ClassFunction, cached_group, dl_character, parabolic_trivial_ind
 from .finitegl.classfun import zero_class_function
-from .weylcomb import block_composition
+from .weylcomb import _subset_coefficient, block_composition
 
 __all__ = [
     "ParahoricCombo",
@@ -70,6 +71,8 @@ class DParahoricType:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("d must be >= 1")
+        if not self.parts:
+            raise ValueError("parts must be a partition of r >= 1")
         object.__setattr__(self, "parts", as_partition(self.parts))
 
     @property
@@ -166,11 +169,6 @@ class ParahoricCombo:
         }
 
 
-def _subsets(upper: int) -> Iterator[frozenset]:
-    for bits in itertools.product((0, 1), repeat=upper):
-        yield frozenset(i + 1 for i, b in enumerate(bits) if b)
-
-
 def ep_function(n: int) -> ParahoricCombo:
     """The Euler-Poincare function of GL_n in the e-basis:
 
@@ -181,10 +179,9 @@ def ep_function(n: int) -> ParahoricCombo:
     if n < 1:
         raise ValueError("n must be >= 1")
     terms: dict[tuple[int, ...], QScalar] = {}
-    for I in _subsets(n - 1):
-        comp = block_composition(I, n)
-        key = tuple(sorted(comp, reverse=True))
-        coeff = QScalar(Fraction((-1) ** (n - 1 - len(I)), n - len(I)))
+    for I in subsets(n - 1):
+        key = tuple(sorted(block_composition(I, n), reverse=True))
+        coeff = QScalar(_subset_coefficient(n, I))
         acc = terms.get(key)
         terms[key] = coeff if acc is None else acc + coeff
     return ParahoricCombo(n, "e", terms)
@@ -254,7 +251,8 @@ def f_J(t: DParahoricType) -> ParahoricCombo:
             for m in rho:
                 factor = ep_function(t.d * m).scale(t.d * m)
                 term = factor if term is None else term.tensor(factor)
-        assert term is not None and term.n == t.n
+        if term is None or term.n != t.n:
+            raise AssertionError(f"f_J term does not live on GL_{t.n}")
         out = out + term.scale(Fraction(weight))
     return out
 

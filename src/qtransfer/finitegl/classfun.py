@@ -17,8 +17,14 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from ..algebra.partitions import as_composition, as_partition, partitions
-from ..weylcomb import block_composition, composition_class_counts
+from ..algebra.partitions import (
+    as_composition,
+    as_partition,
+    compositions,
+    partitions,
+    subsets,
+)
+from ..weylcomb import _subset_coefficient, block_composition, composition_class_counts
 from .fqmat import Mat, in_rowspace, mat_inv, mat_mul, mat_vec, rref_subspaces
 from .group import DEFAULT_SCAN_LIMIT, GLGroup, ParabolicSubgroup
 
@@ -100,6 +106,24 @@ def zero_class_function(group: GLGroup) -> ClassFunction:
 # -- induction ---------------------------------------------------------------
 
 
+def _left_coset_reps(group: GLGroup, subgroup_elements: Sequence[Mat],
+                     scan_limit: int = DEFAULT_SCAN_LIMIT) -> list[Mat]:
+    """One representative g per left coset g H, the first in element order;
+    checks that the cosets tile the group."""
+    d, q = group.d, group.q
+    reps: list[Mat] = []
+    assigned: set[Mat] = set()
+    for g in group.element_list(scan_limit):
+        if g in assigned:
+            continue
+        reps.append(g)
+        for h in subgroup_elements:
+            assigned.add(mat_mul(g, h, d, q))
+    if len(reps) * len(subgroup_elements) != group.order:
+        raise AssertionError("coset decomposition failed")
+    return reps
+
+
 def induce_class_function(group: GLGroup, subgroup_elements: Sequence[Mat],
                           f: Mapping[Mat, Fraction],
                           scan_limit: int = DEFAULT_SCAN_LIMIT) -> ClassFunction:
@@ -111,16 +135,7 @@ def induce_class_function(group: GLGroup, subgroup_elements: Sequence[Mat],
     d, q = group.d, group.q
     sub = list(subgroup_elements)
     sub_set = set(sub)
-    reps: list[Mat] = []
-    assigned: set[Mat] = set()
-    for g in group.element_list(scan_limit):
-        if g in assigned:
-            continue
-        reps.append(g)
-        for h in sub:
-            assigned.add(mat_mul(g, h, d, q))
-    if len(reps) * len(sub) != group.order:
-        raise AssertionError("coset decomposition failed")
+    reps = _left_coset_reps(group, sub, scan_limit)
     rep_invs = [mat_inv(s, d, q) for s in reps]
     values = []
     for cls in group.classes:
@@ -269,11 +284,9 @@ def comb_prop_check(group: GLGroup) -> dict:
     d = group.d
     lhs = dl_character(group, (d,))
     rhs = zero_class_function(group)
-    for bits in itertools.product((0, 1), repeat=d - 1):
-        I = frozenset(i + 1 for i, b in enumerate(bits) if b)
-        comp = block_composition(I, d)
-        coeff = Fraction((-1) ** (d - 1 - len(I)), d - len(I))
-        rhs = rhs + parabolic_trivial_ind(group, comp).scale(coeff)
+    for I in subsets(d - 1):
+        rhs = rhs + parabolic_trivial_ind(group, block_composition(I, d)).scale(
+            _subset_coefficient(d, I))
     rhs = rhs.scale(d)
     return {
         "d": group.d,
@@ -319,19 +332,6 @@ def _conjugation_counts_grouped(group: GLGroup, class_index: int,
     return counts
 
 
-def _coset_reps(group: GLGroup, parabolic: ParabolicSubgroup) -> list[Mat]:
-    d, q = group.d, group.q
-    reps: list[Mat] = []
-    assigned: set[Mat] = set()
-    for g in group.element_list():
-        if g in assigned:
-            continue
-        reps.append(g)
-        for h in parabolic.elements():
-            assigned.add(mat_mul(g, h, d, q))
-    return reps
-
-
 def _coset_sum_counts(group: GLGroup, x: Mat, parabolic: ParabolicSubgroup,
                       reps: Sequence[Mat]) -> dict[int, int]:
     """For each P-class index c: #{s in reps : s^-1 x s in class c}."""
@@ -346,6 +346,41 @@ def _coset_sum_counts(group: GLGroup, x: Mat, parabolic: ParabolicSubgroup,
     return counts
 
 
+def _ind_identity_cases(group: GLGroup, parabolic: ParabolicSubgroup) -> list[dict]:
+    """The three-expression identity for every class C of the parabolic,
+    evaluated on every class of G; one case per C, in P-class order."""
+    twists = parabolic.elements()
+    reps = _left_coset_reps(group, twists)
+    # a second, different set of representatives for the third expression
+    reps2 = [mat_mul(s, twists[i % len(twists)], group.d, group.q)
+             for i, s in enumerate(reps)]
+    literal_ok = group.order <= LITERAL_CONJUGATION_LIMIT
+    per_class_counts = []
+    for gidx, cls in enumerate(group.classes):
+        a = _coset_sum_counts(group, cls.rep, parabolic, reps)
+        b = _conjugation_counts_grouped(group, gidx, parabolic)
+        if literal_ok:
+            b_lit = _conjugation_counts_literal(group, cls.rep, parabolic)
+            if b_lit != b:
+                raise AssertionError(
+                    "grouped conjugation count disagrees with literal pass")
+        c3 = _coset_sum_counts(group, cls.rep, parabolic, reps2)
+        per_class_counts.append((a, b, c3))
+    cases = []
+    for cidx in range(len(parabolic.conjugacy_classes())):
+        values = [(Fraction(a.get(cidx, 0)),
+                   Fraction(b.get(cidx, 0), parabolic.order),
+                   Fraction(c3.get(cidx, 0)))
+                  for a, b, c3 in per_class_counts]
+        cases.append({
+            "composition": list(parabolic.composition),
+            "class_index": cidx,
+            "equal": all(va == vb == vc for va, vb, vc in values),
+            "values": [tuple(str(x) for x in row) for row in values],
+        })
+    return cases
+
+
 def ind_conjugate_identity_check(group: GLGroup, comp: Sequence[int],
                                  class_rep: Mat | int) -> dict:
     """For the P_c-class C of the given representative, evaluate on every
@@ -357,21 +392,18 @@ def ind_conjugate_identity_check(group: GLGroup, comp: Sequence[int],
 
     and report whether they agree.
     """
-    comp = as_composition(comp)
     parabolic = ParabolicSubgroup(group, comp)
-    pclasses = parabolic.conjugacy_classes()
     if isinstance(class_rep, int):
         cidx = class_rep
     else:
         cidx = parabolic.class_index_of(class_rep)
-    report = ind_conjugate_identity_exhaustive(group, comp)
-    case = report["cases"][cidx]
+    case = _ind_identity_cases(group, parabolic)[cidx]
     return {
         "d": group.d,
         "q": group.q,
-        "composition": list(comp),
+        "composition": case["composition"],
         "class_index": cidx,
-        "class_size": len(pclasses[cidx][1]),
+        "class_size": len(parabolic.conjugacy_classes()[cidx][1]),
         "equal": case["equal"],
         "values": case["values"],
     }
@@ -381,54 +413,8 @@ def ind_conjugate_identity_exhaustive(group: GLGroup,
                                       comp: Sequence[int] | None = None) -> dict:
     """Run the three-expression identity for every parabolic class C (of the
     given composition, or of all compositions of d) against every class of G."""
-    if comp is None:
-        comps = [c for c in _all_compositions(group.d)]
-    else:
-        comps = [as_composition(comp)]
-    all_ok = True
-    cases_out = []
-    for c in comps:
-        parabolic = ParabolicSubgroup(group, c)
-        pclasses = parabolic.conjugacy_classes()
-        reps = _coset_reps(group, parabolic)
-        # a second, different set of representatives for the third expression
-        twists = parabolic.elements()
-        reps2 = [mat_mul(s, twists[i % len(twists)], group.d, group.q)
-                 for i, s in enumerate(reps)]
-        literal_ok = group.order <= LITERAL_CONJUGATION_LIMIT
-        per_class_counts = []
-        for gidx, cls in enumerate(group.classes):
-            a = _coset_sum_counts(group, cls.rep, parabolic, reps)
-            b = _conjugation_counts_grouped(group, gidx, parabolic)
-            if literal_ok:
-                b_lit = _conjugation_counts_literal(group, cls.rep, parabolic)
-                if b_lit != b:
-                    raise AssertionError(
-                        "grouped conjugation count disagrees with literal pass")
-            c3 = _coset_sum_counts(group, cls.rep, parabolic, reps2)
-            per_class_counts.append((a, b, c3))
-        for cidx in range(len(pclasses)):
-            values = []
-            equal = True
-            for gidx in range(len(group.classes)):
-                a, b, c3 = per_class_counts[gidx]
-                va = Fraction(a.get(cidx, 0))
-                vb = Fraction(b.get(cidx, 0), parabolic.order)
-                vc = Fraction(c3.get(cidx, 0))
-                values.append((va, vb, vc))
-                if not va == vb == vc:
-                    equal = False
-            all_ok = all_ok and equal
-            cases_out.append({
-                "composition": list(c),
-                "class_index": cidx,
-                "equal": equal,
-                "values": [tuple(str(x) for x in row) for row in values],
-            })
-    return {"d": group.d, "q": group.q, "ok": all_ok, "cases": cases_out}
-
-
-def _all_compositions(n: int):
-    for bits in itertools.product((0, 1), repeat=n - 1):
-        cuts = [0] + [i + 1 for i, b in enumerate(bits) if b] + [n]
-        yield tuple(cuts[i + 1] - cuts[i] for i in range(len(cuts) - 1))
+    comps = compositions(group.d) if comp is None else [comp]
+    cases = [case for c in comps
+             for case in _ind_identity_cases(group, ParabolicSubgroup(group, c))]
+    return {"d": group.d, "q": group.q,
+            "ok": all(case["equal"] for case in cases), "cases": cases}

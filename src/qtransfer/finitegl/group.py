@@ -89,7 +89,8 @@ def _centralizer_order(label: Label, q: int) -> int:
             for l in range(1, m + 1):
                 val *= 1 - Fraction(1, qf ** l)
         total *= val
-    assert total.denominator == 1 and total > 0
+    if total.denominator != 1 or total <= 0:
+        raise AssertionError(f"centralizer order {total} is not a positive integer")
     return int(total)
 
 
@@ -208,7 +209,6 @@ class GLGroup:
 
     def class_index_of(self, mat: Mat) -> int:
         self.conjugacy_classes()
-        assert self._class_lookup is not None
         return self._class_lookup[self.label_of(mat)]
 
     def identity(self) -> Mat:
@@ -218,7 +218,6 @@ class GLGroup:
         f_x_minus_1 = ((self.q - 1) % self.q, 1)
         label: Label = ((f_x_minus_1, (1,) * self.d),)
         self.conjugacy_classes()
-        assert self._class_lookup is not None
         return self._class_lookup[label]
 
     # -- elements ------------------------------------------------------------
@@ -372,5 +371,4 @@ class ParabolicSubgroup:
 
     def class_index_of(self, mat: Mat) -> int:
         self.conjugacy_classes()
-        assert self._pclass_of is not None
         return self._pclass_of[mat]

@@ -18,7 +18,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .algebra.partitions import as_partition, partitions
+from .algebra.partitions import as_partition, partitions, subsets
 
 __all__ = [
     "Perm",
@@ -220,8 +220,7 @@ def f_g(d: int, rho: Sequence[int], bound: int | None = None) -> Fraction:
     """
     rho = as_partition(rho)
     total = Fraction(0)
-    for bits in itertools.product((0, 1), repeat=d - 1):
-        I = frozenset(i + 1 for i, b in enumerate(bits) if b)
+    for I in subsets(d - 1):
         W = young_subgroup(I, d)
         count = class_count_in_young(I, d, rho, bound)
         if count:
@@ -233,8 +232,7 @@ def f_g_table(d: int, bound: int | None = None) -> SdClassFunction:
     """The full indicator vector rho -> f_g(d, rho) in one enumeration pass."""
     _check_bound(d, bound)
     totals = {rho: Fraction(0) for rho in partitions(d)}
-    for bits in itertools.product((0, 1), repeat=d - 1):
-        I = frozenset(i + 1 for i, b in enumerate(bits) if b)
+    for I in subsets(d - 1):
         W = young_subgroup(I, d)
         coeff = _subset_coefficient(d, I) / W.order
         for rho, count in young_class_counts(I, d, bound).items():
@@ -253,8 +251,7 @@ def one_adic_ep(d: int, bound: int | None = None) -> dict[Perm, Fraction]:
     """
     _check_bound(d, bound)
     values = {w: Fraction(0) for w in all_perms(d)}
-    for bits in itertools.product((0, 1), repeat=d - 1):
-        I = frozenset(i + 1 for i, b in enumerate(bits) if b)
+    for I in subsets(d - 1):
         W = young_subgroup(I, d)
         coeff = _subset_coefficient(d, I) / W.order
         for w in W.elements():
@@ -338,6 +335,14 @@ def _min_double_coset_reps_cached(M: frozenset, I: frozenset, d: int
     return tuple(sorted(reps, key=lambda w: (inversions(w), w)))
 
 
+def _support(M: frozenset, I: frozenset, w: Perm) -> frozenset:
+    # J = (simple set of M) cap w(I): w s_i w^-1 is the transposition
+    # (w(i), w(i+1)), the simple reflection s_w(i) of M exactly when
+    # w(i+1) = w(i) + 1 and w(i) is in M
+    return frozenset(w[i - 1] for i in I
+                     if w[i] == w[i - 1] + 1 and w[i - 1] in M)
+
+
 def restriction_support(M: Iterable[int], I: Iterable[int], w: Perm,
                         bound: int | None = None) -> frozenset:
     """For w minimal in W_M w W_I: the support of g -> 1_{W_I}(w^-1 g w) on
@@ -352,8 +357,7 @@ def restriction_support(M: Iterable[int], I: Iterable[int], w: Perm,
     I = frozenset(I)
     if not (_right_descent_free(w, I) and _right_descent_free(perm_inv(w), M)):
         raise ValueError("w is not the minimal double-coset representative")
-    J = frozenset(w[i - 1] for i in I
-                  if w[i] == w[i - 1] + 1 and w[i - 1] in M)
+    J = _support(M, I, w)
     W_I = young_subgroup(I, d)
     W_J = young_subgroup(J, d)
     w_inv = perm_inv(w)
@@ -383,11 +387,8 @@ def proper_levi_vanishing(d: int, M: Iterable[int],
     for k in range(len(M) + 1):
         for J in itertools.combinations(sorted(M), k):
             sums[frozenset(J)] = Fraction(0)
-    for bits in itertools.product((0, 1), repeat=d - 1):
-        I = frozenset(i + 1 for i, b in enumerate(bits) if b)
+    for I in subsets(d - 1):
         coeff = _subset_coefficient(d, I)
         for w in min_double_coset_reps(M, I, d, bound):
-            J = frozenset(w[i - 1] for i in I
-                          if w[i] == w[i - 1] + 1 and w[i - 1] in M)
-            sums[J] += coeff
+            sums[_support(M, I, w)] += coeff
     return sums

@@ -4,7 +4,6 @@ Run with  pytest tests/test_acceptance.py -v -s  to see one line per
 criterion.  Stated wall-clock budgets are asserted where given.
 """
 
-import itertools
 import time
 from contextlib import contextmanager
 from fractions import Fraction
@@ -12,34 +11,17 @@ from fractions import Fraction
 from qtransfer.algebra import (
     QScalar,
     compositions,
-    elementary,
     gl_order,
     parabolic_order,
     parahoric_index,
-    partitions,
     powersum,
     qint_balanced,
-    schur,
 )
+from qtransfer.cli import SUITES, build_parser
 from qtransfer.epfun import DParahoricType, ParahoricCombo, ep_function, f_J, \
-    fj_shadow_report, product_ep, shadow
-from qtransfer.finitegl import cached_group, comb_prop_check, dl_character, \
-    ind_conjugate_identity_exhaustive
-from qtransfer.transfer import (
-    TransferParams,
-    image_e,
-    image_p,
-    image_schur,
-    substitution_image,
-    surjectivity_witness,
-    transfer_sym,
-)
-from qtransfer.weylcomb import (
-    f_g_table,
-    min_double_coset_reps,
-    proper_levi_vanishing,
-    restriction_support,
-)
+    product_ep, shadow
+from qtransfer.finitegl import cached_group, dl_character
+from qtransfer.transfer import TransferParams, image_p, surjectivity_witness
 
 
 @contextmanager
@@ -54,26 +36,23 @@ def criterion(num, name):
     print(f"ACCEPTANCE {num:02d} {name}: PASS ({elapsed:.1f}s)")
 
 
-def all_params(nmax):
-    return [TransferParams(r=n // d, d=d)
-            for n in range(1, nmax + 1) for d in range(1, n + 1) if n % d == 0]
+def verify(argv, identity=None):
+    """Run the CLI suite of `qtransfer verify <argv>` in-process and assert
+    that every case holds; `identity` keeps the finite-gl cases of one
+    identity only."""
+    args = build_parser().parse_args(["verify", *argv.split()])
+    suite = SUITES[args.suite]
+    details = [suite.check(case) for case in suite.cases(args)
+               if identity is None or case[0] == identity]
+    assert details and all(c["ok"] for c in details), \
+        [c for c in details if not c["ok"]]
+    return details
 
 
 def test_criterion_01_transfer_oracle_equivalence():
     started = time.monotonic()
     with criterion(1, "transfer oracle equivalence (n <= 8, deg <= 5)"):
-        for p in all_params(8):
-            for k in range(1, min(p.n, 5) + 1):
-                e = elementary(p.n, k)
-                img = image_e(p, k)
-                assert transfer_sym(p, e) == img == substitution_image(p, e)
-            for k in range(1, 6):
-                f = powersum(p.n, k)
-                img = image_p(p, k)
-                assert transfer_sym(p, f) == img == substitution_image(p, f)
-            for size in range(1, 6):
-                for mu in partitions(size):
-                    assert transfer_sym(p, schur(p.n, mu)) == image_schur(p, mu)
+        verify("--suite transfer-consistency --nmax 8 --degmax 5")
         assert time.monotonic() - started < 60
 
 
@@ -92,60 +71,30 @@ def test_criterion_02_q1_degeneration():
 def test_criterion_03_comb_prop_indicator():
     started = time.monotonic()
     with criterion(3, "d-cycle indicator f_g for d <= 7"):
-        for d in range(1, 8):
-            table = f_g_table(d)
-            for rho in partitions(d):
-                assert table(rho) == (1 if rho == (d,) else 0), (d, rho)
+        verify("--suite comb-prop --dmax 7")
         assert time.monotonic() - started < 120
 
 
 def test_criterion_04_weyl_vanishing():
     with criterion(4, "proper-Levi vanishing and support equality, d <= 6"):
-        for d in range(2, 7):
-            simple = list(range(1, d))
-            for k in range(d - 1):
-                for M in itertools.combinations(simple, k):
-                    sums = proper_levi_vanishing(d, frozenset(M))
-                    assert all(v == 0 for v in sums.values()), (d, M)
-        for d in range(2, 7):
-            simple = list(range(1, d))
-            for kM in range(d):
-                for M in itertools.combinations(simple, kM):
-                    for kI in range(d):
-                        for I in itertools.combinations(simple, kI):
-                            for w in min_double_coset_reps(
-                                    frozenset(M), frozenset(I), d):
-                                restriction_support(frozenset(M),
-                                                    frozenset(I), w)
+        verify("--suite weyl-vanishing --dmax 6")
 
 
 def test_criterion_05_finite_dl_identity():
     started = time.monotonic()
     with criterion(5, "finite Deligne-Lusztig identity on five groups"):
-        for d, q in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]:
-            report = comb_prop_check(cached_group(d, q))
-            assert report["equal"], (d, q)
+        assert len(verify("--suite finite-gl", "comb_prop")) == 5
         assert time.monotonic() - started < 600
 
 
 def test_criterion_06_induction_identity():
     with criterion(6, "induced-class-function identity, d <= 3, q in {2,3}"):
-        for d in (1, 2, 3):
-            for q in (2, 3):
-                report = ind_conjugate_identity_exhaustive(cached_group(d, q))
-                assert report["ok"], (d, q)
+        assert len(verify("--suite finite-gl", "ind_identity")) == 6
 
 
 def test_criterion_07_ep_shadow():
     with criterion(7, "EP shadow equals Weyl-averaged DL, n <= 4, q in {2,3}"):
-        for q in (2, 3):
-            for n in range(1, 5):
-                for d in range(1, n + 1):
-                    if n % d:
-                        continue
-                    for parts in partitions(n // d):
-                        rep = fj_shadow_report(DParahoricType(d, parts), q)
-                        assert rep["equal"], rep
+        verify("--suite ep-shadow --n 4 --q 2 3")
         # r = 1: the scaled EP function shadows to the Coxeter-torus character
         for d, q in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]:
             lhs = shadow(ep_function(d).scale(d), q)

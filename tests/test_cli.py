@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from qtransfer.algebra import SymPoly
 from qtransfer.cli import main
 
 
@@ -89,6 +90,20 @@ def test_verify_weyl_vanishing(capsys):
     code, report = run_json(capsys, "verify", "--suite", "weyl-vanishing",
                             "--dmax", "4")
     assert code == 0
+    cases = report["payload"]["weyl-vanishing"]["cases"]
+    # the support equality also runs for M = the full simple set
+    assert {"d": 4, "M": [1, 2, 3], "ok": True, "nonzero_sums": {}} in cases
+
+
+def test_verify_transfer_checks_e_against_substitution(capsys, monkeypatch):
+    monkeypatch.setattr("qtransfer.cli.substitution_image",
+                        lambda p, f: SymPoly.zero(p.r))
+    code, report = run_json(capsys, "verify", "--suite",
+                            "transfer-consistency", "--nmax", "2",
+                            "--degmax", "1")
+    assert code == 1
+    cases = report["payload"]["transfer-consistency"]["cases"]
+    assert all("e_1" in c["failures"] for c in cases)
 
 
 def test_verify_ep_shadow_small(capsys):
@@ -176,6 +191,23 @@ def test_budget_error_exit_2(capsys):
     assert code == 2
     assert report["status"] == "error"
     assert "bound" in report["error"]
+
+
+def test_empty_parahoric_type_exit_2(capsys):
+    code, report = run_json(capsys, "ep", "fj", "--d", "1", "--r", "0")
+    assert code == 2
+    assert report["error"].startswith("ValueError")
+
+
+def test_internal_fault_exit_3(capsys, monkeypatch):
+    def broken(d):
+        raise AssertionError("broken invariant")
+    monkeypatch.setattr("qtransfer.cli.f_g_table", broken)
+    code, report = run_json(capsys, "verify", "--suite", "comb-prop",
+                            "--dmax", "2")
+    assert code == 3
+    assert report["status"] == "error"
+    assert report["error"] == "AssertionError: broken invariant"
 
 
 def test_table_mode(capsys):
