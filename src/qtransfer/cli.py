@@ -29,7 +29,6 @@ from .epfun import (
     ep_function,
     f_J,
     fj_shadow_report,
-    product_ep,
     shadow,
     to_one_basis,
 )
@@ -47,7 +46,6 @@ from .transfer import (
     image_p,
     image_schur,
     substitution_image,
-    surjectivity_witness,
     transfer_sym,
 )
 from .weylcomb import (
@@ -56,6 +54,8 @@ from .weylcomb import (
     min_double_coset_reps,
     proper_levi_vanishing,
     restriction_support,
+    support_by_enumeration,
+    young_subgroup,
 )
 
 SCHEMA = "1"
@@ -217,16 +217,18 @@ def _comb_prop_case(d: int) -> dict:
 
 
 def _weyl_vanishing_case(case: tuple[int, tuple[int, ...]]) -> dict:
-    # vanishing needs a proper Levi; the support equality, which
-    # restriction_support raises on, is checked for M = {1, .., d-1} too
+    # vanishing needs a proper Levi; the support equality of the closed form
+    # against the enumeration oracle is checked for M = {1, .., d-1} too
     d, simple = case
     M = frozenset(simple)
     sums = proper_levi_vanishing(d, M) if len(M) < d - 1 else {}
     bad = {str(sorted(J)): str(v) for J, v in sums.items() if v != 0}
-    for I in subsets(d - 1):
-        for w in min_double_coset_reps(M, I, d):
-            restriction_support(M, I, w)
-    return {"d": d, "M": list(simple), "ok": not bad, "nonzero_sums": bad}
+    supports_ok = all(
+        support_by_enumeration(M, I, w)
+        == frozenset(young_subgroup(restriction_support(M, I, w), d).elements())
+        for I in subsets(d - 1) for w in min_double_coset_reps(M, I, d))
+    return {"d": d, "M": list(simple), "ok": supports_ok and not bad,
+            "nonzero_sums": bad}
 
 
 _GL_IDENTITIES = {

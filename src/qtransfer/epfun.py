@@ -16,11 +16,10 @@ parabolic of GL_n(F_q).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
-from typing import Iterator, Mapping, Sequence
+from math import prod
+from typing import Mapping, Sequence
 
 from .algebra.partitions import (
     as_composition,
@@ -28,14 +27,13 @@ from .algebra.partitions import (
     composition_count,
     partitions,
     render_partition,
-    sn_class_size,
     subsets,
 )
 from .algebra.qcount import parahoric_index
 from .algebra.scalars import QScalar
 from .finitegl import ClassFunction, cached_group, dl_character, parabolic_trivial_ind
 from .finitegl.classfun import zero_class_function
-from .weylcomb import _subset_coefficient, block_composition
+from .weylcomb import _subset_coefficient, block_composition, composition_class_counts
 
 __all__ = [
     "ParahoricCombo",
@@ -215,25 +213,7 @@ def product_ep(d: int, r: int) -> ParahoricCombo:
 def levi_scalar(comp: Sequence[int]) -> int:
     """|M / M^1 Z(M)| for the Levi M = prod GL_{n_i}(F): the product of the
     block sizes.  Equals d^r on the type (d^r)."""
-    return _prod(as_composition(comp))
-
-
-def _prod(xs: Sequence[int]) -> int:
-    out = 1
-    for x in xs:
-        out *= x
-    return out
-
-
-def _cycle_type_tuples(parts: Sequence[int]
-                       ) -> Iterator[tuple[tuple[tuple[int, ...], ...], Fraction]]:
-    """Cycle-type tuples of W_L = prod S_{r_i} with their relative weights
-    (product of class sizes over |W_L|)."""
-    w_order = _prod([factorial(p) for p in parts])
-    per_factor = [list(partitions(p)) for p in parts]
-    for combo in itertools.product(*per_factor):
-        count = _prod([sn_class_size(rho) for rho in combo])
-        yield combo, Fraction(count, w_order)
+    return prod(as_composition(comp))
 
 
 def f_J(t: DParahoricType) -> ParahoricCombo:
@@ -244,16 +224,17 @@ def f_J(t: DParahoricType) -> ParahoricCombo:
         concatenation product over the parts m of w of
         (d*m) * f^EP_{GL_{d*m}}.
     """
+    counts = composition_class_counts(t.parts)
+    order = sum(counts.values())
     out = ParahoricCombo(t.n, "e")
-    for combo, weight in _cycle_type_tuples(t.parts):
+    for rho, count in counts.items():
         term: ParahoricCombo | None = None
-        for rho in combo:
-            for m in rho:
-                factor = ep_function(t.d * m).scale(t.d * m)
-                term = factor if term is None else term.tensor(factor)
+        for m in rho:
+            factor = ep_function(t.d * m).scale(t.d * m)
+            term = factor if term is None else term.tensor(factor)
         if term is None or term.n != t.n:
             raise AssertionError(f"f_J term does not live on GL_{t.n}")
-        out = out + term.scale(Fraction(weight))
+        out = out + term.scale(Fraction(count, order))
     return out
 
 
@@ -295,10 +276,12 @@ def weyl_averaged_dl(t: DParahoricType, q: int) -> ClassFunction:
     """(1/|W_L|) sum over w in W_L of the Deligne-Lusztig character of
     GL_n(F_q) whose torus type concatenates the parts d*m of w."""
     group = cached_group(t.n, q)
+    counts = composition_class_counts(t.parts)
+    order = sum(counts.values())
     total = zero_class_function(group)
-    for combo, weight in _cycle_type_tuples(t.parts):
-        torus = tuple(sorted((t.d * m for rho in combo for m in rho), reverse=True))
-        total = total + dl_character(group, torus).scale(weight)
+    for rho, count in counts.items():
+        torus = tuple(t.d * m for m in rho)
+        total = total + dl_character(group, torus).scale(Fraction(count, order))
     return total
 
 

@@ -5,8 +5,17 @@ Permutations are 1-based one-line tuples: w[i-1] is the image of i.
 Subsets I of {1, .., d-1} index simple transpositions; the complement of I
 cuts {1, .., d} into the consecutive blocks of a composition, and W_I is
 the Young subgroup preserving those blocks.  Everything is exact (Fraction
-coefficients) and brute-force at desk scale; enumeration refuses beyond a
-configurable bound instead of subsampling.
+coefficients).
+
+Closed forms compute, enumerations verify.  Cycle-type counts of a Young
+subgroup are products of S_part class sizes; the support of a restricted
+double coset is the Young subgroup W_J given by Kilmoyer's lemma
+(W_M cap w W_I w^-1 = W_J for minimal w; Geck-Pfeiffer, Characters of
+Finite Coxeter Groups and Iwahori-Hecke Algebras, 2.1-2.2); double-coset
+representatives come from the descent rule.  The brute-force enumerations
+these replace stay as oracles (``YoungSubgroup.elements``,
+``support_by_enumeration``) that the tests and ``verify`` compare against.
+S_d work refuses beyond a configurable bound instead of subsampling.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .algebra.partitions import as_partition, partitions, subsets
+from .algebra.partitions import as_partition, partitions, sn_class_size, subsets
 
 __all__ = [
     "Perm",
@@ -44,6 +53,7 @@ __all__ = [
     "min_double_coset_reps",
     "min_coset_reps_in",
     "restriction_support",
+    "support_by_enumeration",
     "proper_levi_vanishing",
 ]
 
@@ -161,24 +171,24 @@ def young_subgroup_of_composition(comp: Sequence[int]) -> YoungSubgroup:
 
 def young_class_counts(I: Iterable[int], d: int,
                        bound: int | None = None) -> dict[tuple[int, ...], int]:
-    """Count of W_I-elements per S_d cycle type, by enumeration."""
+    """Count of W_I-elements per S_d cycle type."""
     _check_bound(d, bound)
-    counts: dict[tuple[int, ...], int] = {}
-    for w in young_subgroup(I, d).elements():
-        rho = cycle_type(w)
-        counts[rho] = counts.get(rho, 0) + 1
-    return counts
+    return composition_class_counts(block_composition(I, d))
 
 
-def composition_class_counts(comp: Sequence[int],
-                             bound: int | None = None) -> dict[tuple[int, ...], int]:
-    """Cycle-type counts of the Young subgroup of a given composition."""
-    d = sum(comp)
-    _check_bound(d, bound)
-    counts: dict[tuple[int, ...], int] = {}
-    for w in young_subgroup_of_composition(comp).elements():
-        rho = cycle_type(w)
-        counts[rho] = counts.get(rho, 0) + 1
+def composition_class_counts(comp: Sequence[int]) -> dict[tuple[int, ...], int]:
+    """Cycle-type counts of the Young subgroup of a given composition: an
+    element is a tuple of block permutations, its cycle type the merge of
+    theirs, so the counts are products of S_part class sizes.  The oracle is
+    counting ``young_subgroup_of_composition(comp).elements()`` by type."""
+    counts: dict[tuple[int, ...], int] = {(): 1}
+    for part in comp:
+        merged: dict[tuple[int, ...], int] = {}
+        for rho, count in counts.items():
+            for sigma in partitions(part):
+                key = tuple(sorted(rho + sigma, reverse=True))
+                merged[key] = merged.get(key, 0) + count * sn_class_size(sigma)
+        counts = merged
     return counts
 
 
@@ -303,9 +313,13 @@ def min_double_coset_reps(M: Iterable[int], I: Iterable[int], d: int,
                           bound: int | None = None) -> list[Perm]:
     """Length-minimal representatives of the double cosets W_M \\ S_d / W_I.
 
-    Uses the descent characterization (increasing at I, inverse increasing
-    at M) and asserts that the reps partition S_d with a unique length
-    minimum per coset.  Verified results are cached per (M, I, d).
+    The descent rule selects them: w is minimal exactly when it increases
+    at every position of I and w^-1 increases at every position of M.  By
+    Kilmoyer's lemma |W_M w W_I| = |W_M| |W_I| / |W_J(w)| with J(w) the
+    support set of ``restriction_support``, and these sizes must sum to d!;
+    a failure of that invariant raises.  The oracle is the brute-force
+    tiling of S_d by the cosets, in the tests.  Results are cached per
+    (M, I, d).
     """
     _check_bound(d, bound)
     return list(_min_double_coset_reps_cached(frozenset(M), frozenset(I), d))
@@ -316,22 +330,13 @@ def _min_double_coset_reps_cached(M: frozenset, I: frozenset, d: int
                                   ) -> tuple[Perm, ...]:
     reps = [w for w in all_perms(d)
             if _right_descent_free(w, I) and _right_descent_free(perm_inv(w), M)]
-    # uniqueness + covering check: cosets of the reps tile S_d and each
-    # attains its length minimum exactly once
-    W_M = list(young_subgroup(M, d).elements())
-    W_I = list(young_subgroup(I, d).elements())
-    covered: set[Perm] = set()
-    for w in reps:
-        length = inversions(w)
-        coset = {perm_mul(perm_mul(m, w), i) for m in W_M for i in W_I}
-        if covered & coset:
-            raise AssertionError("double cosets overlap; rep not unique")
-        lengths = sorted(inversions(u) for u in coset)
-        if lengths[0] != length or (len(lengths) > 1 and lengths[1] == length):
-            raise AssertionError("representative is not the unique length minimum")
-        covered |= coset
-    if len(covered) != factorial(d):
-        raise AssertionError("double coset representatives do not cover S_d")
+    product = young_subgroup(M, d).order * young_subgroup(I, d).order
+    total = sum(Fraction(product, young_subgroup(_support(M, I, w), d).order)
+                for w in reps)
+    if total != factorial(d):
+        raise AssertionError(
+            f"double cosets of W_{sorted(M)}, W_{sorted(I)} in S_{d} have "
+            f"total size {total}, not {factorial(d)}")
     return tuple(sorted(reps, key=lambda w: (inversions(w), w)))
 
 
@@ -343,30 +348,31 @@ def _support(M: frozenset, I: frozenset, w: Perm) -> frozenset:
                      if w[i] == w[i - 1] + 1 and w[i - 1] in M)
 
 
-def restriction_support(M: Iterable[int], I: Iterable[int], w: Perm,
-                        bound: int | None = None) -> frozenset:
+def restriction_support(M: Iterable[int], I: Iterable[int], w: Perm) -> frozenset:
     """For w minimal in W_M w W_I: the support of g -> 1_{W_I}(w^-1 g w) on
-    W_M is the Young subgroup W_J with J = (simple set of M) cap w(I).
+    W_M is the Young subgroup W_J with J = (simple set of M) cap w(I)
+    (Kilmoyer's lemma, W_M cap w W_I w^-1 = W_J).
 
-    Returns J; asserts the support equality by enumerating W_M.  Rejects
-    non-minimal w.
+    Returns J in closed form and rejects non-minimal w.  The oracle is
+    ``support_by_enumeration``, which must equal the elements of W_J.
     """
-    d = len(w)
-    _check_bound(d, bound)
     M = frozenset(M)
     I = frozenset(I)
     if not (_right_descent_free(w, I) and _right_descent_free(perm_inv(w), M)):
         raise ValueError("w is not the minimal double-coset representative")
-    J = _support(M, I, w)
+    return _support(M, I, w)
+
+
+def support_by_enumeration(M: Iterable[int], I: Iterable[int], w: Perm
+                           ) -> frozenset[Perm]:
+    """{v in W_M : w^-1 v w in W_I}, by enumerating W_M: the oracle for
+    ``restriction_support``.  Refuses d > DEFAULT_ENUM_BOUND."""
+    d = len(w)
+    _check_bound(d, None)
     W_I = young_subgroup(I, d)
-    W_J = young_subgroup(J, d)
     w_inv = perm_inv(w)
-    for v in young_subgroup(M, d).elements():
-        conj = perm_mul(w_inv, perm_mul(v, w))
-        if (conj in W_I) != (v in W_J):
-            raise AssertionError(
-                f"support mismatch at v={v}: J = {sorted(J)} is wrong")
-    return J
+    return frozenset(v for v in young_subgroup(M, d).elements()
+                     if perm_mul(w_inv, perm_mul(v, w)) in W_I)
 
 
 def proper_levi_vanishing(d: int, M: Iterable[int],

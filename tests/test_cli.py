@@ -95,6 +95,18 @@ def test_verify_weyl_vanishing(capsys):
     assert {"d": 4, "M": [1, 2, 3], "ok": True, "nonzero_sums": {}} in cases
 
 
+def test_verify_weyl_vanishing_support_mismatch_exit_1(capsys, monkeypatch):
+    monkeypatch.setattr("qtransfer.cli.restriction_support",
+                        lambda M, I, w: frozenset())
+    code, report = run_json(capsys, "verify", "--suite", "weyl-vanishing",
+                            "--dmax", "3")
+    assert code == 1
+    cases = report["payload"]["weyl-vanishing"]["cases"]
+    # M = {} has only trivial supports; every other M has a nontrivial one
+    assert [c["ok"] for c in cases] == [not c["M"] for c in cases]
+    assert all(set(c) == {"d", "M", "ok", "nonzero_sums"} for c in cases)
+
+
 def test_verify_transfer_checks_e_against_substitution(capsys, monkeypatch):
     monkeypatch.setattr("qtransfer.cli.substitution_image",
                         lambda p, f: SymPoly.zero(p.r))

@@ -13,3 +13,36 @@ def test_no_assert_statements_in_package():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert not found, found
+
+
+def _string_annotation_names(tree: ast.Module) -> set[str]:
+    # names inside a string annotation are not ast.Name nodes of the module
+    annotations = [value for node in ast.walk(tree)
+                   for value in (getattr(node, "annotation", None),
+                                 getattr(node, "returns", None))
+                   if value is not None]
+    return {name.id
+            for annotation in annotations for node in ast.walk(annotation)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            for name in ast.walk(ast.parse(node.value, mode="eval"))
+            if isinstance(name, ast.Name)}
+
+
+def test_module_level_imports_are_used():
+    unused = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= _string_annotation_names(tree)
+        used |= {elt.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                 for elt in node.value.elts}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.relative_to(SRC)}:{node.lineno} {name}")
+    assert not unused, unused

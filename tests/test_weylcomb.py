@@ -1,9 +1,11 @@
-import itertools
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
+from qtransfer import weylcomb
+from qtransfer.algebra.partitions import compositions, subsets
 from qtransfer.weylcomb import (
     EnumerationBudgetError,
     all_perms,
@@ -22,15 +24,10 @@ from qtransfer.weylcomb import (
     perm_mul,
     proper_levi_vanishing,
     restriction_support,
+    support_by_enumeration,
     young_subgroup,
+    young_subgroup_of_composition,
 )
-
-
-def subsets(d):
-    for k in range(d):
-        for I in itertools.combinations(range(1, d), k):
-            yield frozenset(I)
-    yield frozenset(range(1, d))
 
 
 def test_perm_basics():
@@ -77,6 +74,13 @@ def test_composition_class_counts_total():
     counts = composition_class_counts((2, 2))
     assert sum(counts.values()) == 4
     assert counts[(2, 2)] == 1 and counts[(1, 1, 1, 1)] == 1 and counts[(2, 1, 1)] == 2
+
+
+def test_composition_class_counts_against_enumeration():
+    for d in range(7):
+        for comp in compositions(d):
+            elements = young_subgroup_of_composition(comp).elements()
+            assert composition_class_counts(comp) == Counter(map(cycle_type, elements))
 
 
 def test_f_g_hand_values():
@@ -139,28 +143,34 @@ def test_min_double_coset_reps_structure():
 
 
 def test_min_double_coset_reps_against_bruteforce():
-    d = 4
-    for M in subsets(d):
-        for I in subsets(d):
-            reps = set(min_double_coset_reps(M, I, d))
+    # the cosets of the reps tile S_d, each rep its coset's unique length minimum
+    for d in range(1, 6):
+        for M in subsets(d - 1):
             W_M = list(young_subgroup(M, d).elements())
-            W_I = list(young_subgroup(I, d).elements())
-            seen = set()
-            brute = set()
-            for w in sorted(all_perms(d), key=lambda u: (inversions(u), u)):
-                if w in seen:
-                    continue
-                coset = {perm_mul(perm_mul(m, w), i) for m in W_M for i in W_I}
-                seen |= coset
-                brute.add(min(coset, key=lambda u: (inversions(u), u)))
-            assert reps == brute
+            for I in subsets(d - 1):
+                W_I = list(young_subgroup(I, d).elements())
+                covered = set()
+                for w in min_double_coset_reps(M, I, d):
+                    coset = {perm_mul(perm_mul(m, w), i) for m in W_M for i in W_I}
+                    assert not covered & coset
+                    covered |= coset
+                    length = inversions(w)
+                    assert [u for u in coset if inversions(u) <= length] == [w]
+                assert covered == set(all_perms(d))
+
+
+def test_min_double_coset_reps_checks_the_cardinality_invariant(monkeypatch):
+    monkeypatch.setattr(weylcomb, "_support", lambda M, I, w: frozenset())
+    weylcomb._min_double_coset_reps_cached.cache_clear()
+    with pytest.raises(AssertionError, match="total size"):
+        min_double_coset_reps(frozenset({1}), frozenset({1}), 3)
 
 
 def test_unique_factorization_count():
     # |W_M w W_I| == |W_M cap D_{empty, J}| * |W_I| with J the support set
     d = 4
-    for M in subsets(d):
-        for I in subsets(d):
+    for M in subsets(d - 1):
+        for I in subsets(d - 1):
             W_M = list(young_subgroup(M, d).elements())
             W_I = list(young_subgroup(I, d).elements())
             for w in min_double_coset_reps(M, I, d):
@@ -177,16 +187,17 @@ def test_restriction_support_rejects_nonminimal():
 
 def test_restriction_support_exhaustive_d5():
     for d in (3, 4, 5):
-        for M in subsets(d):
-            for I in subsets(d):
+        for M in subsets(d - 1):
+            for I in subsets(d - 1):
                 for w in min_double_coset_reps(M, I, d):
-                    restriction_support(M, I, w)  # raises on any mismatch
+                    W_J = young_subgroup(restriction_support(M, I, w), d)
+                    assert support_by_enumeration(M, I, w) == set(W_J.elements())
 
 
 def test_proper_levi_vanishing_small():
     assert all(v == 0 for v in proper_levi_vanishing(2, frozenset()).values())
     for d in (3, 4, 5):
-        for M in subsets(d):
+        for M in subsets(d - 1):
             if M == frozenset(range(1, d)):
                 continue
             sums = proper_levi_vanishing(d, M)
