@@ -43,13 +43,13 @@ def partitions(n: int, max_part: int | None = None,
     if max_length is None:
         max_length = n
 
-    def rec(rem: int, bound: int, room: int) -> Iterator[tuple[int, ...]]:
+    def rec(rem: int, largest: int, room: int) -> Iterator[tuple[int, ...]]:
         if rem == 0:
             yield ()
             return
         if room == 0:
             return
-        for first in range(min(rem, bound), 0, -1):
+        for first in range(min(rem, largest), 0, -1):
             for rest in rec(rem - first, first, room - 1):
                 yield (first,) + rest
 

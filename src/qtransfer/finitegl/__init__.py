@@ -13,8 +13,8 @@ from .classfun import (
     zero_class_function,
 )
 from .group import (
-    DEFAULT_CLASS_BUDGET,
-    DEFAULT_SCAN_LIMIT,
+    CLASS_BUDGET,
+    SCAN_LIMIT,
     BudgetError,
     GLClass,
     GLGroup,
@@ -24,7 +24,7 @@ from .group import (
 
 __all__ = [
     "GLGroup", "GLClass", "ParabolicSubgroup", "BudgetError",
-    "DEFAULT_CLASS_BUDGET", "DEFAULT_SCAN_LIMIT", "cached_group",
+    "CLASS_BUDGET", "SCAN_LIMIT", "cached_group",
     "ClassFunction", "trivial_character", "zero_class_function",
     "induce_class_function", "induced_values_averaged",
     "parabolic_trivial_ind", "dl_character", "comb_prop_check",

@@ -26,7 +26,7 @@ from ..algebra.partitions import (
 )
 from ..weylcomb import _subset_coefficient, block_composition, composition_class_counts
 from .fqmat import Mat, in_rowspace, mat_inv, mat_mul, mat_vec, rref_subspaces
-from .group import DEFAULT_SCAN_LIMIT, GLGroup, ParabolicSubgroup
+from .group import GLGroup, ParabolicSubgroup
 
 __all__ = [
     "ClassFunction",
@@ -106,14 +106,13 @@ def zero_class_function(group: GLGroup) -> ClassFunction:
 # -- induction ---------------------------------------------------------------
 
 
-def _left_coset_reps(group: GLGroup, subgroup_elements: Sequence[Mat],
-                     scan_limit: int = DEFAULT_SCAN_LIMIT) -> list[Mat]:
+def _left_coset_reps(group: GLGroup, subgroup_elements: Sequence[Mat]) -> list[Mat]:
     """One representative g per left coset g H, the first in element order;
     checks that the cosets tile the group."""
     d, q = group.d, group.q
     reps: list[Mat] = []
     assigned: set[Mat] = set()
-    for g in group.element_list(scan_limit):
+    for g in group.element_list():
         if g in assigned:
             continue
         reps.append(g)
@@ -125,8 +124,7 @@ def _left_coset_reps(group: GLGroup, subgroup_elements: Sequence[Mat],
 
 
 def induce_class_function(group: GLGroup, subgroup_elements: Sequence[Mat],
-                          f: Mapping[Mat, Fraction],
-                          scan_limit: int = DEFAULT_SCAN_LIMIT) -> ClassFunction:
+                          f: Mapping[Mat, Fraction]) -> ClassFunction:
     """Coset-sum induction: x -> sum over left-coset representatives s of
     f(s^-1 x s), with f extended by zero off the subgroup.
 
@@ -135,7 +133,7 @@ def induce_class_function(group: GLGroup, subgroup_elements: Sequence[Mat],
     d, q = group.d, group.q
     sub = list(subgroup_elements)
     sub_set = set(sub)
-    reps = _left_coset_reps(group, sub, scan_limit)
+    reps = _left_coset_reps(group, sub)
     rep_invs = [mat_inv(s, d, q) for s in reps]
     values = []
     for cls in group.classes:
@@ -149,12 +147,11 @@ def induce_class_function(group: GLGroup, subgroup_elements: Sequence[Mat],
 
 
 def induced_values_averaged(group: GLGroup, sub_order: int,
-                            f: Mapping[Mat, Fraction], x: Mat,
-                            scan_limit: int = DEFAULT_SCAN_LIMIT) -> Fraction:
+                            f: Mapping[Mat, Fraction], x: Mat) -> Fraction:
     """The representative-free form (1/|H|) sum over t in G of f(t^-1 x t)."""
     d, q = group.d, group.q
     total = Fraction(0)
-    for t in group.element_list(scan_limit):
+    for t in group.element_list():
         y = mat_mul(mat_mul(mat_inv(t, d, q), x, d, q), t, d, q)
         if y in f:
             total += f[y]

@@ -46,20 +46,21 @@ __all__ = [
     "GLClass",
     "ParabolicSubgroup",
     "BudgetError",
-    "DEFAULT_CLASS_BUDGET",
-    "DEFAULT_SCAN_LIMIT",
+    "CLASS_BUDGET",
+    "SCAN_LIMIT",
     "cached_group",
 ]
 
-DEFAULT_CLASS_BUDGET = 25_000_000
-DEFAULT_SCAN_LIMIT = 200_000
+CLASS_BUDGET = 25_000_000  # largest group order whose class data is built
+SCAN_LIMIT = 200_000  # largest number of matrices one element scan visits
 
 # label: sorted tuple of (irreducible poly, partition) pairs
 Label = tuple[tuple[Poly, tuple[int, ...]], ...]
 
 
 class BudgetError(RuntimeError):
-    """An enumeration budget was exceeded; the message names the required one."""
+    """A finite-GL enumeration would exceed its fixed limit (CLASS_BUDGET or
+    SCAN_LIMIT); the message names the measured size and the limit."""
 
 
 @dataclass(frozen=True)
@@ -114,14 +115,13 @@ def _label_rep(label: Label, q: int) -> Mat:
 class GLGroup:
     """GL_d(F_q) with exact conjugacy-class data and on-demand elements."""
 
-    def __init__(self, d: int, q: int, class_budget: int = DEFAULT_CLASS_BUDGET):
+    def __init__(self, d: int, q: int):
         if d < 1:
             raise ValueError("d must be >= 1")
         if not is_prime(q):
             raise ValueError(f"q = {q} must be prime")
         self.d = d
         self.q = q
-        self.class_budget = class_budget
         self.order = gl_order(d, q)
         self._classes: tuple[GLClass, ...] | None = None
         self._class_lookup: dict[Label, int] | None = None
@@ -137,11 +137,10 @@ class GLGroup:
 
     def conjugacy_classes(self) -> tuple[GLClass, ...]:
         if self._classes is None:
-            if self.order > self.class_budget:
+            if self.order > CLASS_BUDGET:
                 raise BudgetError(
                     f"|GL_{self.d}(F_{self.q})| = {self.order} exceeds the class "
-                    f"budget {self.class_budget}; pass class_budget >= {self.order}"
-                )
+                    f"budget {CLASS_BUDGET}")
             classes = []
             for label in self._all_labels():
                 size = self.order // _centralizer_order(label, self.q)
@@ -225,30 +224,29 @@ class GLGroup:
     def scan_space(self) -> int:
         return self.q ** (self.d * self.d)
 
-    def elements(self, scan_limit: int = DEFAULT_SCAN_LIMIT) -> Iterator[Mat]:
-        """All invertible matrices, by scanning q^(d^2) candidates."""
-        if self.scan_space() > scan_limit:
+    def elements(self) -> Iterator[Mat]:
+        """All invertible matrices, by scanning q^(d^2) candidates; refuses
+        before the scan when that exceeds SCAN_LIMIT."""
+        if self.scan_space() > SCAN_LIMIT:
             raise BudgetError(
-                f"element scan space {self.scan_space()} exceeds limit {scan_limit}; "
-                f"pass scan_limit >= {self.scan_space()}"
-            )
-        for flat in itertools.product(range(self.q), repeat=self.d * self.d):
-            if mat_det(flat, self.d, self.q):
-                yield flat
+                f"GL_{self.d}(F_{self.q}) element scan space {self.scan_space()} "
+                f"exceeds the scan limit {SCAN_LIMIT}")
+        return (flat for flat in itertools.product(range(self.q), repeat=self.d * self.d)
+                if mat_det(flat, self.d, self.q))
 
-    def element_list(self, scan_limit: int = DEFAULT_SCAN_LIMIT) -> tuple[Mat, ...]:
+    def element_list(self) -> tuple[Mat, ...]:
         if self._elements is None:
-            elems = tuple(self.elements(scan_limit))
+            elems = tuple(self.elements())
             if len(elems) != self.order:
                 raise AssertionError("element count does not match group order")
             self._elements = elems
         return self._elements
 
-    def gclass_table(self, scan_limit: int = DEFAULT_SCAN_LIMIT) -> dict[Mat, int]:
+    def gclass_table(self) -> dict[Mat, int]:
         """element -> conjugacy class index, for enumerable groups."""
         if self._gclass_of_element is None:
             self._gclass_of_element = {
-                m: self.class_index_of(m) for m in self.element_list(scan_limit)
+                m: self.class_index_of(m) for m in self.element_list()
             }
         return self._gclass_of_element
 
@@ -297,17 +295,17 @@ class ParabolicSubgroup:
     __contains__ = contains
 
     def elements(self) -> tuple[Mat, ...]:
-        """Direct construction: invertible diagonal blocks, free entries above."""
+        """Direct construction: invertible diagonal blocks, each the element
+        list of its GL_part(F_q), and free entries above.  Refuses when |P|
+        or a block's scan exceeds SCAN_LIMIT."""
         if self._elements is not None:
             return self._elements
         d, q = self.group.d, self.group.q
-        block_gls = []
-        for part in self.composition:
-            gl = tuple(
-                flat for flat in itertools.product(range(q), repeat=part * part)
-                if mat_det(flat, part, q)
-            )
-            block_gls.append(gl)
+        if self.order > SCAN_LIMIT:
+            raise BudgetError(
+                f"P_{self.composition} in GL_{d}(F_{q}) has {self.order} elements, "
+                f"beyond the scan limit {SCAN_LIMIT}")
+        block_gls = [cached_group(part, q).element_list() for part in self.composition]
         free = [(i, j) for i in range(d) for j in range(d)
                 if self._block_of(j) > self._block_of(i)]
         out = []

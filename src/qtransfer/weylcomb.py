@@ -15,7 +15,11 @@ Finite Coxeter Groups and Iwahori-Hecke Algebras, 2.1-2.2); double-coset
 representatives come from the descent rule.  The brute-force enumerations
 these replace stay as oracles (``YoungSubgroup.elements``,
 ``support_by_enumeration``) that the tests and ``verify`` compare against.
-S_d work refuses beyond a configurable bound instead of subsampling.
+
+Each enumeration refuses, before it starts, when its own size exceeds
+ENUM_LIMIT = 8! elements: ``all_perms`` on d!, ``YoungSubgroup.elements`` on
+|W_I|, and the subset sum of ``f_g_table`` on its 2^(d-1) terms.  It never
+subsamples, and the limit has no override.
 """
 
 from __future__ import annotations
@@ -25,14 +29,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .algebra.partitions import as_partition, partitions, sn_class_size, subsets
 
 __all__ = [
     "Perm",
     "EnumerationBudgetError",
-    "DEFAULT_ENUM_BOUND",
+    "ENUM_LIMIT",
     "perm_mul",
     "perm_inv",
     "cycle_type",
@@ -43,7 +47,6 @@ __all__ = [
     "young_subgroup",
     "young_subgroup_of_composition",
     "class_count_in_young",
-    "young_class_counts",
     "composition_class_counts",
     "SdClassFunction",
     "f_g",
@@ -59,19 +62,19 @@ __all__ = [
 
 Perm = tuple[int, ...]
 
-DEFAULT_ENUM_BOUND = 8
+ENUM_LIMIT = factorial(8)  # |S_8|: the largest symmetric group scanned in full
 
 
 class EnumerationBudgetError(RuntimeError):
-    """Raised when a brute-force enumeration would exceed its bound."""
+    """Raised before an enumeration of more than ENUM_LIMIT elements starts;
+    the message names the enumeration's size and the limit."""
 
 
-def _check_bound(d: int, bound: int | None) -> None:
-    limit = DEFAULT_ENUM_BOUND if bound is None else bound
-    if d > limit:
+def _refuse_beyond_limit(what: str, size: int) -> None:
+    if size > ENUM_LIMIT:
         raise EnumerationBudgetError(
-            f"S_{d} enumeration exceeds the bound {limit}; pass a larger bound"
-        )
+            f"enumerating {what} ({size} elements) exceeds the enumeration "
+            f"limit {ENUM_LIMIT}")
 
 
 def perm_mul(a: Perm, b: Perm) -> Perm:
@@ -109,6 +112,7 @@ def inversions(w: Perm) -> int:
 
 @lru_cache(maxsize=None)
 def all_perms(d: int) -> tuple[Perm, ...]:
+    _refuse_beyond_limit(f"S_{d}", factorial(d))
     return tuple(itertools.permutations(range(1, d + 1)))
 
 
@@ -150,14 +154,10 @@ class YoungSubgroup:
                    for lo, hi in self.blocks)
 
     def elements(self) -> Iterator[Perm]:
-        per_block = [
-            list(itertools.permutations(range(lo, hi + 1))) for lo, hi in self.blocks
-        ]
-        for choice in itertools.product(*per_block):
-            out: list[int] = []
-            for piece in choice:
-                out.extend(piece)
-            yield tuple(out)
+        _refuse_beyond_limit(f"W_{self.composition}", self.order)
+        per_block = [itertools.permutations(range(lo, hi + 1)) for lo, hi in self.blocks]
+        return (tuple(itertools.chain.from_iterable(choice))
+                for choice in itertools.product(*per_block))
 
 
 def young_subgroup(I: Iterable[int], d: int) -> YoungSubgroup:
@@ -167,13 +167,6 @@ def young_subgroup(I: Iterable[int], d: int) -> YoungSubgroup:
 
 def young_subgroup_of_composition(comp: Sequence[int]) -> YoungSubgroup:
     return YoungSubgroup(sum(comp), tuple(comp))
-
-
-def young_class_counts(I: Iterable[int], d: int,
-                       bound: int | None = None) -> dict[tuple[int, ...], int]:
-    """Count of W_I-elements per S_d cycle type."""
-    _check_bound(d, bound)
-    return composition_class_counts(block_composition(I, d))
 
 
 def composition_class_counts(comp: Sequence[int]) -> dict[tuple[int, ...], int]:
@@ -192,13 +185,12 @@ def composition_class_counts(comp: Sequence[int]) -> dict[tuple[int, ...], int]:
     return counts
 
 
-def class_count_in_young(I: Iterable[int], d: int, rho: Sequence[int],
-                         bound: int | None = None) -> int:
+def class_count_in_young(I: Iterable[int], d: int, rho: Sequence[int]) -> int:
     """|{v in W_I : v is conjugate to cycle type rho in S_d}|."""
     rho = as_partition(rho)
     if sum(rho) != d:
         raise ValueError(f"{rho} is not a partition of {d}")
-    return young_class_counts(I, d, bound).get(rho, 0)
+    return composition_class_counts(block_composition(I, d)).get(rho, 0)
 
 
 @dataclass(frozen=True)
@@ -221,36 +213,35 @@ def _subset_coefficient(d: int, I: frozenset) -> Fraction:
     return Fraction((-1) ** (d - 1 - len(I)), d - len(I))
 
 
-def f_g(d: int, rho: Sequence[int], bound: int | None = None) -> Fraction:
+def f_g(d: int, rho: Sequence[int]) -> Fraction:
     """The coefficient of the Deligne-Lusztig term R_g, g of cycle type rho:
 
         f_g = d * sum_I (-1)^(d-1-|I|)/(d-|I|) * |W_I cap class(rho)| / |W_I|.
 
-    Evaluates to 1 when rho = (d) (a single d-cycle) and 0 otherwise.
+    Evaluates to 1 when rho = (d) (a single d-cycle) and 0 otherwise.  Read
+    off ``f_g_table(d)``: one entry costs as much as the whole table.
     """
     rho = as_partition(rho)
-    total = Fraction(0)
-    for I in subsets(d - 1):
-        W = young_subgroup(I, d)
-        count = class_count_in_young(I, d, rho, bound)
-        if count:
-            total += _subset_coefficient(d, I) * Fraction(count, W.order)
-    return d * total
+    if sum(rho) != d:
+        raise ValueError(f"{rho} is not a partition of {d}")
+    return f_g_table(d)(rho)
 
 
-def f_g_table(d: int, bound: int | None = None) -> SdClassFunction:
-    """The full indicator vector rho -> f_g(d, rho) in one enumeration pass."""
-    _check_bound(d, bound)
+def f_g_table(d: int) -> SdClassFunction:
+    """The full indicator vector rho -> f_g(d, rho), one term per subset I
+    with closed-form cycle-type counts.  Refuses when its 2^(d-1) terms
+    exceed ENUM_LIMIT, i.e. for d >= 17."""
+    _refuse_beyond_limit(f"the subsets I of f_g_table({d})", 2 ** (d - 1))
     totals = {rho: Fraction(0) for rho in partitions(d)}
     for I in subsets(d - 1):
         W = young_subgroup(I, d)
         coeff = _subset_coefficient(d, I) / W.order
-        for rho, count in young_class_counts(I, d, bound).items():
+        for rho, count in composition_class_counts(W.composition).items():
             totals[rho] += coeff * count
     return SdClassFunction(d, {rho: d * val for rho, val in totals.items()})
 
 
-def one_adic_ep(d: int, bound: int | None = None) -> dict[Perm, Fraction]:
+def one_adic_ep(d: int) -> dict[Perm, Fraction]:
     """The 1-adic Euler-Poincare function
 
         f = sum_I (-1)^(d-1-|I|)/(d-|I|) * 1_{W_I} / |W_I|
@@ -259,7 +250,6 @@ def one_adic_ep(d: int, bound: int | None = None) -> dict[Perm, Fraction]:
     so NOT a class function for d >= 3 (e.g. simple vs non-simple
     transpositions); its orbital sums are the class-level data.
     """
-    _check_bound(d, bound)
     values = {w: Fraction(0) for w in all_perms(d)}
     for I in subsets(d - 1):
         W = young_subgroup(I, d)
@@ -269,23 +259,12 @@ def one_adic_ep(d: int, bound: int | None = None) -> dict[Perm, Fraction]:
     return values
 
 
-def orbital_sum(f: "Mapping[Perm, Fraction] | SdClassFunction | Callable[[Perm], Fraction]",
-                g: Perm) -> Fraction:
-    """O_g(f) = sum over v in S_d of f(v^-1 g v).
-
-    Accepts a raw element-indexed mapping (the 1-adic EP function is one),
-    a genuine class function, or any callable on permutations.
-    """
-    d = len(g)
-    if isinstance(f, SdClassFunction):
-        lookup = lambda w: f(cycle_type(w))
-    elif isinstance(f, Mapping):
-        lookup = f.__getitem__
-    else:
-        lookup = f
+def orbital_sum(f: Mapping[Perm, Fraction], g: Perm) -> Fraction:
+    """O_g(f) = sum over v in S_d of f(v^-1 g v), for a mapping f on all of
+    S_d such as the 1-adic EP function."""
     total = Fraction(0)
-    for v in all_perms(d):
-        total += lookup(perm_mul(perm_inv(v), perm_mul(g, v)))
+    for v in all_perms(len(g)):
+        total += f[perm_mul(perm_inv(v), perm_mul(g, v))]
     return total
 
 
@@ -297,10 +276,8 @@ def _right_descent_free(w: Perm, I: frozenset) -> bool:
     return all(w[i - 1] < w[i] for i in I)
 
 
-def min_coset_reps_in(M: Iterable[int], J: Iterable[int], d: int,
-                      bound: int | None = None) -> list[Perm]:
+def min_coset_reps_in(M: Iterable[int], J: Iterable[int], d: int) -> list[Perm]:
     """Minimal representatives, inside W_M, of the cosets w W_J (J subset M)."""
-    _check_bound(d, bound)
     M = frozenset(M)
     J = frozenset(J)
     if not J <= M:
@@ -309,8 +286,7 @@ def min_coset_reps_in(M: Iterable[int], J: Iterable[int], d: int,
     return [w for w in W_M.elements() if _right_descent_free(w, J)]
 
 
-def min_double_coset_reps(M: Iterable[int], I: Iterable[int], d: int,
-                          bound: int | None = None) -> list[Perm]:
+def min_double_coset_reps(M: Iterable[int], I: Iterable[int], d: int) -> list[Perm]:
     """Length-minimal representatives of the double cosets W_M \\ S_d / W_I.
 
     The descent rule selects them: w is minimal exactly when it increases
@@ -319,9 +295,9 @@ def min_double_coset_reps(M: Iterable[int], I: Iterable[int], d: int,
     support set of ``restriction_support``, and these sizes must sum to d!;
     a failure of that invariant raises.  The oracle is the brute-force
     tiling of S_d by the cosets, in the tests.  Results are cached per
-    (M, I, d).
+    (M, I, d).  The descent rule scans ``all_perms(d)``, which refuses
+    d >= 9.
     """
-    _check_bound(d, bound)
     return list(_min_double_coset_reps_cached(frozenset(M), frozenset(I), d))
 
 
@@ -366,17 +342,15 @@ def restriction_support(M: Iterable[int], I: Iterable[int], w: Perm) -> frozense
 def support_by_enumeration(M: Iterable[int], I: Iterable[int], w: Perm
                            ) -> frozenset[Perm]:
     """{v in W_M : w^-1 v w in W_I}, by enumerating W_M: the oracle for
-    ``restriction_support``.  Refuses d > DEFAULT_ENUM_BOUND."""
+    ``restriction_support``.  Refuses when |W_M| exceeds ENUM_LIMIT."""
     d = len(w)
-    _check_bound(d, None)
     W_I = young_subgroup(I, d)
     w_inv = perm_inv(w)
     return frozenset(v for v in young_subgroup(M, d).elements()
                      if perm_mul(w_inv, perm_mul(v, w)) in W_I)
 
 
-def proper_levi_vanishing(d: int, M: Iterable[int],
-                          bound: int | None = None) -> dict[frozenset, Fraction]:
+def proper_levi_vanishing(d: int, M: Iterable[int]) -> dict[frozenset, Fraction]:
     """For a proper Young subgroup W_M: the inner sums
 
         sum over {I, w in D_{M,I} : J = (simple set of M) cap w(I)}
@@ -385,7 +359,6 @@ def proper_levi_vanishing(d: int, M: Iterable[int],
     for every J inside M's simple set.  All of them vanish; the caller
     asserts that.
     """
-    _check_bound(d, bound)
     M = frozenset(M)
     if M == frozenset(range(1, d)):
         raise ValueError("M must be a proper subset of {1, .., d-1}")
@@ -395,6 +368,6 @@ def proper_levi_vanishing(d: int, M: Iterable[int],
             sums[frozenset(J)] = Fraction(0)
     for I in subsets(d - 1):
         coeff = _subset_coefficient(d, I)
-        for w in min_double_coset_reps(M, I, d, bound):
+        for w in min_double_coset_reps(M, I, d):
             sums[_support(M, I, w)] += coeff
     return sums

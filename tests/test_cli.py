@@ -77,6 +77,14 @@ def test_verify_comb_prop(capsys):
     assert report["payload"]["comb-prop"]["ok"]
 
 
+def test_verify_comb_prop_beyond_s8(capsys):
+    # f_g_table is a closed form: d = 12 sums 2^11 subset terms, no S_d scan
+    code, report = run_json(capsys, "verify", "--suite", "comb-prop",
+                            "--dmax", "12")
+    assert code == 0
+    assert len(report["payload"]["comb-prop"]["cases"]) == 12
+
+
 def test_verify_transfer_consistency(capsys):
     code, report = run_json(capsys, "verify", "--suite",
                             "transfer-consistency", "--nmax", "4",
@@ -198,11 +206,23 @@ def test_transfer_payload_schema(capsys):
 
 
 def test_budget_error_exit_2(capsys):
-    code, report = run_json(capsys, "verify", "--suite", "comb-prop",
-                            "--dmax", "9")
+    code, report = run_json(capsys, "finite-gl", "--d", "4", "--q", "5",
+                            "--what", "classes")
     assert code == 2
     assert report["status"] == "error"
-    assert "bound" in report["error"]
+    assert report["error"] == ("BudgetError: |GL_4(F_5)| = 116064000000 exceeds "
+                               "the class budget 25000000")
+
+
+def test_enumeration_budget_error_exit_2(capsys, monkeypatch):
+    monkeypatch.setattr("qtransfer.weylcomb.ENUM_LIMIT", 2)
+    code, report = run_json(capsys, "verify", "--suite", "comb-prop",
+                            "--dmax", "3")
+    assert code == 2
+    assert report["status"] == "error"
+    assert report["error"] == (
+        "EnumerationBudgetError: enumerating the subsets I of f_g_table(3) "
+        "(4 elements) exceeds the enumeration limit 2")
 
 
 def test_empty_parahoric_type_exit_2(capsys):

@@ -1,3 +1,4 @@
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -87,7 +88,7 @@ def test_class_counts_small_groups():
 def test_classes_partition_group_by_enumeration(d, q):
     group = cached_group(d, q)
     counts = Counter()
-    for m in group.elements(scan_limit=400_000):
+    for m in group.elements():
         counts[group.label_of(m)] += 1
     assert counts == Counter({c.label: c.size for c in group.classes})
 
@@ -113,11 +114,22 @@ def test_class_rep_has_its_own_label():
 
 
 def test_class_budget_refusal():
-    g = GLGroup(4, 3, class_budget=1000)
-    with pytest.raises(BudgetError, match="24261120"):
-        g.conjugacy_classes()
-    with pytest.raises(BudgetError):
-        list(cached_group(4, 3).elements())
+    with pytest.raises(BudgetError, match="116064000000 exceeds the class budget 25000000"):
+        GLGroup(4, 5).conjugacy_classes()
+    # refused when called, before the scan starts
+    with pytest.raises(BudgetError, match="43046721 exceeds the scan limit 200000"):
+        cached_group(4, 3).elements()
+
+
+def test_parabolic_elements_refuse_at_once():
+    started = time.monotonic()
+    # the first composition (4,) is all of GL_4(F_3), a 3^16 scan
+    with pytest.raises(BudgetError, match="24261120 elements"):
+        ind_conjugate_identity_exhaustive(cached_group(4, 3))
+    # every block of the Borel is tiny, but |B| = 2^28
+    with pytest.raises(BudgetError, match="268435456 elements"):
+        ParabolicSubgroup(GLGroup(8, 2), (1,) * 8).elements()
+    assert time.monotonic() - started < 1
 
 
 def test_parabolic_construction():
@@ -171,13 +183,11 @@ def test_induction_independent_of_representatives(d, q):
 @pytest.mark.parametrize("d,q", SMALL_GROUPS + MEDIUM_GROUPS)
 def test_flag_count_induction_agrees_with_coset_sums(d, q):
     group = cached_group(d, q)
-    if group.scan_space() > 400_000:
-        pytest.skip("group not enumerable")
     for comp in compositions(d):
         P = ParabolicSubgroup(group, comp)
         f = {m: Fraction(1) for m in P.elements()}
         assert parabolic_trivial_ind(group, comp) == induce_class_function(
-            group, P.elements(), f, scan_limit=400_000)
+            group, P.elements(), f)
 
 
 def test_parabolic_trivial_ind_degrees():

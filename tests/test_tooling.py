@@ -15,6 +15,17 @@ def test_no_assert_statements_in_package():
     assert not found, found
 
 
+def test_no_budget_parameters_in_package():
+    # each enumeration refuses on its own size against a module constant;
+    # no caller tunes a limit per call
+    found = [f"{path.relative_to(SRC)}:{node.lineno} {node.arg}"
+             for path in sorted(SRC.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.arg)
+             and (node.arg == "bound" or node.arg.endswith(("_limit", "_budget")))]
+    assert not found, found
+
+
 def _string_annotation_names(tree: ast.Module) -> set[str]:
     # names inside a string annotation are not ast.Name nodes of the module
     annotations = [value for node in ast.walk(tree)

@@ -90,13 +90,12 @@ def test_f_g_hand_values():
     assert f_g(3, (1, 1, 1)) == 0
 
 
-def test_f_g_indicator_to_6():
+def test_f_g_indicator_to_12():
     from qtransfer.algebra import partitions
-    for d in range(1, 7):
+    for d in range(1, 13):
         table = f_g_table(d)
         for rho in partitions(d):
             assert table(rho) == (1 if rho == (d,) else 0)
-            assert f_g(d, rho) == table(rho)
 
 
 def test_one_adic_ep_values_d2():
@@ -210,9 +209,17 @@ def test_proper_levi_vanishing_rejects_full():
 
 
 def test_enumeration_bound():
-    with pytest.raises(EnumerationBudgetError):
+    # each enumeration refuses on its own size, before it starts
+    with pytest.raises(EnumerationBudgetError, match=r"S_9 \(362880 elements\).* 40320"):
         one_adic_ep(9)
-    with pytest.raises(EnumerationBudgetError):
-        f_g(11, (11,))
-    # explicit larger bound is honored
-    assert f_g(3, (3,), bound=10) == 1
+    with pytest.raises(EnumerationBudgetError, match="S_9"):
+        orbital_sum({}, tuple(range(1, 10)))
+    with pytest.raises(EnumerationBudgetError, match="S_9"):
+        min_double_coset_reps(frozenset(), frozenset(), 9)
+    with pytest.raises(EnumerationBudgetError, match=r"W_\(9,\) \(362880 elements\)"):
+        young_subgroup_of_composition((9,)).elements()
+    with pytest.raises(EnumerationBudgetError, match=r"f_g_table\(17\) \(65536 elements\)"):
+        f_g_table(17)
+    # closed forms are not refused on a proxy: no S_11 scan happens here
+    assert f_g(11, (11,)) == 1
+    assert len(support_by_enumeration({1}, {1}, tuple(range(1, 10)))) == 2
