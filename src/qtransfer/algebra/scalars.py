@@ -12,6 +12,13 @@ every value is kept in a canonical form:
 
 so structural equality coincides with mathematical equality.  All
 operations are pure; instances are immutable and hashable.
+
+Nearly every coefficient on the transfer side is a Laurent polynomial
+(D == 1).  A constant denominator needs no gcd, and ``+`` and ``*`` of two
+Laurent operands add or multiply the shifted numerators directly.  This
+branch returns the same canonical (shift, N, D) as the general path, so
+``==`` and ``hash`` are unchanged; real quotients (``inverse``, ``/``) take
+the general path with its polynomial gcd.
 """
 
 from __future__ import annotations
@@ -148,10 +155,11 @@ class QScalar:
         shift += kn - kd
         if not num:
             return cls(0)
-        g = _pgcd(num, den)
-        if len(g) > 1:
-            num = _pdivmod(num, g)[0]
-            den = _pdivmod(den, g)[0]
+        if len(den) > 1:  # a constant denominator shares no factor with num
+            g = _pgcd(num, den)
+            if len(g) > 1:
+                num = _pdivmod(num, g)[0]
+                den = _pdivmod(den, g)[0]
         lead = den[-1]
         if lead != 1:
             num = _pscale(num, 1 / lead)
@@ -228,6 +236,8 @@ class QScalar:
         s = min(self._shift, o._shift)
         a = _shift_up(self._num, self._shift - s)
         b = _shift_up(o._num, o._shift - s)
+        if len(self._den) == len(o._den) == 1:  # both Laurent: D == 1
+            return QScalar._build(s, _padd(a, b), self._den)
         num = _padd(_pmul(a, o._den), _pmul(b, self._den))
         return QScalar._build(s, num, _pmul(self._den, o._den))
 
@@ -252,9 +262,10 @@ class QScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QScalar._build(
-            self._shift + o._shift, _pmul(self._num, o._num), _pmul(self._den, o._den)
-        )
+        num = _pmul(self._num, o._num)
+        if len(self._den) == len(o._den) == 1:  # both Laurent: D == 1
+            return QScalar._build(self._shift + o._shift, num, self._den)
+        return QScalar._build(self._shift + o._shift, num, _pmul(self._den, o._den))
 
     __rmul__ = __mul__
 

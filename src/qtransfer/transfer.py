@@ -16,9 +16,15 @@ elementary, power-sum, and Schur polynomials.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .algebra.partitions import as_partition, partitions, ssyt_tableaux, ssyt_weight
+from .algebra.partitions import (
+    as_partition,
+    orbit,
+    partitions,
+    ssyt_tableaux,
+    ssyt_weight,
+)
 from .algebra.qcount import qbinom, qint_balanced
 from .algebra.scalars import QScalar
 from .algebra.sympoly import SymPoly, powersum
@@ -96,18 +102,35 @@ def transfer_monomial(p: TransferParams, a: Sequence[int]
     return QScalar.v_power(dot), _block_sums(p, a)
 
 
+def _v_exponent_counts(p: TransferParams, monomials: Iterable[Sequence[int]]
+                       ) -> dict[tuple[int, ...], dict[int, int]]:
+    """Hits of the monomial map, per target key b and v-exponent a.x, over
+    the exponent vectors a of the given monomials z**a."""
+    x = shift_vector(p)
+    counts: dict[tuple[int, ...], dict[int, int]] = {}
+    for a in monomials:
+        hits = counts.setdefault(_block_sums(p, a), {})
+        e = sum(ai * xi for ai, xi in zip(a, x))
+        hits[e] = hits.get(e, 0) + 1
+    return counts
+
+
 def transfer_sym(p: TransferParams, f: SymPoly) -> SymPoly:
     """Linear extension of the monomial map over the full orbit expansion.
 
-    The result is S_r-invariant; SymPoly.from_expansion asserts it.
+    The orbit of each dominant key of f is counted per target key b and
+    v-exponent, so each (b, key) pair costs one Laurent polynomial times
+    the key's coefficient.  The result is S_r-invariant;
+    SymPoly.from_expansion checks it.
     """
     if f.nvars != p.n:
         raise ValueError(f"input has {f.nvars} variables, expected n = {p.n}")
     image: dict[tuple[int, ...], QScalar] = {}
-    for mono, c in f.expand().items():
-        coeff, b = transfer_monomial(p, mono)
-        acc = image.get(b)
-        image[b] = c * coeff if acc is None else acc + c * coeff
+    for dom, c in f.terms.items():
+        for b, hits in _v_exponent_counts(p, orbit(dom)).items():
+            term = QScalar.from_v_terms(hits) * c
+            acc = image.get(b)
+            image[b] = term if acc is None else acc + term
     return SymPoly.from_expansion(p.r, image)
 
 
@@ -176,12 +199,10 @@ def image_schur(p: TransferParams, mu: Sequence[int]) -> SymPoly:
     mu = as_partition(mu) if mu else ()
     if len(mu) > p.n:
         return SymPoly.zero(p.r)
-    image: dict[tuple[int, ...], QScalar] = {}
-    for tab in ssyt_tableaux(mu, p.n):
-        coeff, b = transfer_monomial(p, ssyt_weight(tab, p.n))
-        acc = image.get(b)
-        image[b] = coeff if acc is None else acc + coeff
-    return SymPoly.from_expansion(p.r, image)
+    weights = (ssyt_weight(tab, p.n) for tab in ssyt_tableaux(mu, p.n))
+    return SymPoly.from_expansion(p.r, {
+        b: QScalar.from_v_terms(hits)
+        for b, hits in _v_exponent_counts(p, weights).items()})
 
 
 def modulus_exponent(p: TransferParams, a: Sequence[int], b: Sequence[int]) -> int:

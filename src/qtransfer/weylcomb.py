@@ -232,12 +232,17 @@ def f_g_table(d: int) -> SdClassFunction:
     with closed-form cycle-type counts.  Refuses when its 2^(d-1) terms
     exceed ENUM_LIMIT, i.e. for d >= 17."""
     _refuse_beyond_limit(f"the subsets I of f_g_table({d})", 2 ** (d - 1))
-    totals = {rho: Fraction(0) for rho in partitions(d)}
+    # |W_I| and the cycle-type counts of W_I depend only on the sorted
+    # composition of I, so the subset terms are summed per sorted composition
+    weights: dict[tuple[int, ...], Fraction] = {}
     for I in subsets(d - 1):
         W = young_subgroup(I, d)
-        coeff = _subset_coefficient(d, I) / W.order
-        for rho, count in composition_class_counts(W.composition).items():
-            totals[rho] += coeff * count
+        lam = tuple(sorted(W.composition, reverse=True))
+        weights[lam] = weights.get(lam, 0) + _subset_coefficient(d, I) / W.order
+    totals = {rho: Fraction(0) for rho in partitions(d)}
+    for lam, weight in weights.items():
+        for rho, count in composition_class_counts(lam).items():
+            totals[rho] += weight * count
     return SdClassFunction(d, {rho: d * val for rho, val in totals.items()})
 
 

@@ -56,6 +56,13 @@ def test_criterion_01_transfer_oracle_equivalence():
         assert time.monotonic() - started < 60
 
 
+def test_transfer_oracle_equivalence_to_n10():
+    # the transfer-consistency suite at the stretched range n <= 10
+    started = time.monotonic()
+    verify("--suite transfer-consistency --nmax 10 --degmax 5")
+    assert time.monotonic() - started < 120
+
+
 def test_criterion_02_q1_degeneration():
     with criterion(2, "q = 1 degeneration of power-sum images"):
         for d in range(1, 9):

@@ -114,3 +114,60 @@ def test_specialization_is_homomorphism(a, b):
         return
     assert vs == va * vb
     assert vsum == va + vb
+
+
+# -- the Laurent branch of + and * against the general path -----------------
+
+U = 1 + V  # not a monomial, so a / U is a genuine quotient
+
+
+def _add_terms(x: dict, y: dict) -> dict:
+    out = dict(x)
+    for e, c in y.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _mul_terms(x: dict, y: dict) -> dict:
+    out: dict = {}
+    for e, c in x.items():
+        out = _add_terms(out, {e + f: c * d for f, d in y.items()})
+    return out
+
+
+@st.composite
+def laurent_pairs(draw):
+    """(a, b) of Laurent scalars; b often cancels a wholly, or a's lowest or
+    highest term, so a sum must trim or split off a v-power."""
+    a = draw(qscalars(allow_denominator=False))
+    b = draw(qscalars(allow_denominator=False))
+    terms = sorted(a.numerator_terms())
+    cancel = draw(st.sampled_from(("none", "all", "lowest", "highest")))
+    if cancel == "all":
+        b = b - a if draw(st.booleans()) else -a
+    elif cancel in ("lowest", "highest") and terms:
+        e, c = terms[0] if cancel == "lowest" else terms[-1]
+        b = QScalar.from_v_terms({e: -c}) + (b if draw(st.booleans()) else ZERO)
+    return a, b
+
+
+def _check_laurent(result, general, reference):
+    assert result == general
+    assert hash(result) == hash(general)
+    assert result.is_laurent()
+    assert dict(result.numerator_terms()) == reference
+    assert result == QScalar.from_v_terms(reference)
+
+
+@settings(max_examples=200, deadline=None)
+@given(laurent_pairs(), st.integers(0, 4))
+def test_laurent_branch_matches_general_path(pair, k):
+    a, b = pair
+    ta, tb = dict(a.numerator_terms()), dict(b.numerator_terms())
+    _check_laurent(a + b, (a / U + b / U) * U, _add_terms(ta, tb))
+    _check_laurent(a - b, (a / U - b / U) * U, _add_terms(ta, {e: -c for e, c in tb.items()}))
+    _check_laurent(a * b, (a / U) * (b / U) * U * U, _mul_terms(ta, tb))
+    power = {0: Fraction(1)}
+    for _ in range(k):
+        power = _mul_terms(power, ta)
+    _check_laurent(a ** k, (a / U) ** k * U ** k, power)

@@ -102,6 +102,18 @@ def test_oracle_equivalence_moderate():
                 assert substitution_image(p, s) == img
 
 
+def test_quotient_coefficients_with_negative_exponents():
+    # source coefficients that are genuine quotients, on keys with negative
+    # exponents, regrouped per target key against the substitution oracle
+    for p in all_params(6):
+        n = p.n
+        f = (monomial_sym(n, (2, -1, 1)[:n]).scale(1 / (1 + V))
+             + monomial_sym(n, (-2, 1)[:n]).scale(V ** -3 + Fraction(2, 3))
+             + monomial_sym(n, (1, 1, -1)[:n]).scale((V - 1) / (V ** 2 + 1)))
+        assert not all(c.is_laurent() for c in f.terms.values())
+        assert transfer_sym(p, f) == substitution_image(p, f)
+
+
 def test_transfer_is_ring_homomorphism():
     p = TransferParams(r=2, d=2)
     f = elementary(4, 2)
