@@ -26,7 +26,7 @@ from .qcount import (
     qbinom,
     qint_balanced,
 )
-from .scalars import ONE, Q, V, ZERO, PoleError, QScalar, specialize_q
+from .scalars import ONE, Q, V, ZERO, PoleError, QScalar
 from .sympoly import (
     SymPoly,
     complete_homogeneous,
@@ -37,7 +37,7 @@ from .sympoly import (
 )
 
 __all__ = [
-    "QScalar", "PoleError", "specialize_q", "ZERO", "ONE", "V", "Q",
+    "QScalar", "PoleError", "ZERO", "ONE", "V", "Q",
     "partitions", "compositions", "composition_count", "conjugate",
     "as_partition", "as_composition", "is_weakly_decreasing", "dominant",
     "orbit", "z_order", "sn_class_size", "ssyt_tableaux", "ssyt_weight",

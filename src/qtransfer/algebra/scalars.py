@@ -29,7 +29,7 @@ from typing import Iterator, Mapping, Union
 
 Rational = Union[int, Fraction]
 
-__all__ = ["QScalar", "PoleError", "specialize_q", "ZERO", "ONE", "V", "Q"]
+__all__ = ["QScalar", "PoleError", "ZERO", "ONE", "V", "Q"]
 
 
 class PoleError(ArithmeticError):
@@ -399,11 +399,6 @@ class QScalar:
 
     def __repr__(self) -> str:
         return f"QScalar({self})"
-
-
-def specialize_q(x: QScalar, c: Rational) -> Fraction:
-    """Function form of :meth:`QScalar.specialize_q`."""
-    return x.specialize_q(c)
 
 
 ZERO = QScalar(0)

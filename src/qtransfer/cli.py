@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .algebra.partitions import (
+    as_composition,
     parse_partition,
     partitions,
     render_partition,
@@ -185,10 +186,6 @@ class Suite:
     cases: Callable[[argparse.Namespace], list]
     check: Callable[[object], dict]
 
-    def __call__(self, args: argparse.Namespace) -> tuple[bool, list]:
-        details = _pmap(self.check, self.cases(args), args.workers)
-        return all(c["ok"] for c in details), details
-
 
 def _transfer_case(case: tuple[int, int, int]) -> dict:
     r, d, degmax = case
@@ -252,10 +249,10 @@ def _ep_shadow_case(case: tuple[int, tuple[int, ...], int]) -> dict:
 
 
 SUITES = {
+    # with --degmax < 1 a case would check nothing, so none is selected
     "transfer-consistency": Suite(
-        lambda args: [(n // d, d, args.degmax)
-                      for n in range(1, args.nmax + 1)
-                      for d in range(1, n + 1) if n % d == 0],
+        lambda args: [(n // d, d, args.degmax) for n in range(1, args.nmax + 1)
+                      for d in range(1, n + 1) if n % d == 0 and args.degmax >= 1],
         _transfer_case),
     "comb-prop": Suite(lambda args: list(range(1, args.dmax + 1)),
                        _comb_prop_case),
@@ -284,10 +281,16 @@ SUITES = {
 def cmd_verify(args) -> dict:
     started = time.monotonic()
     names = list(SUITES) if args.suite == "all" else [args.suite]
+    # a suite that checks nothing must not pass: refuse before any suite runs
+    selected = {name: SUITES[name].cases(args) for name in names}
+    for name, cases in selected.items():
+        if not cases:
+            raise UsageError(f"suite {name} selects no cases at these budgets")
     payload = {}
     ok = True
-    for name in names:
-        suite_ok, details = SUITES[name](args)
+    for name, cases in selected.items():
+        details = _pmap(SUITES[name].check, cases, args.workers)
+        suite_ok = all(c["ok"] for c in details)
         payload[name] = {"ok": suite_ok, "cases": details}
         ok = ok and suite_ok
     params = {"suite": args.suite, "nmax": args.nmax, "degmax": args.degmax,
@@ -313,7 +316,8 @@ def cmd_finite_gl(args) -> dict:
         }
         return _report("finite-gl", params, PASS, payload, started)
     if args.what == "ind":
-        comp = parse_partition(args.c) if args.c else (args.d,)
+        comp = (as_composition(int(p) for p in args.c.split(","))
+                if args.c else (args.d,))
         params["c"] = render_partition(comp)
         cf = parabolic_trivial_ind(group, comp)
         name = f"ind[{render_partition(comp)}]"
@@ -356,7 +360,7 @@ def cmd_ep(args) -> dict:
     if args.action == "fj":
         combo = f_J(t)
         payload: dict = {"f_J": combo.to_json()}
-        if args.shadow_q:
+        if args.shadow_q is not None:
             rep = fj_shadow_report(t, args.shadow_q)
             params["shadow_q"] = args.shadow_q
             payload["shadow_check"] = rep
@@ -365,7 +369,7 @@ def cmd_ep(args) -> dict:
             status = PASS
         return _report("ep", params, status, payload, started)
     # shadow
-    if not args.shadow_q:
+    if args.shadow_q is None:
         raise UsageError("ep shadow requires --shadow-q")
     params["shadow_q"] = args.shadow_q
     cf = shadow(f_J(t), args.shadow_q)

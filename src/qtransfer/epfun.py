@@ -27,19 +27,17 @@ from .algebra.partitions import (
     composition_count,
     partitions,
     render_partition,
-    subsets,
 )
 from .algebra.qcount import parahoric_index
 from .algebra.scalars import QScalar
 from .finitegl import ClassFunction, cached_group, dl_character, parabolic_trivial_ind
 from .finitegl.classfun import zero_class_function
-from .weylcomb import _subset_coefficient, block_composition, composition_class_counts
+from .weylcomb import composition_class_counts
 
 __all__ = [
     "ParahoricCombo",
     "DParahoricType",
     "ep_function",
-    "ep_function_from_partitions",
     "product_ep",
     "f_J",
     "levi_scalar",
@@ -172,23 +170,10 @@ def ep_function(n: int) -> ParahoricCombo:
 
         sum over I in {1, .., n-1} of (-1)^(n-1-|I|)/(n-|I|) e_{J_I},
 
-    collapsed onto partitions (each partition collects all compositions
-    with that multiset of parts)."""
+    collapsed onto partitions: a partition with l parts collects its
+    composition count of terms, each with coefficient (-1)^(l-1)/l."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    terms: dict[tuple[int, ...], QScalar] = {}
-    for I in subsets(n - 1):
-        key = tuple(sorted(block_composition(I, n), reverse=True))
-        coeff = QScalar(_subset_coefficient(n, I))
-        acc = terms.get(key)
-        terms[key] = coeff if acc is None else acc + coeff
-    return ParahoricCombo(n, "e", terms)
-
-
-def ep_function_from_partitions(n: int) -> ParahoricCombo:
-    """Same combination built over partitions with multiplicity, as a
-    cross-check of the subset-sum construction: a partition with l parts
-    carries (-1)^(l-1)/l times its composition count."""
     terms = {
         lam: QScalar(Fraction((-1) ** (len(lam) - 1) * composition_count(lam),
                               len(lam)))

@@ -4,7 +4,6 @@ from .classfun import (
     ClassFunction,
     comb_prop_check,
     dl_character,
-    ind_conjugate_identity_check,
     ind_conjugate_identity_exhaustive,
     induce_class_function,
     induced_values_averaged,
@@ -28,5 +27,5 @@ __all__ = [
     "ClassFunction", "trivial_character", "zero_class_function",
     "induce_class_function", "induced_values_averaged",
     "parabolic_trivial_ind", "dl_character", "comb_prop_check",
-    "ind_conjugate_identity_check", "ind_conjugate_identity_exhaustive",
+    "ind_conjugate_identity_exhaustive",
 ]

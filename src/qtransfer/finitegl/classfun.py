@@ -37,11 +37,8 @@ __all__ = [
     "parabolic_trivial_ind",
     "dl_character",
     "comb_prop_check",
-    "ind_conjugate_identity_check",
     "ind_conjugate_identity_exhaustive",
 ]
-
-LITERAL_CONJUGATION_LIMIT = 2_500
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,27 +294,12 @@ def comb_prop_check(group: GLGroup) -> dict:
 # -- the induced-class-function core identity --------------------------------
 
 
-def _conjugation_counts_literal(group: GLGroup, x: Mat,
-                                parabolic: ParabolicSubgroup) -> dict[int, int]:
-    """For each P-class index c: #{t in G : t x t^-1 in class c} by a
-    literal pass over the group."""
-    d, q = group.d, group.q
-    parabolic.conjugacy_classes()
-    counts: dict[int, int] = {}
-    pset = parabolic.element_set()
-    for t in group.element_list():
-        y = mat_mul(mat_mul(t, x, d, q), mat_inv(t, d, q), d, q)
-        if y in pset:
-            idx = parabolic.class_index_of(y)
-            counts[idx] = counts.get(idx, 0) + 1
-    return counts
-
-
 def _conjugation_counts_grouped(group: GLGroup, class_index: int,
                                 parabolic: ParabolicSubgroup) -> dict[int, int]:
-    """Same counts via orbit-stabilizer: #{t : t x t^-1 in C} equals
-    |Z_G(x)| times |C intersect class_G(x)|.  Exact, and cheap enough for
-    GL_3(F_3); asserted against the literal pass on small groups."""
+    """For each P-class index c, with x the representative of the G-class
+    class_index: #{t in G : t x t^-1 in class c}, by orbit-stabilizer as
+    |Z_G(x)| times |C intersect class_G(x)|.  No pass over G; the tests
+    compare it with the literal oracle ``induced_values_averaged``."""
     table = group.gclass_table()
     x_class = group.classes[class_index]
     centralizer = group.order // x_class.size
@@ -344,25 +326,24 @@ def _coset_sum_counts(group: GLGroup, x: Mat, parabolic: ParabolicSubgroup,
 
 
 def _ind_identity_cases(group: GLGroup, parabolic: ParabolicSubgroup) -> list[dict]:
-    """The three-expression identity for every class C of the parabolic,
-    evaluated on every class of G; one case per C, in P-class order."""
+    """For every class C of the parabolic, the three expressions
+
+        sum_s 1_C(s^-1 x s)   over left-coset representatives s,
+        (1/|P|) #{t in G : t x t^-1 in C},
+        sum_{s'} 1_{s' C s'^-1}(x)  over a different set of representatives,
+
+    evaluated on every class x of G; one case per C, in P-class order."""
     twists = parabolic.elements()
     reps = _left_coset_reps(group, twists)
     # a second, different set of representatives for the third expression
     reps2 = [mat_mul(s, twists[i % len(twists)], group.d, group.q)
              for i, s in enumerate(reps)]
-    literal_ok = group.order <= LITERAL_CONJUGATION_LIMIT
-    per_class_counts = []
-    for gidx, cls in enumerate(group.classes):
-        a = _coset_sum_counts(group, cls.rep, parabolic, reps)
-        b = _conjugation_counts_grouped(group, gidx, parabolic)
-        if literal_ok:
-            b_lit = _conjugation_counts_literal(group, cls.rep, parabolic)
-            if b_lit != b:
-                raise AssertionError(
-                    "grouped conjugation count disagrees with literal pass")
-        c3 = _coset_sum_counts(group, cls.rep, parabolic, reps2)
-        per_class_counts.append((a, b, c3))
+    per_class_counts = [
+        (_coset_sum_counts(group, cls.rep, parabolic, reps),
+         _conjugation_counts_grouped(group, gidx, parabolic),
+         _coset_sum_counts(group, cls.rep, parabolic, reps2))
+        for gidx, cls in enumerate(group.classes)
+    ]
     cases = []
     for cidx in range(len(parabolic.conjugacy_classes())):
         values = [(Fraction(a.get(cidx, 0)),
@@ -376,34 +357,6 @@ def _ind_identity_cases(group: GLGroup, parabolic: ParabolicSubgroup) -> list[di
             "values": [tuple(str(x) for x in row) for row in values],
         })
     return cases
-
-
-def ind_conjugate_identity_check(group: GLGroup, comp: Sequence[int],
-                                 class_rep: Mat | int) -> dict:
-    """For the P_c-class C of the given representative, evaluate on every
-    class of G the three expressions
-
-        sum_s 1_C(s^-1 x s)   over left-coset representatives s,
-        (1/|P|) #{t in G : t x t^-1 in C},
-        sum_{s'} 1_{s' C s'^-1}(x)  over a different set of representatives,
-
-    and report whether they agree.
-    """
-    parabolic = ParabolicSubgroup(group, comp)
-    if isinstance(class_rep, int):
-        cidx = class_rep
-    else:
-        cidx = parabolic.class_index_of(class_rep)
-    case = _ind_identity_cases(group, parabolic)[cidx]
-    return {
-        "d": group.d,
-        "q": group.q,
-        "composition": case["composition"],
-        "class_index": cidx,
-        "class_size": len(parabolic.conjugacy_classes()[cidx][1]),
-        "equal": case["equal"],
-        "values": case["values"],
-    }
 
 
 def ind_conjugate_identity_exhaustive(group: GLGroup,

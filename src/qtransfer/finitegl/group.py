@@ -73,10 +73,6 @@ class GLClass:
     size: int
     char_poly: Poly
 
-    def describe(self) -> str:
-        pieces = [f"{f}:{lam}" for f, lam in self.label]
-        return "; ".join(pieces)
-
 
 def _centralizer_order(label: Label, q: int) -> int:
     """Product over primary components of the unipotent-type centralizer

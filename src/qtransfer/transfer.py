@@ -33,7 +33,6 @@ __all__ = [
     "TransferParams",
     "GeneralMapParams",
     "shift_vector",
-    "transfer_monomial",
     "transfer_sym",
     "substitution_image",
     "image_e",
@@ -90,16 +89,6 @@ def shift_vector(p: TransferParams) -> tuple[int, ...]:
 
 def _block_sums(p: TransferParams, a: Sequence[int]) -> tuple[int, ...]:
     return tuple(sum(a[k * p.d:(k + 1) * p.d]) for k in range(p.r))
-
-
-def transfer_monomial(p: TransferParams, a: Sequence[int]
-                      ) -> tuple[QScalar, tuple[int, ...]]:
-    """Image of the monomial z**a: coefficient v**(a.x) and exponent vector b."""
-    if len(a) != p.n:
-        raise ValueError(f"exponent vector has length {len(a)} != n = {p.n}")
-    x = shift_vector(p)
-    dot = sum(ai * xi for ai, xi in zip(a, x))
-    return QScalar.v_power(dot), _block_sums(p, a)
 
 
 def _v_exponent_counts(p: TransferParams, monomials: Iterable[Sequence[int]]

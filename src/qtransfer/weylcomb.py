@@ -45,8 +45,6 @@ __all__ = [
     "block_composition",
     "YoungSubgroup",
     "young_subgroup",
-    "young_subgroup_of_composition",
-    "class_count_in_young",
     "composition_class_counts",
     "SdClassFunction",
     "f_g",
@@ -165,15 +163,11 @@ def young_subgroup(I: Iterable[int], d: int) -> YoungSubgroup:
     return YoungSubgroup(d, block_composition(I, d))
 
 
-def young_subgroup_of_composition(comp: Sequence[int]) -> YoungSubgroup:
-    return YoungSubgroup(sum(comp), tuple(comp))
-
-
 def composition_class_counts(comp: Sequence[int]) -> dict[tuple[int, ...], int]:
     """Cycle-type counts of the Young subgroup of a given composition: an
     element is a tuple of block permutations, its cycle type the merge of
     theirs, so the counts are products of S_part class sizes.  The oracle is
-    counting ``young_subgroup_of_composition(comp).elements()`` by type."""
+    counting ``YoungSubgroup(sum(comp), comp).elements()`` by type."""
     counts: dict[tuple[int, ...], int] = {(): 1}
     for part in comp:
         merged: dict[tuple[int, ...], int] = {}
@@ -183,14 +177,6 @@ def composition_class_counts(comp: Sequence[int]) -> dict[tuple[int, ...], int]:
                 merged[key] = merged.get(key, 0) + count * sn_class_size(sigma)
         counts = merged
     return counts
-
-
-def class_count_in_young(I: Iterable[int], d: int, rho: Sequence[int]) -> int:
-    """|{v in W_I : v is conjugate to cycle type rho in S_d}|."""
-    rho = as_partition(rho)
-    if sum(rho) != d:
-        raise ValueError(f"{rho} is not a partition of {d}")
-    return composition_class_counts(block_composition(I, d)).get(rho, 0)
 
 
 @dataclass(frozen=True)

@@ -166,6 +166,18 @@ def test_finite_gl_ind(capsys):
     assert "7" in values
 
 
+def test_finite_gl_ind_takes_any_composition(capsys):
+    # associate parabolics have the same permutation character
+    code, report = run_json(capsys, "finite-gl", "--d", "3", "--q", "2",
+                            "--what", "ind", "--c", "1,2")
+    assert code == 0
+    assert report["params"]["c"] == "1,2"
+    _, swapped = run_json(capsys, "finite-gl", "--d", "3", "--q", "2",
+                          "--what", "ind", "--c", "2,1")
+    assert report["payload"]["functions"]["ind[1,2]"] == \
+        swapped["payload"]["functions"]["ind[2,1]"]
+
+
 def test_finite_gl_comb_prop(capsys):
     code, report = run_json(capsys, "finite-gl", "--d", "3", "--q", "2",
                             "--what", "comb-prop")
@@ -193,6 +205,32 @@ def test_ep_shadow_classfunction(capsys):
     assert code == 0
     (values,) = report["payload"]["functions"].values()
     assert len(values) == 8
+
+
+@pytest.mark.parametrize("action", ["fj", "shadow"])
+def test_ep_shadow_q_zero_is_refused(capsys, action):
+    # q = 0 is a value, not a missing flag: it must not skip the shadow check
+    code, report = run_json(capsys, "ep", action, "--d", "1", "--r", "2",
+                            "--shadow-q", "0")
+    assert code == 2
+    assert report["error"] == "ValueError: q = 0 must be prime"
+
+
+@pytest.mark.parametrize("argv,suite", [
+    (["--suite", "all", "--nmax", "0", "--dmax", "0", "--n", "0"],
+     "transfer-consistency"),
+    (["--suite", "comb-prop", "--dmax", "0"], "comb-prop"),
+    (["--suite", "weyl-vanishing", "--dmax", "1"], "weyl-vanishing"),
+    (["--suite", "finite-gl", "--dmax", "0"], "finite-gl"),
+    (["--suite", "ep-shadow", "--n", "0"], "ep-shadow"),
+    (["--suite", "transfer-consistency", "--degmax", "0"],
+     "transfer-consistency"),
+])
+def test_verify_refuses_a_suite_that_checks_nothing(capsys, argv, suite):
+    code, report = run_json(capsys, "verify", *argv)
+    assert code == 2
+    assert report["status"] == "error"
+    assert f"suite {suite} " in report["error"]
 
 
 def test_transfer_payload_schema(capsys):

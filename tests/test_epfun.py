@@ -2,12 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from qtransfer.algebra import QScalar, partitions
+from qtransfer.algebra import QScalar, partitions, subsets
 from qtransfer.epfun import (
     DParahoricType,
     ParahoricCombo,
     ep_function,
-    ep_function_from_partitions,
     f_J,
     fj_shadow_report,
     levi_scalar,
@@ -18,6 +17,7 @@ from qtransfer.epfun import (
     weyl_averaged_dl,
 )
 from qtransfer.finitegl import cached_group, dl_character, parabolic_trivial_ind
+from qtransfer.weylcomb import block_composition
 
 
 def all_types(nmax):
@@ -52,8 +52,15 @@ def test_ep_function_hand_values():
 
 
 def test_ep_collapse_correctness():
-    for n in range(1, 8):
-        assert ep_function(n) == ep_function_from_partitions(n)
+    # oracle: the subset sum over I in {1, .., n-1} of
+    # (-1)^(n-1-|I|)/(n-|I|) e_{J_I}, collapsed onto partitions
+    for n in range(1, 11):
+        terms = {}
+        for I in subsets(n - 1):
+            key = tuple(sorted(block_composition(I, n), reverse=True))
+            coeff = Fraction((-1) ** (n - 1 - len(I)), n - len(I))
+            terms[key] = terms.get(key, 0) + coeff
+        assert ep_function(n) == ParahoricCombo(n, "e", terms)
 
 
 def test_ep_iwahori_coefficient():

@@ -12,13 +12,13 @@ from qtransfer.finitegl import (
     cached_group,
     comb_prop_check,
     dl_character,
-    ind_conjugate_identity_check,
     ind_conjugate_identity_exhaustive,
     induce_class_function,
     induced_values_averaged,
     parabolic_trivial_ind,
     trivial_character,
 )
+from qtransfer.finitegl.classfun import _conjugation_counts_grouped
 from qtransfer.finitegl.fqmat import (
     char_poly,
     companion_matrix,
@@ -245,7 +245,26 @@ def test_ind_conjugate_identity_single_case():
     P = ParabolicSubgroup(group, (1, 1))
     # C = {identity}: both sides are [G:P] at the identity, 0 elsewhere
     ident_idx = P.class_index_of(group.identity())
-    report = ind_conjugate_identity_check(group, (1, 1), ident_idx)
-    assert report["equal"]
+    case = ind_conjugate_identity_exhaustive(group, (1, 1))["cases"][ident_idx]
+    assert case["class_index"] == ident_idx
+    assert case["equal"]
     idx = group.identity_class_index()
-    assert report["values"][idx] == ("3", "3", "3")
+    assert case["values"][idx] == ("3", "3", "3")
+
+
+@pytest.mark.parametrize("d,q", SMALL_GROUPS + [(2, 5)])
+def test_grouped_conjugation_counts_against_literal_pass(d, q):
+    # the orbit-stabilizer counts against the literal pass over G.  One pass
+    # per class x of G: f weights the P-class c by B^c with B > |G|, so the
+    # base-B digits of |P| * (literal average) are the counts per P-class
+    group = cached_group(d, q)
+    base = group.order + 1
+    for comp in compositions(d):
+        P = ParabolicSubgroup(group, comp)
+        f = {m: Fraction(base ** cidx)
+             for cidx, (_, members) in enumerate(P.conjugacy_classes())
+             for m in members}
+        for gidx, cls in enumerate(group.classes):
+            grouped = _conjugation_counts_grouped(group, gidx, P)
+            literal = P.order * induced_values_averaged(group, P.order, f, cls.rep)
+            assert sum(n * base ** c for c, n in grouped.items()) == literal

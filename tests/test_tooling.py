@@ -1,4 +1,5 @@
 import ast
+import importlib
 from pathlib import Path
 
 import qtransfer
@@ -57,3 +58,17 @@ def test_module_level_imports_are_used():
                     if name not in used:
                         unused.append(f"{path.relative_to(SRC)}:{node.lineno} {name}")
     assert not unused, unused
+
+
+def test_every_all_entry_resolves():
+    # a stale __all__ entry breaks `from module import *`
+    missing = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "__main__.py":  # importing it runs the CLI
+            continue
+        parts = path.relative_to(SRC.parent).with_suffix("").parts
+        name = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        module = importlib.import_module(name)
+        missing += [f"{name}.{entry}" for entry in getattr(module, "__all__", ())
+                    if not hasattr(module, entry)]
+    assert not missing, missing

@@ -25,7 +25,6 @@ from qtransfer.transfer import (
     shift_vector,
     substitution_image,
     surjectivity_witness,
-    transfer_monomial,
     transfer_sym,
 )
 
@@ -46,11 +45,16 @@ def test_shift_vector_structure():
 
 
 def test_transfer_monomial_examples():
+    # z^a -> v^(a.x) t^b summed by hand over the orbit of a
     p = TransferParams(r=1, d=2)
-    assert transfer_monomial(p, (1, 0)) == (V, (1,))
-    assert transfer_monomial(p, (1, 1)) == (QScalar(1), (2,))
+    assert transfer_sym(p, monomial_sym(2, (1, 0))) == \
+        monomial_sym(1, (1,)).scale(V + V ** -1)
+    assert transfer_sym(p, monomial_sym(2, (1, 1))) == monomial_sym(1, (2,))
+    # x = (1, -1, 1, -1): z1z2, z3z4 -> t1^2, t2^2; z1z3 -> v^2 t1t2,
+    # z1z4, z2z3 -> t1t2, z2z4 -> v^-2 t1t2
     p22 = TransferParams(r=2, d=2)
-    assert transfer_monomial(p22, (1, 0, 0, 1)) == (QScalar(1), (1, 1))
+    assert transfer_sym(p22, monomial_sym(4, (1, 1, 0, 0))) == \
+        monomial_sym(2, (2, 0)) + monomial_sym(2, (1, 1)).scale(V ** 2 + 2 + V ** -2)
 
 
 def test_image_p_examples():
