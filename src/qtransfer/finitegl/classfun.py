@@ -185,15 +185,22 @@ def _containments(d: int, q: int, dim_small: int, dim_big: int
     return tuple(out)
 
 
-def _stable_subspaces(group: GLGroup, mat: Mat, dim: int) -> set[int]:
+def _stable_subspaces(group: GLGroup, mat: Mat, dim: int) -> frozenset[int]:
+    """Indices of the dim-dimensional subspaces of F_q^d that mat maps into
+    themselves.  Memoised on the group under (mat, dim), where mat is a
+    class representative, so every composition with an intermediate
+    dimension dim reuses one whole-space scan per class."""
+    key = (mat, dim)
+    cached = group._stable_cache.get(key)
+    if cached is not None:
+        return cached
     d, q = group.d, group.q
     subs, pivots = _flag_env(d, q)
-    stable = set()
-    for idx, basis in enumerate(subs[dim]):
-        piv = pivots[dim][idx]
-        if all(in_rowspace(mat_vec(mat, row, d, q), basis, piv, q)
-               for row in basis):
-            stable.add(idx)
+    stable = frozenset(
+        idx for idx, basis in enumerate(subs[dim])
+        if all(in_rowspace(mat_vec(mat, row, d, q), basis, pivots[dim][idx], q)
+               for row in basis))
+    group._stable_cache[key] = stable
     return stable
 
 
@@ -298,17 +305,15 @@ def _conjugation_counts_grouped(group: GLGroup, class_index: int,
                                 parabolic: ParabolicSubgroup) -> dict[int, int]:
     """For each P-class index c, with x the representative of the G-class
     class_index: #{t in G : t x t^-1 in class c}, by orbit-stabilizer as
-    |Z_G(x)| times |C intersect class_G(x)|.  No pass over G; the tests
-    compare it with the literal oracle ``induced_values_averaged``."""
-    table = group.gclass_table()
-    x_class = group.classes[class_index]
-    centralizer = group.order // x_class.size
-    counts: dict[int, int] = {}
-    for pidx, (_, members) in enumerate(parabolic.conjugacy_classes()):
-        inter = sum(1 for y in members if table[y] == class_index)
-        if inter:
-            counts[pidx] = centralizer * inter
-    return counts
+    |Z_G(x)| times |C intersect class_G(x)|.  P-conjugate elements are
+    G-conjugate, so each P-class C lies inside the G-class of its
+    representative and the intersection is all of C or empty.  No pass over
+    G or P; the tests compare it with the literal oracle
+    ``induced_values_averaged``."""
+    centralizer = group.order // group.classes[class_index].size
+    return {pidx: centralizer * size
+            for pidx, (_, size, gidx) in enumerate(parabolic.classes)
+            if gidx == class_index}
 
 
 def _coset_sum_counts(group: GLGroup, x: Mat, parabolic: ParabolicSubgroup,
@@ -345,7 +350,7 @@ def _ind_identity_cases(group: GLGroup, parabolic: ParabolicSubgroup) -> list[di
         for gidx, cls in enumerate(group.classes)
     ]
     cases = []
-    for cidx in range(len(parabolic.conjugacy_classes())):
+    for cidx in range(len(parabolic.classes)):
         values = [(Fraction(a.get(cidx, 0)),
                    Fraction(b.get(cidx, 0), parabolic.order),
                    Fraction(c3.get(cidx, 0)))

@@ -122,7 +122,7 @@ class GLGroup:
         self._classes: tuple[GLClass, ...] | None = None
         self._class_lookup: dict[Label, int] | None = None
         self._elements: tuple[Mat, ...] | None = None
-        self._gclass_of_element: dict[Mat, int] | None = None
+        self._stable_cache: dict[tuple[Mat, int], frozenset[int]] = {}
         self._ind_cache: dict[tuple[int, ...], object] = {}
         self._dl_cache: dict[tuple[int, ...], object] = {}
 
@@ -238,14 +238,6 @@ class GLGroup:
             self._elements = elems
         return self._elements
 
-    def gclass_table(self) -> dict[Mat, int]:
-        """element -> conjugacy class index, for enumerable groups."""
-        if self._gclass_of_element is None:
-            self._gclass_of_element = {
-                m: self.class_index_of(m) for m in self.element_list()
-            }
-        return self._gclass_of_element
-
 
 @lru_cache(maxsize=None)
 def cached_group(d: int, q: int) -> GLGroup:
@@ -270,7 +262,7 @@ class ParabolicSubgroup:
         self._starts = tuple(starts)
         self._elements: tuple[Mat, ...] | None = None
         self._element_set: frozenset[Mat] | None = None
-        self._classes: list[tuple[Mat, tuple[Mat, ...]]] | None = None
+        self._classes: tuple[tuple[Mat, int, int], ...] | None = None
         self._pclass_of: dict[Mat, int] | None = None
 
     def _block_of(self, index: int) -> int:
@@ -329,28 +321,24 @@ class ParabolicSubgroup:
             self._element_set = frozenset(self.elements())
         return self._element_set
 
-    def conjugacy_classes(self) -> list[tuple[Mat, tuple[Mat, ...]]]:
-        """P-conjugacy classes as (representative, all elements) pairs,
-        by orbit partition."""
+    @property
+    def classes(self) -> tuple[tuple[Mat, int, int], ...]:
+        """P-conjugacy classes as (representative, size, index of the G-class
+        that contains them).  P = G takes them from the group's class data.
+        A proper P partitions its elements into orbits and labels each
+        representative once, as P-conjugate elements are G-conjugate."""
         if self._classes is not None:
             return self._classes
-        d, q = self.group.d, self.group.q
+        group = self.group
         if len(self.composition) == 1:
-            # P = G: reuse the group's class data instead of orbit crawls
-            table = self.group.gclass_table()
-            members: list[list[Mat]] = [[] for _ in self.group.classes]
-            for m, idx in table.items():
-                members[idx].append(m)
-            self._classes = [
-                (cls.rep, tuple(sorted(ms)))
-                for cls, ms in zip(self.group.classes, members)
-            ]
-            self._pclass_of = dict(table)
+            self._classes = tuple((cls.rep, cls.size, gidx)
+                                  for gidx, cls in enumerate(group.classes))
             return self._classes
+        d, q = group.d, group.q
         elems = self.elements()
         inverses = {p: mat_inv(p, d, q) for p in elems}
         assigned: dict[Mat, int] = {}
-        classes: list[tuple[Mat, tuple[Mat, ...]]] = []
+        classes = []
         for x in elems:
             if x in assigned:
                 continue
@@ -358,11 +346,23 @@ class ParabolicSubgroup:
             idx = len(classes)
             for y in orbit:
                 assigned[y] = idx
-            classes.append((x, tuple(sorted(orbit))))
-        self._classes = classes
+            classes.append((x, len(orbit), group.class_index_of(x)))
+        self._classes = tuple(classes)
         self._pclass_of = assigned
-        return classes
+        return self._classes
 
     def class_index_of(self, mat: Mat) -> int:
-        self.conjugacy_classes()
+        """Index in ``classes`` of the P-class of an element of P."""
+        if len(self.composition) == 1:
+            return self.group.class_index_of(mat)
+        self.classes  # partitions P on first use
         return self._pclass_of[mat]
+
+    def conjugacy_classes(self) -> list[tuple[Mat, tuple[Mat, ...]]]:
+        """Test oracle: the P-classes as (representative, all members)
+        pairs, in the order of ``classes``.  It looks up the class of every
+        element of P, and so labels every element of G when P = G."""
+        members: list[list[Mat]] = [[] for _ in self.classes]
+        for m in self.elements():
+            members[self.class_index_of(m)].append(m)
+        return [(rep, tuple(ms)) for (rep, _, _), ms in zip(self.classes, members)]

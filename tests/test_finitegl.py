@@ -1,3 +1,4 @@
+import itertools
 import time
 from collections import Counter
 from fractions import Fraction
@@ -26,8 +27,10 @@ from qtransfer.finitegl.fqmat import (
     mat_det,
     mat_inv,
     mat_mul,
+    mat_vec,
     monic_irreducibles,
     poly_mul,
+    rref_subspaces,
 )
 
 SMALL_GROUPS = [(1, 2), (1, 3), (1, 5), (2, 2), (2, 3), (3, 2)]
@@ -268,3 +271,64 @@ def test_grouped_conjugation_counts_against_literal_pass(d, q):
             grouped = _conjugation_counts_grouped(group, gidx, P)
             literal = P.order * induced_values_averaged(group, P.order, f, cls.rep)
             assert sum(n * base ** c for c, n in grouped.items()) == literal
+
+
+@pytest.mark.parametrize("d,q", SMALL_GROUPS + MEDIUM_GROUPS)
+def test_stable_subspace_memo_matches_fresh_scan(d, q):
+    # every memoised (class rep, dim) entry against a scan that spans each
+    # subspace and tests membership of the images directly
+    group = cached_group(d, q)
+    comb_prop_check(group)  # visits every intermediate dimension
+    assert set(group._stable_cache) == {
+        (cls.rep, dim) for cls in group.classes for dim in range(1, d)}
+    subs = rref_subspaces(d, q)
+    for (rep, dim), stable in group._stable_cache.items():
+        assert isinstance(stable, frozenset)
+        fresh = set()
+        for idx, basis in enumerate(subs[dim]):
+            span = {tuple(sum(c * row[j] for c, row in zip(coeffs, basis)) % q
+                          for j in range(d))
+                    for coeffs in itertools.product(range(q), repeat=dim)}
+            if all(mat_vec(rep, row, d, q) in span for row in basis):
+                fresh.add(idx)
+        assert stable == fresh
+
+
+def test_induction_identity_labels_representatives_only(monkeypatch):
+    # a fresh group, so no earlier test has labelled anything on it
+    group = GLGroup(3, 3)
+    calls = 0
+    label_of = GLGroup.label_of
+
+    def counted(self, mat):
+        nonlocal calls
+        calls += 1
+        return label_of(self, mat)
+
+    monkeypatch.setattr(GLGroup, "label_of", counted)
+    assert ind_conjugate_identity_exhaustive(group)["ok"]
+    assert calls < group.order // 10
+
+
+@pytest.mark.parametrize("d,q", SMALL_GROUPS)
+def test_parabolic_class_sizes_against_members(d, q):
+    # the sizes and G-class indices of the production accessor against the
+    # member lists of the oracle
+    group = cached_group(d, q)
+    for comp in compositions(d):
+        P = ParabolicSubgroup(group, comp)
+        for (rep, size, gidx), (orep, members) in zip(P.classes, P.conjugacy_classes()):
+            assert rep == orep and rep in members
+            assert size == len(members)
+            assert {group.class_index_of(m) for m in members} == {gidx}
+
+
+@pytest.mark.parametrize("d,q", [(4, 3), (5, 2)])
+def test_comb_prop_larger_groups(d, q):
+    report = comb_prop_check(cached_group(d, q))
+    assert report["equal"], report
+
+
+def test_ind_conjugate_identity_gl4_f2():
+    report = ind_conjugate_identity_exhaustive(cached_group(4, 2))
+    assert report["ok"], report
