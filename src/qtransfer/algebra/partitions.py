@@ -115,12 +115,27 @@ def dominant(vec: Sequence[int]) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def orbit(key: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """All distinct permutations of an exponent vector.
+    """All distinct permutations of an exponent vector, in lexicographic
+    order: a next-permutation walk over the sorted multiset emits each one
+    once.
 
     Memoized: orbit expansion dominates SymPoly arithmetic, and the same
     dominant keys recur constantly.
     """
-    return tuple(set(itertools.permutations(key)))
+    perm = sorted(key)
+    out = [tuple(perm)]
+    while True:
+        i = len(perm) - 2
+        while i >= 0 and perm[i] >= perm[i + 1]:
+            i -= 1
+        if i < 0:
+            return tuple(out)
+        j = len(perm) - 1
+        while perm[j] <= perm[i]:
+            j -= 1
+        perm[i], perm[j] = perm[j], perm[i]
+        perm[i + 1:] = perm[:i:-1]
+        out.append(tuple(perm))
 
 
 def z_order(rho: Sequence[int]) -> int:

@@ -3,22 +3,29 @@
 A :class:`QScalar` is a rational function of the formal variable ``v``,
 with ``v**2 = q``.  Working in ``v`` keeps every half-integer power of
 ``q`` at an integer exponent, so no fractional exponents ever appear in
-storage.  Coefficients are exact rationals (``fractions.Fraction``) and
-every value is kept in a canonical form:
+storage.  Every value is stored fraction-free, in a canonical form:
 
-* value == v**shift * N(v) / D(v),
-* N and D are ordinary polynomials with nonzero constant term,
-* gcd(N, D) == 1 and D is monic,
+* value == c * v**shift * N(v) / D(v),
+* N and D are integer polynomials, each primitive (its coefficients have
+  gcd 1) with positive leading coefficient and nonzero constant term,
+* gcd(N, D) == 1, and c is one nonzero rational; zero is c == 0, N == (),
 
 so structural equality coincides with mathematical equality.  All
 operations are pure; instances are immutable and hashable.
 
-Nearly every coefficient on the transfer side is a Laurent polynomial
-(D == 1).  A constant denominator needs no gcd, and ``+`` and ``*`` of two
-Laurent operands add or multiply the shifted numerators directly.  This
-branch returns the same canonical (shift, N, D) as the general path, so
-``==`` and ``hash`` are unchanged; real quotients (``inverse``, ``/``) take
-the general path with its polynomial gcd.
+The polynomial helpers below see integers only; the one rational of a
+value is its content c.  By Gauss's lemma a product of primitive
+polynomials is primitive, so a Laurent product (D == 1) multiplies the two
+integer tuples and the two contents with no content pass and no gcd, and
+a Laurent sum takes one integer gcd over its coefficients.  Real quotients
+take polynomial gcds by the primitive polynomial remainder sequence
+(Knuth, TAOCP vol. 2, 4.6.1; Brown 1971), and dividing by a gcd is exact
+division in Z[v].
+
+The public views (``numerator_terms``, ``denominator_terms``,
+``as_fraction``, ``str``) show the same value over a monic denominator:
+value == v**shift * N'(v) / D'(v) with D' == D / lead(D) and
+N' == c * N / lead(D).
 """
 
 from __future__ import annotations
@@ -41,130 +48,162 @@ class PoleError(ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
-# dense polynomial helpers
+# integer polynomial helpers
 #
-# A polynomial is a tuple of Fractions, constant term first, with no
-# trailing zeros; () is the zero polynomial.
+# A polynomial is a tuple of ints, constant term first, with no trailing
+# zeros; () is the zero polynomial and (1,) the one.
 # ---------------------------------------------------------------------------
 
-def _trim(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
-def _padd(a: tuple, b: tuple) -> tuple:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    return _trim(out)
-
-
-def _pscale(a: tuple, c: Fraction) -> tuple:
-    if c == 0:
-        return ()
-    return tuple(x * c for x in a)
-
-
 def _pmul(a: tuple, b: tuple) -> tuple:
+    if a == (1,):
+        return b
+    if b == (1,):
+        return a
     if not a or not b:
         return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _trim(out)
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return tuple(out)  # Z is a domain: the leading term cannot vanish
 
 
-def _pdivmod(a: tuple, b: tuple) -> tuple[tuple, tuple]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    if len(a) < len(b):
-        return (), a
+def _ppow(a: tuple, e: int) -> tuple:
+    out = (1,)
+    while e:
+        if e & 1:
+            out = _pmul(out, a)
+        e >>= 1
+        if e:
+            a = _pmul(a, a)
+    return out
+
+
+def _pcombine(x: int, a: tuple, ka: int, y: int, b: tuple, kb: int) -> list[int]:
+    """x * v**ka * a + y * v**kb * b, with trailing zeros trimmed."""
+    out = [0] * max(ka + len(a), kb + len(b))
+    for i, c in enumerate(a, ka):
+        out[i] = x * c
+    for i, c in enumerate(b, kb):
+        out[i] += y * c
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _primitive(coeffs: list[int]) -> tuple[int, int, tuple]:
+    """(k, g, p) with coeffs == g * v**k * p, where p is primitive with
+    positive leading coefficient and nonzero constant term; coeffs is
+    nonzero and has no trailing zeros."""
+    k = 0
+    while not coeffs[k]:
+        k += 1
+    g = math.gcd(*coeffs)
+    if coeffs[-1] < 0:
+        g = -g
+    if g == 1:
+        return k, 1, tuple(coeffs[k:])
+    return k, g, tuple(c // g for c in coeffs[k:])
+
+
+def _pdiv_exact(a: tuple, b: tuple) -> tuple:
+    """a / b in Z[v]; raises ArithmeticError unless b divides a."""
+    if b == (1,):
+        return a
+    db = len(b) - 1
+    if len(a) <= db:
+        raise ArithmeticError("inexact polynomial division")
     rem = list(a)
-    quo = [Fraction(0)] * (len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    for k in range(len(a) - len(b), -1, -1):
-        c = rem[k + len(b) - 1] * inv_lead
-        quo[k] = c
-        if c:
-            for i, y in enumerate(b):
-                rem[k + i] -= c * y
-    return _trim(quo), _trim(rem)
+    lead = b[-1]
+    quo = [0] * (len(a) - db)
+    for k in range(len(quo) - 1, -1, -1):
+        t, r = divmod(rem.pop(), lead)
+        if r:
+            raise ArithmeticError("inexact polynomial division")
+        quo[k] = t
+        if t:
+            for i in range(db):
+                rem[k + i] -= t * b[i]
+    if any(rem):
+        raise ArithmeticError("inexact polynomial division")
+    return tuple(quo)
+
+
+def _prem(a: tuple, b: tuple) -> list[int]:
+    """A nonzero integer multiple of the remainder of a by b over Q, with
+    trailing zeros trimmed; len(a) >= len(b) >= 2."""
+    rem = list(a)
+    lead = b[-1]
+    db = len(b) - 1
+    for top in range(len(a) - 1, db - 1, -1):
+        t = rem.pop()
+        if t:
+            g = math.gcd(t, lead)
+            m, t = lead // g, t // g
+            if m != 1:
+                rem = [m * x for x in rem]
+            k = top - db
+            for i in range(db):
+                rem[k + i] -= t * b[i]
+    while rem and not rem[-1]:
+        rem.pop()
+    return rem
 
 
 def _pgcd(a: tuple, b: tuple) -> tuple:
-    """Monic gcd over Q[v]."""
-    while b:
-        a, b = b, _pdivmod(a, b)[1]
-    if not a:
-        return ()
-    return _pscale(a, 1 / a[-1])
+    """gcd of two primitive polynomials with positive leading coefficient
+    and nonzero constant term, by the primitive remainder sequence; the
+    gcd has the same three properties."""
+    if a == b:
+        return a
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = _prem(a, b)
+        if not r:
+            return b
+        # v divides no remainder's gcd with b, so its v-power is dropped
+        a, b = b, _primitive(r)[2]
+    return (1,)
 
 
-def _split_power(coeffs: tuple) -> tuple[int, tuple]:
-    """Factor v**k out of a polynomial so the rest has nonzero constant term."""
-    if not coeffs:
-        return 0, ()
-    k = 0
-    while coeffs[k] == 0:
-        k += 1
-    return k, coeffs[k:]
+def _peval(coeffs: tuple, a: int, b: int) -> int:
+    """b**(len(coeffs) - 1) * coeffs(a / b), by Horner's rule."""
+    acc, bp = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * a + c * bp
+        bp *= b
+    return acc
 
 
-def _shift_up(coeffs: tuple, k: int) -> tuple:
-    # multiply by v**k, k >= 0
-    if not coeffs or k == 0:
-        return coeffs
-    return (Fraction(0),) * k + coeffs
-
-
-def _sqrt_fraction(c: Fraction) -> Fraction:
-    """Exact square root of a nonnegative rational, or raise ValueError."""
-    if c < 0:
-        raise ValueError("square root of a negative rational")
-    pn, pd = math.isqrt(c.numerator), math.isqrt(c.denominator)
-    if pn * pn != c.numerator or pd * pd != c.denominator:
-        raise ValueError(f"{c} is not the square of a rational")
-    return Fraction(pn, pd)
+def _isqrt_exact(n: int) -> int:
+    """The square root of a perfect square n >= 0, or raise ValueError."""
+    r = math.isqrt(n)
+    if r * r != n:
+        raise ValueError(f"{n} is not a perfect square")
+    return r
 
 
 class QScalar:
     """An exact rational function of v, where v**2 represents q."""
 
-    __slots__ = ("_shift", "_num", "_den")
+    __slots__ = ("_c", "_shift", "_num", "_den")
 
     def __init__(self, value: Rational = 0):
         c = Fraction(value)
+        self._c = c
         self._shift = 0
-        self._num = (c,) if c else ()
-        self._den = (Fraction(1),)
+        self._num = (1,) if c else ()
+        self._den = (1,)
 
     # -- construction -------------------------------------------------
 
     @classmethod
-    def _build(cls, shift: int, num: tuple, den: tuple) -> "QScalar":
-        """Normalize raw data; num/den are plain polynomials, den != 0."""
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        kn, num = _split_power(num)
-        kd, den = _split_power(den)
-        shift += kn - kd
-        if not num:
-            return cls(0)
-        if len(den) > 1:  # a constant denominator shares no factor with num
-            g = _pgcd(num, den)
-            if len(g) > 1:
-                num = _pdivmod(num, g)[0]
-                den = _pdivmod(den, g)[0]
-        lead = den[-1]
-        if lead != 1:
-            num = _pscale(num, 1 / lead)
-            den = _pscale(den, 1 / lead)
+    def _make(cls, c: Fraction, shift: int, num: tuple, den: tuple) -> "QScalar":
+        """Wrap data already in canonical form."""
         self = cls.__new__(cls)
+        self._c = c
         self._shift = shift
         self._num = num
         self._den = den
@@ -173,7 +212,7 @@ class QScalar:
     @classmethod
     def v_power(cls, e: int) -> "QScalar":
         """v**e for any integer e."""
-        return cls._build(e, (Fraction(1),), (Fraction(1),))
+        return cls._make(Fraction(1), e, (1,), (1,))
 
     @classmethod
     def q_power(cls, e: int) -> "QScalar":
@@ -183,13 +222,15 @@ class QScalar:
     @classmethod
     def from_v_terms(cls, terms: Mapping[int, Rational]) -> "QScalar":
         """Laurent polynomial from a mapping v-exponent -> coefficient."""
-        nonzero = {e: Fraction(c) for e, c in terms.items() if c}
+        nonzero = {e: c if isinstance(c, int) else Fraction(c)
+                   for e, c in terms.items() if c}
         if not nonzero:
             return cls(0)
         lo = min(nonzero)
-        hi = max(nonzero)
-        coeffs = tuple(nonzero.get(e, Fraction(0)) for e in range(lo, hi + 1))
-        return cls._build(lo, coeffs, (Fraction(1),))
+        coeffs = [nonzero.get(e, 0) for e in range(lo, max(nonzero) + 1)]
+        scale = math.lcm(*(c.denominator for c in coeffs))
+        k, g, num = _primitive([c.numerator * (scale // c.denominator) for c in coeffs])
+        return cls._make(Fraction(g, scale), lo + k, num, (1,))
 
     # -- predicates and views ------------------------------------------
 
@@ -198,25 +239,29 @@ class QScalar:
 
     def is_laurent(self) -> bool:
         """True when the denominator is 1 (pure Laurent polynomial)."""
-        return self._den == (Fraction(1),)
+        return self._den == (1,)
 
     def numerator_terms(self) -> Iterator[tuple[int, Fraction]]:
-        """(v-exponent, coefficient) pairs of the numerator, ascending."""
+        """(v-exponent, coefficient) pairs of the numerator over the monic
+        denominator, ascending."""
+        scale = self._c / self._den[-1]
         for i, c in enumerate(self._num):
             if c:
-                yield self._shift + i, c
+                yield self._shift + i, scale * c
 
     def denominator_terms(self) -> Iterator[tuple[int, Fraction]]:
+        """(v-exponent, coefficient) pairs of the monic denominator."""
+        lead = self._den[-1]
         for i, c in enumerate(self._den):
             if c:
-                yield i, c
+                yield i, Fraction(c, lead)
 
     def as_fraction(self) -> Fraction:
         """The value as a plain rational, if it does not involve v."""
         if self.is_zero():
             return Fraction(0)
-        if self._shift == 0 and len(self._num) == 1 and self._den == (Fraction(1),):
-            return self._num[0]
+        if self._shift == 0 and self._num == self._den == (1,):
+            return self._c
         raise ValueError(f"{self} is not constant in v")
 
     # -- arithmetic -----------------------------------------------------
@@ -233,18 +278,44 @@ class QScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not o._num:
+            return self
+        if not self._num:
+            return o
+        # both contents over one integer denominator: x/scale and y/scale
+        x, qx = self._c.numerator, self._c.denominator
+        y, qy = o._c.numerator, o._c.denominator
+        if qx == qy:
+            scale = qx
+        else:
+            common = math.gcd(qx, qy)
+            scale = qx // common * qy
+            x, y = x * (qy // common), y * (qx // common)
+        # x N1 / (g r1) + y N2 / (g r2) == (x N1 r2 + y N2 r1) / (g r1 r2),
+        # and only g can share a factor with the new numerator
+        d1, d2 = self._den, o._den
+        if d1 == d2:
+            g, r1, r2 = d1, (1,), (1,)
+        else:
+            g = _pgcd(d1, d2)
+            r1, r2 = _pdiv_exact(d1, g), _pdiv_exact(d2, g)
         s = min(self._shift, o._shift)
-        a = _shift_up(self._num, self._shift - s)
-        b = _shift_up(o._num, o._shift - s)
-        if len(self._den) == len(o._den) == 1:  # both Laurent: D == 1
-            return QScalar._build(s, _padd(a, b), self._den)
-        num = _padd(_pmul(a, o._den), _pmul(b, self._den))
-        return QScalar._build(s, num, _pmul(self._den, o._den))
+        coeffs = _pcombine(x, _pmul(self._num, r2), self._shift - s,
+                           y, _pmul(o._num, r1), o._shift - s)
+        if not coeffs:
+            return QScalar(0)
+        k, content, num = _primitive(coeffs)
+        den = _pmul(d1, r2)
+        if len(g) > 1:
+            h = _pgcd(num, g)
+            if len(h) > 1:
+                num, den = _pdiv_exact(num, h), _pdiv_exact(den, h)
+        return QScalar._make(Fraction(content, scale), s + k, num, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QScalar":
-        return QScalar._build(self._shift, _pscale(self._num, Fraction(-1)), self._den)
+        return QScalar._make(-self._c, self._shift, self._num, self._den)
 
     def __sub__(self, other) -> "QScalar":
         o = self._coerce(other)
@@ -262,17 +333,27 @@ class QScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        num = _pmul(self._num, o._num)
-        if len(self._den) == len(o._den) == 1:  # both Laurent: D == 1
-            return QScalar._build(self._shift + o._shift, num, self._den)
-        return QScalar._build(self._shift + o._shift, num, _pmul(self._den, o._den))
+        if not self._num or not o._num:
+            return QScalar(0)
+        n1, d1, n2, d2 = self._num, self._den, o._num, o._den
+        # cancel across: gcd(n1, d1) == gcd(n2, d2) == 1 already
+        if len(n1) > 1 and len(d2) > 1:
+            g = _pgcd(n1, d2)
+            if len(g) > 1:
+                n1, d2 = _pdiv_exact(n1, g), _pdiv_exact(d2, g)
+        if len(n2) > 1 and len(d1) > 1:
+            g = _pgcd(n2, d1)
+            if len(g) > 1:
+                n2, d1 = _pdiv_exact(n2, g), _pdiv_exact(d1, g)
+        return QScalar._make(self._c * o._c, self._shift + o._shift,
+                             _pmul(n1, n2), _pmul(d1, d2))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QScalar":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero QScalar")
-        return QScalar._build(-self._shift, self._den, self._num)
+        return QScalar._make(1 / self._c, -self._shift, self._den, self._num)
 
     def __truediv__(self, other) -> "QScalar":
         o = self._coerce(other)
@@ -291,14 +372,13 @@ class QScalar:
             return NotImplemented
         if e < 0:
             return self.inverse() ** (-e)
-        out = QScalar(1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        if e == 0:
+            return QScalar(1)
+        if self.is_zero():
+            return self
+        # gcd(N, D) == 1 gives gcd(N**e, D**e) == 1
+        return QScalar._make(self._c ** e, self._shift * e,
+                             _ppow(self._num, e), _ppow(self._den, e))
 
     # -- equality -------------------------------------------------------
 
@@ -306,21 +386,15 @@ class QScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return (self._shift, self._num, self._den) == (o._shift, o._num, o._den)
+        return (self._shift, self._num, self._den, self._c) == (o._shift, o._num, o._den, o._c)
 
     def __hash__(self) -> int:
-        return hash((self._shift, self._num, self._den))
+        return hash((self._shift, self._num, self._den, self._c))
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
     # -- specialization ---------------------------------------------------
-
-    def _eval_poly_at(self, coeffs: tuple, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(coeffs):
-            acc = acc * x + c
-        return acc
 
     def specialize_q(self, c: Rational) -> Fraction:
         """Substitute q := c exactly.
@@ -332,29 +406,36 @@ class QScalar:
         c = Fraction(c)
         if self.is_zero():
             return Fraction(0)
-        num_exps = [e for e, _ in self.numerator_terms()]
-        den_exps = [e for e, _ in self.denominator_terms()]
-        if all(e % 2 == 0 for e in num_exps + den_exps):
-            den = sum(co * c ** (e // 2) for e, co in self.denominator_terms())
-            if den == 0:
-                raise PoleError(f"denominator vanishes at q = {c}")
-            if c == 0 and any(e < 0 for e in num_exps):
-                raise PoleError("negative power of q at q = 0")
-            num = sum(co * c ** (e // 2) for e, co in self.numerator_terms())
-            return num / den
-        try:
-            v0 = _sqrt_fraction(c)
-        except ValueError as exc:
-            raise ValueError(
-                f"odd powers of v present; q = {c} has no rational square root"
-            ) from exc
-        den = self._eval_poly_at(self._den, v0)
-        if den == 0:
+        num, den, shift = self._num, self._den, self._shift
+        if shift % 2 == 0 and not any(num[1::2]) and not any(den[1::2]):
+            # a polynomial in q: evaluate at a / b == c
+            num, den, shift, var = num[::2], den[::2], shift // 2, "q"
+            a, b = c.numerator, c.denominator
+        else:
+            try:
+                a, b = _isqrt_exact(c.numerator), _isqrt_exact(c.denominator)
+            except ValueError as exc:
+                raise ValueError(
+                    f"odd powers of v present; q = {c} has no rational square root"
+                ) from exc
+            var = "v"
+        bottom = _peval(den, a, b)
+        if bottom == 0:
             raise PoleError(f"denominator vanishes at q = {c}")
-        if v0 == 0 and self._shift < 0:
-            raise PoleError("negative power of v at q = 0")
-        num = self._eval_poly_at(self._num, v0) * v0 ** self._shift
-        return num / den
+        if a == 0 and shift < 0:
+            raise PoleError(f"negative power of {var} at q = 0")
+        top = _peval(num, a, b)
+        # value == self._c * (a/b)**shift * (top / b**deg N) / (bottom / b**deg D)
+        eb = len(den) - len(num) - shift
+        if eb >= 0:
+            top *= b ** eb
+        else:
+            bottom *= b ** -eb
+        if shift >= 0:
+            top *= a ** shift
+        else:
+            bottom *= a ** -shift
+        return self._c * Fraction(top, bottom)
 
     # -- rendering --------------------------------------------------------
 
@@ -387,7 +468,7 @@ class QScalar:
             return "0"
         num_terms = list(self.numerator_terms())
         num = self._poly_str(num_terms)
-        if self._den == (Fraction(1),):
+        if self.is_laurent():
             return num
         den_terms = list(self.denominator_terms())
         den = self._poly_str(den_terms)

@@ -63,6 +63,13 @@ def test_transfer_oracle_equivalence_to_n10():
     assert time.monotonic() - started < 120
 
 
+def test_transfer_oracle_equivalence_to_n12():
+    # orbits by a next-permutation walk make n <= 12 reachable
+    started = time.monotonic()
+    verify("--suite transfer-consistency --nmax 12 --degmax 5")
+    assert time.monotonic() - started < 120
+
+
 def test_criterion_02_q1_degeneration():
     with criterion(2, "q = 1 degeneration of power-sum images"):
         for d in range(1, 9):

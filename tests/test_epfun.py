@@ -107,6 +107,18 @@ def test_basis_conversion():
         to_one_basis(one)
 
 
+def test_basis_round_trips_with_quotients_to_n12():
+    # e-basis coefficients are genuine quotients by parahoric indices of
+    # degree up to n(n-1) in v; sums of them must reduce back exactly
+    v = QScalar.v_power(1)
+    a = 1 / (1 + v)
+    for n in range(1, 13):
+        y = ParahoricCombo(n, "one", {lam: 1 + len(lam) * v for lam in partitions(n)})
+        z = ParahoricCombo(n, "one", {lam: lam[0] - v ** 2 for lam in partitions(n)})
+        assert to_one_basis(to_e_basis(y).scale(a) + to_e_basis(z)) == y.scale(a) + z
+        assert to_e_basis(to_one_basis(ep_function(n))) == ep_function(n)
+
+
 def test_coefficients_are_rational_until_one_basis():
     for n in range(1, 6):
         for c in ep_function(n).terms.values():

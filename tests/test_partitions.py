@@ -1,3 +1,4 @@
+import itertools
 from math import factorial
 
 import pytest
@@ -67,6 +68,18 @@ def test_orbit_sizes():
     assert len(orbit((2, 1, 0))) == 6
     assert len(orbit((1, 1, 0, 0))) == 6
     assert dominant((0, 2, -1)) == (2, 0, -1)
+
+
+def test_orbit_matches_permutation_set():
+    # the next-permutation walk against the set of all n! permutations, on
+    # each partition, padded with zeros to n entries and shifted below zero
+    for n in range(1, 9):
+        for lam in partitions(n):
+            padded = lam + (0,) * (n - len(lam))
+            for key in (lam, padded, tuple(p - 1 for p in padded)):
+                perms = orbit(key)
+                assert len(perms) == len(set(perms))
+                assert set(perms) == set(itertools.permutations(key))
 
 
 def test_ssyt_counts_match_weyl_dimension():

@@ -1,9 +1,12 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fraction_oracle as oracle
 from qtransfer.algebra import ONE, Q, V, ZERO, PoleError, QScalar
+from qtransfer.algebra.scalars import _pdiv_exact
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=8)
 
@@ -171,3 +174,97 @@ def test_laurent_branch_matches_general_path(pair, k):
     for _ in range(k):
         power = _mul_terms(power, ta)
     _check_laurent(a ** k, (a / U) ** k * U ** k, power)
+
+
+# -- the fraction-free core against the tuple-of-Fraction oracle ------------
+
+# non-monomial factors that recur across draws, so numerators and
+# denominators share factors and the gcds are not all trivial
+SHARED_FACTORS = ({0: 1, 1: 1}, {0: 1, 2: 1}, {0: 1, 1: -1, 2: 1},
+                  {0: 2, 1: -3}, {0: 1, 1: 1, 2: 1, 3: 1}, {-1: 1, 1: Fraction(-1, 3)})
+
+
+@st.composite
+def quotient_factors(draw):
+    """(numerator factors, denominator factors) as v-term mappings; the
+    denominator always has a non-monomial factor."""
+    num = [draw(st.dictionaries(st.integers(-6, 6), rationals, max_size=4))]
+    num += draw(st.lists(st.sampled_from(SHARED_FACTORS), max_size=2))
+    den = [draw(st.dictionaries(st.integers(-3, 3), rationals.filter(bool),
+                                min_size=1, max_size=3))]
+    den += draw(st.lists(st.sampled_from(SHARED_FACTORS), min_size=1, max_size=2))
+    return num, den
+
+
+def _core(factors) -> QScalar:
+    num, den = factors
+    return (math.prod((QScalar.from_v_terms(t) for t in num), start=ONE)
+            / math.prod((QScalar.from_v_terms(t) for t in den), start=ONE))
+
+
+def _oracle(factors):
+    num, den = factors
+    value = oracle.from_terms({0: 1})
+    for t in num:
+        value = oracle.mul(value, oracle.from_terms(t))
+    for t in den:
+        value = oracle.mul(value, oracle.inverse(oracle.from_terms(t)))
+    return value
+
+
+def _operations(a, b, e):
+    """a, and each operation on a and b that is defined."""
+    out = [a, a + b, a - b, a * b]
+    if not b.is_zero():
+        out += [a / b, b.inverse()]
+    if e >= 0 or not a.is_zero():
+        out.append(a ** e)
+    return out
+
+
+def _oracle_operations(x, y, e):
+    out = [x, oracle.add(x, y), oracle.add(x, oracle.neg(y)), oracle.mul(x, y)]
+    if y[1]:
+        out += [oracle.mul(x, oracle.inverse(y)), oracle.inverse(y)]
+    if e >= 0 or x[1]:
+        out.append(oracle.power(x, e))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(quotient_factors(), quotient_factors(), st.integers(-3, 3))
+def test_core_matches_fraction_oracle(fa, fb, e):
+    got = _operations(_core(fa), _core(fb), e)
+    want = _oracle_operations(_oracle(fa), _oracle(fb), e)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (list(g.numerator_terms()), list(g.denominator_terms())) == oracle.view(w)
+
+
+def _assert_canonical(s: QScalar):
+    c, shift, num, den = s._c, s._shift, s._num, s._den
+    assert type(c) is Fraction
+    assert c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
+    if s.is_zero():
+        assert (c, shift, num, den) == (0, 0, (), (1,))
+        return
+    assert c != 0
+    for p in (num, den):
+        assert p and all(type(x) is int for x in p)
+        assert math.gcd(*p) == 1 and p[-1] > 0 and p[0] != 0
+    assert oracle._pgcd(tuple(map(Fraction, num)), tuple(map(Fraction, den))) \
+        == oracle.ONE_POLY
+
+
+@settings(max_examples=150, deadline=None)
+@given(quotient_factors(), quotient_factors(), st.integers(-3, 3))
+def test_core_results_are_canonical(fa, fb, e):
+    for got in _operations(_core(fa), _core(fb), e):
+        _assert_canonical(got)
+
+
+def test_inexact_division_raises():
+    assert _pdiv_exact((1, 2, 1), (1, 1)) == (1, 1)
+    for a, b in (((1, 0, 1), (1, 1)), ((1, 1), (1, 0, 1)), ((1, 3), (2, 1))):
+        with pytest.raises(ArithmeticError):
+            _pdiv_exact(a, b)

@@ -72,3 +72,16 @@ def test_every_all_entry_resolves():
         missing += [f"{name}.{entry}" for entry in getattr(module, "__all__", ())
                     if not hasattr(module, entry)]
     assert not missing, missing
+
+
+def test_scalar_polynomial_helpers_are_integer_only():
+    # the fraction-free core: a value's one rational is its content, so no
+    # module-level helper of algebra/scalars.py may name Fraction
+    tree = ast.parse((SRC / "algebra" / "scalars.py").read_text())
+    helpers = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    assert helpers
+    found = [f"{node.name}:{node.lineno}" for node in helpers
+             if "Fraction" in {name.id for name in ast.walk(node)
+                               if isinstance(name, ast.Name)}
+             | _string_annotation_names(node)]
+    assert not found, found
