@@ -12,23 +12,28 @@ subgroup are products of S_part class sizes; the support of a restricted
 double coset is the Young subgroup W_J given by Kilmoyer's lemma
 (W_M cap w W_I w^-1 = W_J for minimal w; Geck-Pfeiffer, Characters of
 Finite Coxeter Groups and Iwahori-Hecke Algebras, 2.1-2.2); double-coset
-representatives come from the descent rule.  The brute-force enumerations
-these replace stay as oracles (``YoungSubgroup.elements``,
-``support_by_enumeration``) that the tests and ``verify`` compare against.
+representatives are built one per integer matrix with the block sizes as
+margins, never by scanning S_d.  The brute-force enumerations these
+replace stay as oracles (``YoungSubgroup.elements``,
+``support_by_enumeration``, and in the tests the descent-rule scan of S_d)
+that the tests and ``verify`` compare against.
 
 Each enumeration refuses, before it starts, when its own size exceeds
 ENUM_LIMIT = 8! elements: ``all_perms`` on d!, ``YoungSubgroup.elements`` on
-|W_I|, and the subset sum of ``f_g_table`` on its 2^(d-1) terms.  It never
-subsamples, and the limit has no override.
+|W_I|, ``min_double_coset_reps`` on the number of double cosets, and the
+subset sum of ``f_g_table`` on its 2^(d-1) terms.  It never subsamples, and
+the limit has no override.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from operator import add, mul, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .algebra.partitions import as_partition, partitions, sn_class_size, subsets
@@ -117,10 +122,10 @@ def all_perms(d: int) -> tuple[Perm, ...]:
 def block_composition(I: Iterable[int], d: int) -> tuple[int, ...]:
     """Composition of d cut by the complement of I in {1, .., d-1}."""
     I = frozenset(I)
-    if not I <= set(range(1, d)):
+    if I and (min(I) < 1 or max(I) >= d):
         raise ValueError(f"I must be a subset of 1..{d - 1}")
-    cuts = [0] + sorted(set(range(1, d)) - I) + [d]
-    return tuple(cuts[i + 1] - cuts[i] for i in range(len(cuts) - 1))
+    cuts = [0, *itertools.filterfalse(I.__contains__, range(1, d)), d]
+    return tuple(map(sub, cuts[1:], cuts))
 
 
 @dataclass(frozen=True)
@@ -278,33 +283,120 @@ def min_coset_reps_in(M: Iterable[int], J: Iterable[int], d: int) -> list[Perm]:
 
 
 def min_double_coset_reps(M: Iterable[int], I: Iterable[int], d: int) -> list[Perm]:
-    """Length-minimal representatives of the double cosets W_M \\ S_d / W_I.
+    """Length-minimal representatives of the double cosets W_M \\ S_d / W_I,
+    sorted by (length, one-line form).
 
-    The descent rule selects them: w is minimal exactly when it increases
-    at every position of I and w^-1 increases at every position of M.  By
-    Kilmoyer's lemma |W_M w W_I| = |W_M| |W_I| / |W_J(w)| with J(w) the
-    support set of ``restriction_support``, and these sizes must sum to d!;
-    a failure of that invariant raises.  The oracle is the brute-force
-    tiling of S_d by the cosets, in the tests.  Results are cached per
-    (M, I, d).  The descent rule scans ``all_perms(d)``, which refuses
-    d >= 9.
+    Matrices compute: with alpha and beta the compositions of M and I, the
+    double cosets correspond one-to-one with the non-negative integer
+    matrices a with row sums alpha and column sums beta (James-Kerber, The
+    Representation Theory of the Symmetric Group, 1.3), a[i][j] counting
+    the positions in block j of beta that w sends into block i of alpha.
+    The minimal w of a matrix fills block j of positions with the next
+    a[i][j] unused values of each block i of values, in increasing order of
+    i.  The descent rule verifies: w is minimal exactly when it increases
+    at every position of I and w^-1 at every position of M, and the tests
+    scan S_d with it as the oracle.  By Kilmoyer's lemma
+    |W_M w W_I| = |W_M| |W_I| / |W_J(w)| with J(w) the support set of
+    ``restriction_support``, and these sizes must sum to d!; a failure of
+    that invariant raises.  Results are cached per (M, I, d).  Refuses,
+    before building any, when the number of double cosets (of matrices)
+    exceeds ENUM_LIMIT; d! itself is not a bound.
     """
     return list(_min_double_coset_reps_cached(frozenset(M), frozenset(I), d))
+
+
+def _splits(left: tuple[int, ...], size: int) -> Iterator[tuple[int, ...]]:
+    """Every column (c_1, .., c_r) with 0 <= c_i <= left[i] and sum size,
+    for size at most sum(left)."""
+    if size == 0 or len(left) == 1:
+        yield (0,) * (len(left) - 1) + (size,)
+        return
+    tail = left[1:]
+    room = sum(tail)
+    for c in range(max(0, size - room), min(left[0], size) + 1):
+        for rest in _splits(tail, size - c):
+            yield (c, *rest)
+
+
+def _steps(alpha: tuple[int, ...], stops: tuple[int, ...], left: tuple[int, ...],
+           columns: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...], int, Perm]]:
+    """The next column block of a walk, one step per column under left:
+    the row sums left after it, the inversions it adds and its values.  The
+    unused values of block i of alpha are the last left[i] below stops[i];
+    the column takes the next ones of each block, in increasing order of i,
+    so it inverts exactly the values already placed from later blocks."""
+    low = tuple(map(sub, stops, left))
+    placed = tuple(map(sub, alpha, left))
+    after = [sum(placed[i + 1:]) for i in range(len(left))]
+    return [(tuple(map(sub, left, column)), sum(map(mul, column, after)),
+             tuple(itertools.chain.from_iterable(map(range, low, map(add, low, column)))))
+            for column in columns]
+
+
+def _column_steps(what: str, alpha: tuple[int, ...], beta: tuple[int, ...]
+                  ) -> tuple[int, list[dict[tuple[int, ...], list]]]:
+    """The number of matrices with row sums alpha and column sums beta, and
+    per column block the steps from each vector of row sums left that a
+    walk reaches.  Each step starts a distinct walk and every walk ends in
+    a matrix, so a block with more than ENUM_LIMIT steps is refused before
+    the count ends."""
+    stops = tuple(end + 1 for end in itertools.accumulate(alpha))
+    counts = {alpha: 1}
+    layers = []
+    for size in beta:
+        layer = {}
+        room = ENUM_LIMIT + 1
+        for left in counts:
+            columns = list(itertools.islice(_splits(left, size), room))
+            room -= len(columns)
+            if not room:
+                raise EnumerationBudgetError(
+                    f"enumerating {what} (more than {ENUM_LIMIT} elements) "
+                    f"exceeds the enumeration limit {ENUM_LIMIT}")
+            layer[left] = _steps(alpha, stops, left, columns)
+        walked: dict[tuple[int, ...], int] = {}
+        for left, n in counts.items():
+            for rest, _, _ in layer[left]:
+                walked[rest] = walked.get(rest, 0) + n
+        layers.append(layer)
+        counts = walked
+    return sum(counts.values()), layers
+
+
+def _young_order(J: frozenset) -> int:
+    # |W_J|: (run + 1)! per maximal run of consecutive elements of J, built
+    # up one factor per element
+    order = run = 1
+    for j in sorted(J):
+        run = run + 1 if j - 1 in J else 2
+        order *= run
+    return order
+
+
+# one shared tuple per permutation in the cached representatives of all
+# (M, I), so that the cache is no larger than S_d
+_PERMS: dict[Perm, Perm] = {}
 
 
 @lru_cache(maxsize=None)
 def _min_double_coset_reps_cached(M: frozenset, I: frozenset, d: int
                                   ) -> tuple[Perm, ...]:
-    reps = [w for w in all_perms(d)
-            if _right_descent_free(w, I) and _right_descent_free(perm_inv(w), M)]
-    product = young_subgroup(M, d).order * young_subgroup(I, d).order
-    total = sum(Fraction(product, young_subgroup(_support(M, I, w), d).order)
-                for w in reps)
+    alpha, beta = block_composition(M, d), block_composition(I, d)
+    what = f"the double cosets W_{sorted(M)} \\ S_{d} / W_{sorted(I)}"
+    count, layers = _column_steps(what, alpha, beta)
+    _refuse_beyond_limit(what, count)
+    walks: list[tuple[int, Perm, tuple[int, ...]]] = [(0, (), alpha)]
+    for steps in layers:
+        walks = [(length + added, w + values, rest) for length, w, left in walks
+                 for rest, added, values in steps[left]]
+    reps = [_PERMS.setdefault(w, w) for _, w, _ in sorted(walks)]
+    product = _young_order(M) * _young_order(I)
+    total = sum(product // _young_order(_support(M, I, w)) for w in reps)
     if total != factorial(d):
         raise AssertionError(
             f"double cosets of W_{sorted(M)}, W_{sorted(I)} in S_{d} have "
             f"total size {total}, not {factorial(d)}")
-    return tuple(sorted(reps, key=lambda w: (inversions(w), w)))
+    return tuple(reps)
 
 
 def _support(M: frozenset, I: frozenset, w: Perm) -> frozenset:
@@ -359,6 +451,7 @@ def proper_levi_vanishing(d: int, M: Iterable[int]) -> dict[frozenset, Fraction]
             sums[frozenset(J)] = Fraction(0)
     for I in subsets(d - 1):
         coeff = _subset_coefficient(d, I)
-        for w in min_double_coset_reps(M, I, d):
-            sums[_support(M, I, w)] += coeff
+        tally = Counter(_support(M, I, w) for w in min_double_coset_reps(M, I, d))
+        for J, count in tally.items():
+            sums[J] += coeff * count
     return sums

@@ -1,5 +1,7 @@
+import random
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from qtransfer import weylcomb
 from qtransfer.algebra.partitions import compositions, subsets
 from qtransfer.weylcomb import (
+    ENUM_LIMIT,
     EnumerationBudgetError,
     YoungSubgroup,
     all_perms,
@@ -157,6 +160,51 @@ def test_min_double_coset_reps_against_bruteforce():
                 assert covered == set(all_perms(d))
 
 
+def _bits(S) -> int:
+    return sum(1 << i for i in S)
+
+
+@lru_cache(maxsize=None)
+def _descent_table(d: int) -> list[tuple[tuple[int, ...], int, int]]:
+    """S_d sorted by (length, one-line form), each w with the bit sets of
+    its right descents and of those of w^-1."""
+    def descents(w):
+        return _bits(i for i in range(1, d) if w[i - 1] > w[i])
+    return [(w, descents(w), descents(perm_inv(w)))
+            for w in sorted(all_perms(d), key=lambda w: (inversions(w), w))]
+
+
+def descent_rule_reps(M, I, d: int) -> tuple[tuple[int, ...], ...]:
+    """The oracle for ``min_double_coset_reps``: scan S_d with the descent
+    rule.  w is minimal in W_M w W_I exactly when it increases at every
+    position of I and w^-1 increases at every position of M."""
+    m, i = _bits(M), _bits(I)
+    return tuple(w for w, right, left in _descent_table(d)
+                 if not right & i and not left & m)
+
+
+def test_min_double_coset_reps_match_the_descent_rule_to_d6():
+    for d in range(1, 7):
+        for M in subsets(d - 1):
+            for I in subsets(d - 1):
+                assert tuple(min_double_coset_reps(M, I, d)) == \
+                    descent_rule_reps(M, I, d), (d, M, I)
+
+
+@pytest.mark.parametrize("d", [7, 8])
+def test_min_double_coset_reps_match_the_descent_rule_d7_d8(d):
+    # every M against I empty, I = M and I its complement, then a seeded
+    # sample of pairs
+    simple = frozenset(range(1, d))
+    every = list(subsets(d - 1))
+    pairs = [(M, I) for M in every for I in (frozenset(), M, simple - M)]
+    rng = random.Random(d)
+    pairs += [(rng.choice(every), rng.choice(every)) for _ in range(24)]
+    for M, I in pairs:
+        assert tuple(min_double_coset_reps(M, I, d)) == \
+            descent_rule_reps(M, I, d), (d, M, I)
+
+
 def test_min_double_coset_reps_checks_the_cardinality_invariant(monkeypatch):
     monkeypatch.setattr(weylcomb, "_support", lambda M, I, w: frozenset())
     weylcomb._min_double_coset_reps_cached.cache_clear()
@@ -205,6 +253,52 @@ def test_proper_levi_vanishing_small():
 def test_proper_levi_vanishing_rejects_full():
     with pytest.raises(ValueError):
         proper_levi_vanishing(3, frozenset({1, 2}))
+
+
+def _two_block_levis(d: int) -> list[frozenset]:
+    return [frozenset(range(1, d)) - {k} for k in range(1, d)]
+
+
+@pytest.mark.parametrize("d", [9, 10])
+def test_proper_levi_vanishing_two_block_levis_beyond_d8(d):
+    for M in _two_block_levis(d):
+        sums = proper_levi_vanishing(d, M)
+        assert len(sums) == 2 ** len(M)
+        assert all(v == 0 for v in sums.values()), (d, M)
+
+
+@pytest.mark.parametrize("d", [9, 10])
+def test_restriction_support_sampled_beyond_d8(d):
+    rng = random.Random(d)
+    levis = [M for M in _two_block_levis(d) if young_subgroup(M, d).order <= ENUM_LIMIT]
+    for _ in range(3):
+        M = rng.choice(levis)
+        I = frozenset(i for i in range(1, d) if rng.random() < 0.5)
+        w = rng.choice(min_double_coset_reps(M, I, d))
+        W_J = young_subgroup(restriction_support(M, I, w), d)
+        assert support_by_enumeration(M, I, w) == set(W_J.elements()), (M, I, w)
+
+
+def test_min_double_coset_reps_beyond_d8():
+    # blocks (4, 4, 1) against the trivial group: the cosets W_M w
+    M = frozenset({1, 2, 3, 5, 6, 7})
+    reps = min_double_coset_reps(M, frozenset(), 9)
+    assert len(reps) == factorial(9) // factorial(4) ** 2 == 630
+    assert len(set(reps)) == len(reps)
+    assert reps == sorted(reps, key=lambda w: (inversions(w), w))
+    for w in reps:
+        assert restriction_support(M, frozenset(), w) == frozenset()
+    # blocks (5, 4) and (3, 6): 2x2 matrices, one per a[0][0] in 0..3
+    assert len(min_double_coset_reps({1, 2, 3, 4, 6, 7, 8}, {1, 2, 4, 5, 6, 7, 8}, 9)) == 4
+    # |S_9| / |W_{1}| = 181440 double cosets: refused on that count
+    with pytest.raises(EnumerationBudgetError,
+                       match=r"S_9 / W_\[1\] \(181440 elements\) exceeds .* 40320"):
+        min_double_coset_reps(frozenset(), frozenset({1}), 9)
+    # at d = 16 a column block has more than ENUM_LIMIT steps, so even the
+    # count is refused before it ends
+    with pytest.raises(EnumerationBudgetError,
+                       match=r"S_16 / W_\[\] \(more than 40320 elements\)"):
+        min_double_coset_reps(frozenset(), frozenset(), 16)
 
 
 def test_enumeration_bound():
