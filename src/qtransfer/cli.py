@@ -261,7 +261,8 @@ SUITES = {
                       for k in range(d)
                       for M in itertools.combinations(range(1, d), k)],
         _weyl_vanishing_case),
-    # the induction identity enumerates the group, so it stops at d = 3
+    # the induction identity enumerates each proper parabolic (never G);
+    # the suite keeps its case set at d <= 3
     "finite-gl": Suite(
         lambda args: [("comb_prop", d, q)
                       for d, q in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]

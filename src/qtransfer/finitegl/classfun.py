@@ -4,9 +4,11 @@ finite-group identity checks.
 
 All values are exact rationals.  Induced-from-trivial characters are
 computed by counting stable flags, which needs no group enumeration and so
-works for every group whose classes fit the budget; the coset-sum
-definition of induction is also implemented for enumerable groups and the
-two are compared in the tests.
+works for every group whose classes fit the budget.  The induction
+identity sums over the Bruhat coset representatives of G/P and the
+P-classes of P, so it needs P and [G:P] within the scan limit but never
+enumerates G.  The coset-sum definition of induction over an enumerated
+group (``induce_class_function``) is the oracle the tests compare against.
 """
 
 from __future__ import annotations
@@ -105,7 +107,8 @@ def zero_class_function(group: GLGroup) -> ClassFunction:
 
 def _left_coset_reps(group: GLGroup, subgroup_elements: Sequence[Mat]) -> list[Mat]:
     """One representative g per left coset g H, the first in element order;
-    checks that the cosets tile the group."""
+    checks that the cosets tile the group.  The scan of G that the tests
+    compare ``ParabolicSubgroup.coset_reps`` against."""
     d, q = group.d, group.q
     reps: list[Mat] = []
     assigned: set[Mat] = set()
@@ -317,14 +320,14 @@ def _conjugation_counts_grouped(group: GLGroup, class_index: int,
 
 
 def _coset_sum_counts(group: GLGroup, x: Mat, parabolic: ParabolicSubgroup,
-                      reps: Sequence[Mat]) -> dict[int, int]:
-    """For each P-class index c: #{s in reps : s^-1 x s in class c}."""
+                      reps: Sequence[tuple[Mat, Mat]]) -> dict[int, int]:
+    """For each P-class index c: #{s in reps : s^-1 x s in class c}, over
+    (s, s^-1) pairs."""
     d, q = group.d, group.q
-    pset = parabolic.element_set()
     counts: dict[int, int] = {}
-    for s in reps:
-        y = mat_mul(mat_mul(mat_inv(s, d, q), x, d, q), s, d, q)
-        if y in pset:
+    for s, s_inv in reps:
+        y = mat_mul(mat_mul(s_inv, x, d, q), s, d, q)
+        if parabolic.contains(y):
             idx = parabolic.class_index_of(y)
             counts[idx] = counts.get(idx, 0) + 1
     return counts
@@ -337,12 +340,14 @@ def _ind_identity_cases(group: GLGroup, parabolic: ParabolicSubgroup) -> list[di
         (1/|P|) #{t in G : t x t^-1 in C},
         sum_{s'} 1_{s' C s'^-1}(x)  over a different set of representatives,
 
-    evaluated on every class x of G; one case per C, in P-class order."""
-    twists = parabolic.elements()
-    reps = _left_coset_reps(group, twists)
-    # a second, different set of representatives for the third expression
-    reps2 = [mat_mul(s, twists[i % len(twists)], group.d, group.q)
-             for i, s in enumerate(reps)]
+    evaluated on every class x of G; one case per C, in P-class order.  The
+    representatives s come from the Bruhat cells and each s' is s times a
+    generator of P, so no pass runs over G."""
+    d, q = group.d, group.q
+    reps = [(s, mat_inv(s, d, q)) for s in parabolic.coset_reps()]
+    twists = parabolic.generators() or ((group.identity(), group.identity()),)
+    reps2 = [(mat_mul(s, t, d, q), mat_mul(t_inv, s_inv, d, q))
+             for (s, s_inv), (t, t_inv) in zip(reps, itertools.cycle(twists))]
     per_class_counts = [
         (_coset_sum_counts(group, cls.rep, parabolic, reps),
          _conjugation_counts_grouped(group, gidx, parabolic),

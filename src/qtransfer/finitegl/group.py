@@ -23,6 +23,7 @@ from typing import Iterator, Sequence
 
 from ..algebra.partitions import as_composition, conjugate, partitions
 from ..algebra.qcount import gl_order, is_prime, parabolic_order
+from ..weylcomb import min_double_coset_reps, perm_inv
 from .fqmat import (
     Mat,
     Poly,
@@ -33,7 +34,6 @@ from .fqmat import (
     kernel_dim,
     mat_det,
     mat_identity,
-    mat_inv,
     mat_mul,
     monic_irreducibles,
     poly_eval_matrix,
@@ -239,6 +239,12 @@ class GLGroup:
         return self._elements
 
 
+def _primitive_root(q: int) -> int:
+    """The least generator of the multiplicative group of F_q."""
+    return next(z for z in range(1, q)
+                if len({pow(z, k, q) for k in range(1, q)}) == q - 1)
+
+
 @lru_cache(maxsize=None)
 def cached_group(d: int, q: int) -> GLGroup:
     """Shared GLGroup instances so class data is computed once per (d, q)."""
@@ -254,31 +260,21 @@ class ParabolicSubgroup:
         if sum(self.composition) != group.d:
             raise ValueError(f"{comp} is not a composition of {group.d}")
         self.order = parabolic_order(self.composition, group.q)
-        starts = []
-        acc = 0
-        for part in self.composition:
-            starts.append(acc)
-            acc += part
-        self._starts = tuple(starts)
+        d = group.d
+        self._starts = tuple(itertools.accumulate(self.composition[:-1], initial=0))
+        # block index of each row (and column), and the flat positions below
+        # the block diagonal, which every element of P keeps at zero
+        self._block = tuple(b for b, part in enumerate(self.composition)
+                            for _ in range(part))
+        self._below = tuple(i * d + j for i in range(d) for j in range(d)
+                            if self._block[i] > self._block[j])
         self._elements: tuple[Mat, ...] | None = None
-        self._element_set: frozenset[Mat] | None = None
         self._classes: tuple[tuple[Mat, int, int], ...] | None = None
         self._pclass_of: dict[Mat, int] | None = None
 
-    def _block_of(self, index: int) -> int:
-        b = 0
-        while b + 1 < len(self._starts) and index >= self._starts[b + 1]:
-            b += 1
-        return b
-
     def contains(self, mat: Mat) -> bool:
         """Block upper-triangular pattern test (input assumed invertible)."""
-        d = self.group.d
-        for i in range(d):
-            for j in range(d):
-                if mat[i * d + j] and self._block_of(i) > self._block_of(j):
-                    return False
-        return True
+        return not any(mat[k] for k in self._below)
 
     __contains__ = contains
 
@@ -295,7 +291,7 @@ class ParabolicSubgroup:
                 f"beyond the scan limit {SCAN_LIMIT}")
         block_gls = [cached_group(part, q).element_list() for part in self.composition]
         free = [(i, j) for i in range(d) for j in range(d)
-                if self._block_of(j) > self._block_of(i)]
+                if self._block[j] > self._block[i]]
         out = []
         for blocks in itertools.product(*block_gls):
             base = [0] * (d * d)
@@ -316,17 +312,73 @@ class ParabolicSubgroup:
         self._elements = tuple(out)
         return self._elements
 
-    def element_set(self) -> frozenset[Mat]:
-        if self._element_set is None:
-            self._element_set = frozenset(self.elements())
-        return self._element_set
+    def generators(self) -> tuple[tuple[Mat, Mat], ...]:
+        """(g, g^-1) pairs that generate P: the transvections I + E_ij
+        (i != j) that its block pattern allows, then diag(1, .., zeta, .., 1)
+        at each position, with zeta a primitive root mod q (none when
+        q = 2).  Transvections and these diagonal matrices generate each
+        Levi block GL_n(F_q), and the transvections across blocks generate
+        the unipotent radical."""
+        group = self.group
+        d, q = group.d, group.q
+        ident = group.identity()
+
+        def pair(pos: int, val: int, inv: int) -> tuple[Mat, Mat]:
+            g, g_inv = list(ident), list(ident)
+            g[pos], g_inv[pos] = val, inv
+            return tuple(g), tuple(g_inv)
+
+        pairs = [pair(i * d + j, 1, q - 1) for i in range(d) for j in range(d)
+                 if i != j and self._block[i] <= self._block[j]]
+        zeta = _primitive_root(q)
+        if zeta != 1:
+            pairs += [pair(i * d + i, zeta, pow(zeta, q - 2, q)) for i in range(d)]
+        return tuple(pairs)
+
+    def coset_reps(self) -> tuple[Mat, ...]:
+        """One representative per left coset g P, from the Bruhat
+        decomposition of G into the cells U_w w P (Carter, Finite Groups of
+        Lie Type, 2.5-2.8).  w runs through the minimal representatives of
+        the cosets w W_c of S_d, which increase on each block of positions;
+        the matrix of w sends e_j to e_w(j), and U_w is the group of upper
+        unitriangular u whose free entries are the (i, j) with i < j and
+        w^-1(i) > w^-1(j).  The representative u w has column k equal to
+        column w(k) of u.  Refuses, before building any, when [G:P] exceeds
+        SCAN_LIMIT; the number of representatives times |P| must be |G|."""
+        group = self.group
+        d, q = group.d, group.q
+        index = group.order // self.order
+        if index > SCAN_LIMIT:
+            raise BudgetError(
+                f"G/P_{self.composition} in GL_{d}(F_{q}) has {index} cosets, "
+                f"beyond the scan limit {SCAN_LIMIT}")
+        # W_c is generated by the simple reflections inside the blocks
+        inside = frozenset(range(1, d)) - frozenset(self._starts)
+        ident = group.identity()
+        reps = []
+        for w in min_double_coset_reps((), inside, d):  # one-line, values from 1
+            w_inv = perm_inv(w)
+            free = [i * d + j for i in range(d) for j in range(i + 1, d)
+                    if w_inv[i] > w_inv[j]]
+            for values in itertools.product(range(q), repeat=len(free)):
+                u = list(ident)
+                for pos, val in zip(free, values):
+                    u[pos] = val
+                reps.append(tuple(u[i * d + w[k] - 1] for i in range(d) for k in range(d)))
+        if len(reps) * self.order != group.order:
+            raise AssertionError(
+                f"{len(reps)} Bruhat coset representatives of P_{self.composition} "
+                f"in GL_{d}(F_{q}), not [G:P] = {index}")
+        return tuple(reps)
 
     @property
     def classes(self) -> tuple[tuple[Mat, int, int], ...]:
         """P-conjugacy classes as (representative, size, index of the G-class
         that contains them).  P = G takes them from the group's class data.
-        A proper P partitions its elements into orbits and labels each
-        representative once, as P-conjugate elements are G-conjugate."""
+        A proper P walks its elements in order; each element not yet placed
+        represents a new class, whose orbit is closed under conjugation by
+        ``generators`` and whose representative is labelled once, as
+        P-conjugate elements are G-conjugate.  The sizes must sum to |P|."""
         if self._classes is not None:
             return self._classes
         group = self.group
@@ -335,18 +387,29 @@ class ParabolicSubgroup:
                                   for gidx, cls in enumerate(group.classes))
             return self._classes
         d, q = group.d, group.q
-        elems = self.elements()
-        inverses = {p: mat_inv(p, d, q) for p in elems}
+        gens = self.generators()
         assigned: dict[Mat, int] = {}
         classes = []
-        for x in elems:
+        for x in self.elements():
             if x in assigned:
                 continue
-            orbit = {mat_mul(mat_mul(p, x, d, q), inverses[p], d, q) for p in elems}
             idx = len(classes)
-            for y in orbit:
-                assigned[y] = idx
-            classes.append((x, len(orbit), group.class_index_of(x)))
+            assigned[x] = idx
+            frontier = [x]
+            size = 1
+            while frontier:
+                y = frontier.pop()
+                for g, g_inv in gens:
+                    z = mat_mul(mat_mul(g, y, d, q), g_inv, d, q)
+                    if z not in assigned:
+                        assigned[z] = idx
+                        frontier.append(z)
+                        size += 1
+            classes.append((x, size, group.class_index_of(x)))
+        if sum(size for _, size, _ in classes) != self.order:
+            raise AssertionError(
+                f"P-classes of P_{self.composition} in GL_{d}(F_{q}) do not sum "
+                f"to |P| = {self.order}")
         self._classes = tuple(classes)
         self._pclass_of = assigned
         return self._classes

@@ -19,7 +19,7 @@ from qtransfer.finitegl import (
     parabolic_trivial_ind,
     trivial_character,
 )
-from qtransfer.finitegl.classfun import _conjugation_counts_grouped
+from qtransfer.finitegl.classfun import _conjugation_counts_grouped, _left_coset_reps
 from qtransfer.finitegl.fqmat import (
     char_poly,
     companion_matrix,
@@ -126,8 +126,8 @@ def test_class_budget_refusal():
 
 def test_parabolic_elements_refuse_at_once():
     started = time.monotonic()
-    # the first composition (4,) is all of GL_4(F_3), a 3^16 scan
-    with pytest.raises(BudgetError, match="24261120 elements"):
+    # P = G needs no elements; the first proper parabolic is too large
+    with pytest.raises(BudgetError, match=r"P_\(3, 1\) in GL_4\(F_3\) has 606528 elements"):
         ind_conjugate_identity_exhaustive(cached_group(4, 3))
     # every block of the Borel is tiny, but |B| = 2^28
     with pytest.raises(BudgetError, match="268435456 elements"):
@@ -331,4 +331,85 @@ def test_comb_prop_larger_groups(d, q):
 
 def test_ind_conjugate_identity_gl4_f2():
     report = ind_conjugate_identity_exhaustive(cached_group(4, 2))
+    assert report["ok"], report
+
+
+def pclasses_by_conjugation(P):
+    """Oracle for ``ParabolicSubgroup.classes`` on a proper P: the elements
+    in order, each new one conjugated by every element of P.  Returns the
+    (representative, size, G-class index) triples and the element -> class
+    index map."""
+    group = P.group
+    d, q = group.d, group.q
+    elems = P.elements()
+    inverses = {p: mat_inv(p, d, q) for p in elems}
+    assigned = {}
+    classes = []
+    for x in elems:
+        if x in assigned:
+            continue
+        orbit = {mat_mul(mat_mul(p, x, d, q), inverses[p], d, q) for p in elems}
+        for y in orbit:
+            assigned[y] = len(classes)
+        classes.append((x, len(orbit), group.class_index_of(x)))
+    return tuple(classes), assigned
+
+
+@pytest.mark.parametrize("d,q", SMALL_GROUPS + [(3, 3), (4, 2)])
+def test_generator_orbits_match_conjugation_oracle(d, q):
+    group = cached_group(d, q)
+    for comp in compositions(d):
+        P = ParabolicSubgroup(group, comp)
+        gens = P.generators()
+        assert all(P.contains(g) and mat_mul(g, g_inv, d, q) == group.identity()
+                   for g, g_inv in gens)
+        if len(comp) == 1:
+            continue  # P = G takes the classes of the group
+        classes, assigned = pclasses_by_conjugation(P)
+        assert P.classes == classes
+        assert {m: P.class_index_of(m) for m in P.elements()} == assigned
+
+
+@pytest.mark.parametrize("d,q", SMALL_GROUPS + [(3, 3), (4, 2)])
+def test_bruhat_coset_reps_against_tiling(d, q):
+    # each constructed representative lies in its own coset of the tiling
+    # found by scanning G, and every coset is hit
+    group = cached_group(d, q)
+    for comp in compositions(d):
+        P = ParabolicSubgroup(group, comp)
+        elems = P.elements()
+        tiling = _left_coset_reps(group, elems)
+        coset_of = {mat_mul(g, h, d, q): idx for idx, g in enumerate(tiling) for h in elems}
+        hits = sorted(coset_of[s] for s in P.coset_reps())
+        assert hits == list(range(len(tiling)))
+
+
+def test_coset_reps_refuse_on_index():
+    started = time.monotonic()
+    # [GL_5(F_3) : B] = [5]_3! is just past the limit
+    with pytest.raises(BudgetError, match="has 251680 cosets, beyond the scan limit 200000"):
+        ParabolicSubgroup(GLGroup(5, 3), (1,) * 5).coset_reps()
+    with pytest.raises(BudgetError, match="has 19923090075 cosets"):
+        ParabolicSubgroup(GLGroup(8, 2), (1,) * 8).coset_reps()
+    assert time.monotonic() - started < 1
+
+
+def test_induction_identity_enumerates_no_element_of_g(monkeypatch):
+    group = GLGroup(3, 3)
+    for name in ("elements", "element_list"):
+        original = getattr(GLGroup, name)
+
+        def guarded(self, original=original):
+            if (self.d, self.q) == (group.d, group.q):
+                raise AssertionError(f"GL_{self.d}(F_{self.q}) was enumerated")
+            return original(self)
+
+        monkeypatch.setattr(GLGroup, name, guarded)
+    assert ind_conjugate_identity_exhaustive(group)["ok"]
+
+
+@pytest.mark.parametrize("d,q", [(2, 5), (2, 7), (3, 5)])
+def test_ind_conjugate_identity_larger_fields(d, q):
+    # beyond the element scan of G: |GL_3(F_5)| = 1488000
+    report = ind_conjugate_identity_exhaustive(cached_group(d, q))
     assert report["ok"], report
