@@ -11,6 +11,7 @@ from .scalars import QScalar
 __all__ = [
     "qint_balanced",
     "qbinom",
+    "qbinom_at",
     "gl_order",
     "parabolic_order",
     "parahoric_index",
@@ -63,6 +64,20 @@ def qbinom(d: int, a: int) -> QScalar:
         cached = qbinom(d - 1, a - 1) + QScalar.q_power(a) * qbinom(d - 1, a)
         _QBINOM_CACHE[key] = cached
     return cached
+
+
+def qbinom_at(d: int, a: int, q: int) -> int:
+    """``qbinom(d, a)`` specialised at an integer q >= 2, in integers:
+    prod_{i<a} (q^(d-i) - 1) / (q^(i+1) - 1)."""
+    if a < 0 or a > d:
+        raise ValueError(f"qbinom_at: need 0 <= a <= d, got (d, a) = ({d}, {a})")
+    if q < 2:
+        raise ValueError(f"qbinom_at: need q >= 2, got {q}")
+    num = den = 1
+    for i in range(a):
+        num *= q ** (d - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
 
 
 def gl_order(n: int, q: int) -> int:

@@ -3,7 +3,8 @@ machine-readable JSON output (schema "1") and an optional table mode.
 
 Exit codes: 0 all checks passed, 1 a mathematical identity evaluated and
 differed, 2 usage, precondition or budget error, 3 internal fault (any other
-exception; the JSON error names its type).
+exception; the JSON error names its type).  A reader that closes the output
+pipe early does not change the code: the rest of the output is dropped.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -106,11 +108,22 @@ def _report(command: str, params: dict, status: str, payload,
     }
 
 
+def _write(render: Callable[[], None]) -> None:
+    """Run render, which prints to stdout, and flush.  When the reader has
+    closed the pipe, stdout is pointed at os.devnull, so that the flush at
+    exit does not raise again, and the caller's exit code stands."""
+    try:
+        render()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _emit(report: dict, table: bool) -> int:
     if table:
-        _print_table(report)
+        _write(lambda: _print_table(report))
     else:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        _write(lambda: print(json.dumps(report, indent=2, sort_keys=True)))
     return {PASS: 0, FAIL: 1, ERROR: 2}[report["status"]]
 
 
@@ -457,7 +470,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def _error(message: str, code: int) -> int:
-    print(json.dumps({"schema": SCHEMA, "status": ERROR, "error": message}))
+    _write(lambda: print(json.dumps({"schema": SCHEMA, "status": ERROR, "error": message})))
     return code
 
 

@@ -12,18 +12,19 @@ from .classfun import (
     zero_class_function,
 )
 from .group import (
-    CLASS_BUDGET,
+    CLASS_LIMIT,
     SCAN_LIMIT,
     BudgetError,
     GLClass,
     GLGroup,
     ParabolicSubgroup,
     cached_group,
+    class_count,
 )
 
 __all__ = [
     "GLGroup", "GLClass", "ParabolicSubgroup", "BudgetError",
-    "CLASS_BUDGET", "SCAN_LIMIT", "cached_group",
+    "CLASS_LIMIT", "SCAN_LIMIT", "cached_group", "class_count",
     "ClassFunction", "trivial_character", "zero_class_function",
     "induce_class_function", "induced_values_averaged",
     "parabolic_trivial_ind", "dl_character", "comb_prop_check",

@@ -3,8 +3,10 @@ virtual characters by inversion of the Weyl-averaging identity, and the
 finite-group identity checks.
 
 All values are exact rationals.  Induced-from-trivial characters are
-computed by counting stable flags, which needs no group enumeration and so
-works for every group whose classes fit the budget.  The induction
+stable-flag counts in closed form: from the class labels alone, by
+Birkhoff's count of submodules of a primary F_q[t]-module, so they work for
+every group whose classes fit the class limit; a scan of every subspace of
+F_q^d is the oracle the tests compare them against.  The induction
 identity sums over the Bruhat coset representatives of G/P and the
 P-classes of P, so it needs P and [G:P] within the scan limit but never
 enumerates G.  The coset-sum definition of induction over an enumerated
@@ -14,6 +16,7 @@ group (``induce_class_function``) is the oracle the tests compare against.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -23,11 +26,13 @@ from ..algebra.partitions import (
     as_composition,
     as_partition,
     compositions,
+    conjugate,
     partitions,
     subsets,
 )
+from ..algebra.qcount import qbinom_at
 from ..weylcomb import _subset_coefficient, block_composition, composition_class_counts
-from .fqmat import Mat, in_rowspace, mat_inv, mat_mul, mat_vec, rref_subspaces
+from .fqmat import Mat, mat_inv, mat_mul
 from .group import GLGroup, ParabolicSubgroup
 
 __all__ = [
@@ -160,81 +165,76 @@ def induced_values_averaged(group: GLGroup, sub_order: int,
 
 # -- stable-flag induction of the trivial character --------------------------
 
+# The type of a finite F_q[t]-module on which t acts invertibly: one
+# (deg f, partition) pair per primary part, sorted, empty parts dropped.
+ModuleType = tuple[tuple[int, tuple[int, ...]], ...]
+
+
+def _birkhoff(lam: tuple[int, ...], nu: tuple[int, ...], Q: int) -> int:
+    """Number of submodules of type nu in a primary module of type lam over
+    a residue field with Q elements (Birkhoff; Butler, Subgroup Lattices
+    and Symmetric Functions, 1994, and Macdonald, Symmetric Functions and
+    Hall Polynomials, Ch. II):
+
+        prod_i Q^(nu'_{i+1} (lam'_i - nu'_i)) [lam'_i - nu'_{i+1} choose nu'_i - nu'_{i+1}]_Q.
+    """
+    lc, nc = conjugate(lam), conjugate(nu)
+    nc += (0,) * (len(lc) + 1 - len(nc))
+    total = 1
+    for i, li in enumerate(lc):
+        lo, hi = nc[i + 1], nc[i]
+        total *= Q ** (lo * (li - hi)) * qbinom_at(li - lo, hi - lo, Q)
+    return total
+
 
 @lru_cache(maxsize=None)
-def _flag_env(d: int, q: int):
-    subs = rref_subspaces(d, q)
-    pivots = tuple(
-        tuple(tuple(next(j for j, x in enumerate(row) if x) for row in basis)
-              for basis in subs[dim])
-        for dim in range(d + 1)
-    )
-    return subs, pivots
+def _submodule_counts(mtype: ModuleType, q: int) -> dict[int, dict[ModuleType, int]]:
+    """For each dimension, the number of submodules of each type in a module
+    of type mtype.  A submodule is the sum of its primary parts, and the
+    part inside the f-primary part of type lam has a type nu inside lam.
+    The memoised result is shared, so callers only read it."""
+    per_part = [[(deg, nu, _birkhoff(lam, nu, q ** deg))
+                 for size in range(sum(lam) + 1)
+                 for nu in partitions(size, lam[0], len(lam))
+                 if all(a <= b for a, b in zip(nu, lam))]
+                for deg, lam in mtype]
+    out: dict[int, dict[ModuleType, int]] = {}
+    for choice in itertools.product(*per_part):
+        sub = tuple(sorted((deg, nu) for deg, nu, _ in choice if nu))
+        bucket = out.setdefault(sum(deg * sum(nu) for deg, nu in sub), {})
+        bucket[sub] = bucket.get(sub, 0) + math.prod(n for _, _, n in choice)
+    return out
 
 
 @lru_cache(maxsize=None)
-def _containments(d: int, q: int, dim_small: int, dim_big: int
-                  ) -> tuple[tuple[int, ...], ...]:
-    """For each dim_big subspace, the indices of dim_small subspaces in it."""
-    subs, pivots = _flag_env(d, q)
-    out = []
-    for bi, big in enumerate(subs[dim_big]):
-        bp = pivots[dim_big][bi]
-        contained = tuple(
-            si for si, small in enumerate(subs[dim_small])
-            if all(in_rowspace(row, big, bp, q) for row in small)
-        )
-        out.append(contained)
-    return tuple(out)
-
-
-def _stable_subspaces(group: GLGroup, mat: Mat, dim: int) -> frozenset[int]:
-    """Indices of the dim-dimensional subspaces of F_q^d that mat maps into
-    themselves.  Memoised on the group under (mat, dim), where mat is a
-    class representative, so every composition with an intermediate
-    dimension dim reuses one whole-space scan per class."""
-    key = (mat, dim)
-    cached = group._stable_cache.get(key)
-    if cached is not None:
-        return cached
-    d, q = group.d, group.q
-    subs, pivots = _flag_env(d, q)
-    stable = frozenset(
-        idx for idx, basis in enumerate(subs[dim])
-        if all(in_rowspace(mat_vec(mat, row, d, q), basis, pivots[dim][idx], q)
-               for row in basis))
-    group._stable_cache[key] = stable
-    return stable
+def _flag_count(mtype: ModuleType, comp: tuple[int, ...], q: int) -> int:
+    """Number of chains of submodules 0 = V_0 < .. < V_k = M, M of type
+    mtype, with dim V_i / V_(i-1) = comp[i-1]: a sum over the submodules V
+    of dimension dim M - comp[-1], which depends on the type of V only."""
+    if len(comp) == 1:
+        return 1
+    dim = sum(comp) - comp[-1]
+    return sum(n * _flag_count(sub, comp[:-1], q)
+               for sub, n in _submodule_counts(mtype, q).get(dim, {}).items())
 
 
 def parabolic_trivial_ind(group: GLGroup, comp: Sequence[int]) -> ClassFunction:
-    """Ind_{P_c}^{G}(1): the permutation character of G on flags of type c,
-    computed by counting stable flags per class representative."""
+    """Ind_{P_c}^{G}(1): the permutation character of G on flags of type c.
+    Its value at x is the number of x-stable flags, which are chains of
+    F_q[t]-submodules of F_q^d with t acting as x; that number depends only
+    on the module type read off the class label, and is computed from
+    Birkhoff's submodule counts without touching a subspace or a matrix.
+    The tests compare it with a scan of every subspace of F_q^d."""
     comp = as_composition(comp)
     if sum(comp) != group.d:
         raise ValueError(f"{comp} is not a composition of {group.d}")
     cached = group._ind_cache.get(comp)
     if cached is not None:
         return cached  # type: ignore[return-value]
-    d, q = group.d, group.q
-    dims = list(itertools.accumulate(comp))[:-1]  # proper intermediate dims
-    values = []
-    for cls in group.classes:
-        if not dims:
-            values.append(Fraction(1))
-            continue
-        stable_per_dim = [_stable_subspaces(group, cls.rep, dim) for dim in dims]
-        counts = {idx: 1 for idx in stable_per_dim[0]}
-        for level in range(1, len(dims)):
-            inside = _containments(d, q, dims[level - 1], dims[level])
-            nxt = {}
-            for big in stable_per_dim[level]:
-                total = sum(counts.get(small, 0) for small in inside[big])
-                if total:
-                    nxt[big] = total
-            counts = nxt
-        values.append(Fraction(sum(counts.values())))
-    out = ClassFunction(group, tuple(values))
+    out = ClassFunction(group, tuple(
+        Fraction(_flag_count(tuple(sorted((len(f) - 1, lam) for f, lam in cls.label)),
+                             comp, group.q))
+        for cls in group.classes))
     group._ind_cache[comp] = out
     return out
 

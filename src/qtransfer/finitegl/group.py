@@ -46,12 +46,13 @@ __all__ = [
     "GLClass",
     "ParabolicSubgroup",
     "BudgetError",
-    "CLASS_BUDGET",
+    "CLASS_LIMIT",
     "SCAN_LIMIT",
     "cached_group",
+    "class_count",
 ]
 
-CLASS_BUDGET = 25_000_000  # largest group order whose class data is built
+CLASS_LIMIT = 5_000  # largest number of conjugacy classes whose data is built
 SCAN_LIMIT = 200_000  # largest number of matrices one element scan visits
 
 # label: sorted tuple of (irreducible poly, partition) pairs
@@ -59,8 +60,22 @@ Label = tuple[tuple[Poly, tuple[int, ...]], ...]
 
 
 class BudgetError(RuntimeError):
-    """A finite-GL enumeration would exceed its fixed limit (CLASS_BUDGET or
+    """A finite-GL enumeration would exceed its fixed limit (CLASS_LIMIT or
     SCAN_LIMIT); the message names the measured size and the limit."""
+
+
+def class_count(d: int, q: int) -> int:
+    """The number of conjugacy classes of GL_d(F_q), known before any label
+    is built: the coefficient of x^d in prod_{k>=1} (1 - x^k) / (1 - q x^k)
+    (Macdonald, Numbers of conjugacy classes in some finite classical
+    groups, 1981)."""
+    series = [1] + [0] * d
+    for k in range(1, d + 1):
+        for n in range(d, k - 1, -1):  # times (1 - x^k)
+            series[n] -= series[n - k]
+        for n in range(k, d + 1):  # divided by (1 - q x^k)
+            series[n] += q * series[n - k]
+    return series[d]
 
 
 @dataclass(frozen=True)
@@ -122,7 +137,6 @@ class GLGroup:
         self._classes: tuple[GLClass, ...] | None = None
         self._class_lookup: dict[Label, int] | None = None
         self._elements: tuple[Mat, ...] | None = None
-        self._stable_cache: dict[tuple[Mat, int], frozenset[int]] = {}
         self._ind_cache: dict[tuple[int, ...], object] = {}
         self._dl_cache: dict[tuple[int, ...], object] = {}
 
@@ -133,10 +147,11 @@ class GLGroup:
 
     def conjugacy_classes(self) -> tuple[GLClass, ...]:
         if self._classes is None:
-            if self.order > CLASS_BUDGET:
+            count = class_count(self.d, self.q)
+            if count > CLASS_LIMIT:
                 raise BudgetError(
-                    f"|GL_{self.d}(F_{self.q})| = {self.order} exceeds the class "
-                    f"budget {CLASS_BUDGET}")
+                    f"GL_{self.d}(F_{self.q}) has {count} conjugacy classes, "
+                    f"beyond the class limit {CLASS_LIMIT}")
             classes = []
             for label in self._all_labels():
                 size = self.order // _centralizer_order(label, self.q)
@@ -147,8 +162,8 @@ class GLGroup:
                     char_poly=_label_char_poly(label, self.q),
                 ))
             classes.sort(key=lambda c: c.label)
-            if sum(c.size for c in classes) != self.order:
-                raise AssertionError("class sizes do not sum to the group order")
+            if len(classes) != count or sum(c.size for c in classes) != self.order:
+                raise AssertionError("class count or class sizes do not match the group")
             self._classes = tuple(classes)
             self._class_lookup = {c.label: i for i, c in enumerate(self._classes)}
         return self._classes
@@ -161,19 +176,21 @@ class GLGroup:
         irrs = [f for f in monic_irreducibles(self.q, self.d) if f != (0, 1)]
         irrs.sort(key=lambda f: (len(f), f))
 
-        def rec(idx: int, remaining: int) -> Iterator[Label]:
+        # each level takes one more irreducible, of degree at most what
+        # remains, so the recursion is at most d deep
+        def rec(start: int, remaining: int) -> Iterator[Label]:
             if remaining == 0:
                 yield ()
                 return
-            if idx == len(irrs):
-                return
-            f = irrs[idx]
-            deg = len(f) - 1
-            yield from rec(idx + 1, remaining)
-            for w in range(1, remaining // deg + 1):
-                for lam in partitions(w):
-                    for rest in rec(idx + 1, remaining - deg * w):
-                        yield ((f, lam),) + rest
+            for idx in range(start, len(irrs)):
+                f = irrs[idx]
+                deg = len(f) - 1
+                if deg > remaining:
+                    return
+                for w in range(1, remaining // deg + 1):
+                    for lam in partitions(w):
+                        for rest in rec(idx + 1, remaining - deg * w):
+                            yield ((f, lam),) + rest
 
         for label in rec(0, self.d):
             yield tuple(sorted(label))

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import qtransfer
 from qtransfer.algebra import SymPoly
 from qtransfer.cli import main
 
@@ -244,12 +248,12 @@ def test_transfer_payload_schema(capsys):
 
 
 def test_budget_error_exit_2(capsys):
-    code, report = run_json(capsys, "finite-gl", "--d", "4", "--q", "5",
+    code, report = run_json(capsys, "finite-gl", "--d", "6", "--q", "5",
                             "--what", "classes")
     assert code == 2
     assert report["status"] == "error"
-    assert report["error"] == ("BudgetError: |GL_4(F_5)| = 116064000000 exceeds "
-                               "the class budget 25000000")
+    assert report["error"] == ("BudgetError: GL_6(F_5) has 15600 conjugacy classes, "
+                               "beyond the class limit 5000")
 
 
 def test_enumeration_budget_error_exit_2(capsys, monkeypatch):
@@ -300,3 +304,25 @@ def test_deterministic_output(capsys):
     a, b = json.loads(first), json.loads(second)
     a.pop("elapsed_ms"), b.pop("elapsed_ms")
     assert a == b
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["ep", "build", "--n", "7"], 0),
+    (["--table", "ep", "build", "--n", "3"], 0),
+    (["finite-gl", "--d", "6", "--q", "5", "--what", "classes"], 2),
+])
+def test_closed_output_pipe_keeps_the_exit_code(argv, code):
+    # the read end is closed before the process starts, so every write to
+    # stdout fails; that is neither a failed identity nor a traceback
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = os.path.dirname(os.path.dirname(qtransfer.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "qtransfer", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == code
+    assert proc.stderr == b""

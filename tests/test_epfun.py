@@ -16,7 +16,12 @@ from qtransfer.epfun import (
     to_one_basis,
     weyl_averaged_dl,
 )
-from qtransfer.finitegl import cached_group, dl_character, parabolic_trivial_ind
+from qtransfer.finitegl import (
+    BudgetError,
+    cached_group,
+    dl_character,
+    parabolic_trivial_ind,
+)
 from qtransfer.weylcomb import block_composition
 
 
@@ -168,6 +173,19 @@ def test_fj_shadow_identity_everywhere(q):
     for t in all_types(4):
         report = fj_shadow_report(t, q)
         assert report["equal"], report
+
+
+@pytest.mark.parametrize("q,nmax", [(2, 6), (3, 6), (5, 5)])
+def test_fj_shadow_identity_beyond_the_old_class_budget(q, nmax):
+    for t in all_types(nmax):
+        report = fj_shadow_report(t, q)
+        assert report["equal"], report
+
+
+def test_fj_shadow_refused_at_the_class_limit():
+    # GL_6(F_5) has 15600 conjugacy classes, past the class limit
+    with pytest.raises(BudgetError, match="15600 conjugacy classes"):
+        fj_shadow_report(DParahoricType(1, (6,)), 5)
 
 
 def test_weyl_averaged_dl_iwahori_case():

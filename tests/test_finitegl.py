@@ -1,16 +1,19 @@
 import itertools
+import math
 import time
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import flag_scan_oracle
 from qtransfer.algebra import compositions, parahoric_index, partitions
 from qtransfer.finitegl import (
     BudgetError,
     GLGroup,
     ParabolicSubgroup,
     cached_group,
+    class_count,
     comb_prop_check,
     dl_character,
     ind_conjugate_identity_exhaustive,
@@ -117,8 +120,9 @@ def test_class_rep_has_its_own_label():
 
 
 def test_class_budget_refusal():
-    with pytest.raises(BudgetError, match="116064000000 exceeds the class budget 25000000"):
-        GLGroup(4, 5).conjugacy_classes()
+    with pytest.raises(BudgetError, match="GL_6\\(F_5\\) has 15600 conjugacy classes, "
+                                          "beyond the class limit 5000"):
+        GLGroup(6, 5).conjugacy_classes()
     # refused when called, before the scan starts
     with pytest.raises(BudgetError, match="43046721 exceeds the scan limit 200000"):
         cached_group(4, 3).elements()
@@ -275,14 +279,17 @@ def test_grouped_conjugation_counts_against_literal_pass(d, q):
 
 @pytest.mark.parametrize("d,q", SMALL_GROUPS + MEDIUM_GROUPS)
 def test_stable_subspace_memo_matches_fresh_scan(d, q):
-    # every memoised (class rep, dim) entry against a scan that spans each
-    # subspace and tests membership of the images directly
+    # every memoised (class rep, dim) entry of the flag-scan oracle against
+    # a scan that spans each subspace and tests membership of the images
     group = cached_group(d, q)
-    comb_prop_check(group)  # visits every intermediate dimension
-    assert set(group._stable_cache) == {
-        (cls.rep, dim) for cls in group.classes for dim in range(1, d)}
+    for comp in compositions(d):  # visits every intermediate dimension
+        flag_scan_oracle.scan_trivial_ind(group, comp)
+    memo = {(rep, dim): stable
+            for (gd, gq, rep, dim), stable in flag_scan_oracle.STABLE_CACHE.items()
+            if (gd, gq) == (d, q)}
+    assert set(memo) == {(cls.rep, dim) for cls in group.classes for dim in range(1, d)}
     subs = rref_subspaces(d, q)
-    for (rep, dim), stable in group._stable_cache.items():
+    for (rep, dim), stable in memo.items():
         assert isinstance(stable, frozenset)
         fresh = set()
         for idx, basis in enumerate(subs[dim]):
@@ -413,3 +420,74 @@ def test_ind_conjugate_identity_larger_fields(d, q):
     # beyond the element scan of G: |GL_3(F_5)| = 1488000
     report = ind_conjugate_identity_exhaustive(cached_group(d, q))
     assert report["ok"], report
+
+
+# -- stable-flag counts in closed form, against the scan and the DL oracles --
+
+
+SCAN_GROUPS = ([(d, 2) for d in range(1, 7)] + [(d, 3) for d in range(1, 5)]
+               + [(d, 5) for d in range(1, 4)])
+
+
+@pytest.mark.parametrize("d,q", SCAN_GROUPS)
+def test_flag_counts_match_subspace_scan(d, q):
+    # the closed form from class labels against the whole-space scan, on
+    # every composition
+    group = cached_group(d, q)
+    for comp in compositions(d):
+        assert parabolic_trivial_ind(group, comp) == \
+            flag_scan_oracle.scan_trivial_ind(group, comp), comp
+
+
+@pytest.mark.parametrize("d,q", [(d, q) for q in (2, 3) for d in range(1, 7)]
+                         + [(d, 5) for d in range(1, 6)])
+def test_class_count_matches_labels(d, q):
+    assert class_count(d, q) == sum(1 for _ in GLGroup(d, q)._all_labels())
+
+
+def test_class_count_values_and_label_recursion_depth():
+    assert [class_count(d, q) for d, q in [(6, 2), (4, 3), (6, 3), (5, 5), (6, 5), (10, 2)]] \
+        == [60, 78, 720, 3096, 15600, 1002]
+    # 3409 monic irreducibles of degree <= 6 over F_5 (x excluded): the
+    # label recursion must not take one frame per irreducible
+    assert sum(1 for _ in GLGroup(6, 5)._all_labels()) == 15600
+
+
+def _centralizer_in_s_d(rho):
+    z = 1
+    for part, mult in Counter(rho).items():
+        z *= part ** mult * math.factorial(mult)
+    return z
+
+
+# every group the verify suites and the benchmark reach, and the new groups
+# of the closed-form flag counts
+DL_GROUPS = ([(d, 2) for d in range(1, 9)] + [(d, 3) for d in range(1, 7)]
+             + [(d, 5) for d in range(1, 6)])
+
+
+@pytest.mark.parametrize("d,q", DL_GROUPS)
+def test_dl_characters_orthogonality_and_degree(d, q):
+    # two facts that use class data only, not the averaging inversion that
+    # defines dl_character: <R_rho, R_sigma> = delta * z_rho (Deligne-Lusztig
+    # 1976, Thm 6.8) and R_rho(1) = (-1)^(d - l(rho)) prod_i (q^i - 1) /
+    # prod_j (q^rho_j - 1) (Carter, Finite Groups of Lie Type, 7.5)
+    group = cached_group(d, q)
+    parts = list(partitions(d))
+    chars = {rho: dl_character(group, rho).values for rho in parts}
+    sizes = [cls.size for cls in group.classes]
+    gl_factor = math.prod(q ** i - 1 for i in range(1, d + 1))
+    for rho in parts:
+        expected = (-1) ** (d - len(rho)) * Fraction(
+            gl_factor, math.prod(q ** part - 1 for part in rho))
+        assert dl_character(group, rho).degree() == expected, rho
+        for sigma in parts:
+            inner = sum(n * a * b for n, a, b in zip(sizes, chars[rho], chars[sigma]))
+            expected = _centralizer_in_s_d(rho) if rho == sigma else 0
+            assert Fraction(inner, group.order) == expected, (rho, sigma)
+
+
+@pytest.mark.parametrize("d,q", [(6, 2), (4, 5), (5, 3), (8, 2)])
+def test_comb_prop_beyond_the_old_class_budget(d, q):
+    report = comb_prop_check(cached_group(d, q))
+    assert report["equal"], report

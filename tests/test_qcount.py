@@ -13,6 +13,7 @@ from qtransfer.algebra import (
     qbinom,
     qint_balanced,
 )
+from qtransfer.algebra.qcount import qbinom_at
 
 
 def test_qint_small_values():
@@ -47,6 +48,19 @@ def test_qbinom_range_errors():
         qbinom(3, -1)
     with pytest.raises(ValueError):
         qbinom(3, 4)
+
+
+def test_qbinom_at_is_qbinom_specialised():
+    # the integer helper of the closed-form flag counts, at every Q it meets
+    # up to GL_10(F_2) and GL_5(F_5), and beyond
+    for Q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 125):
+        for d in range(0, 9):
+            for a in range(d + 1):
+                assert qbinom_at(d, a, Q) == qbinom(d, a).specialize_q(Q)
+    with pytest.raises(ValueError):
+        qbinom_at(3, 4, 2)
+    with pytest.raises(ValueError):
+        qbinom_at(3, 1, 1)
 
 
 def _count_subspaces(n, k, q):
