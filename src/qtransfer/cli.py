@@ -294,6 +294,8 @@ SUITES = {
 
 def cmd_verify(args) -> dict:
     started = time.monotonic()
+    if args.workers < 1:
+        raise UsageError(f"--workers must be at least 1, not {args.workers}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     # a suite that checks nothing must not pass: refuse before any suite runs
     selected = {name: SUITES[name].cases(args) for name in names}

@@ -21,18 +21,12 @@ from fractions import Fraction
 from math import prod
 from typing import Mapping, Sequence
 
-from .algebra.partitions import (
-    as_composition,
-    as_partition,
-    composition_count,
-    partitions,
-    render_partition,
-)
+from .algebra.partitions import as_composition, as_partition, render_partition
 from .algebra.qcount import parahoric_index
 from .algebra.scalars import QScalar
 from .finitegl import ClassFunction, cached_group, dl_character, parabolic_trivial_ind
 from .finitegl.classfun import zero_class_function
-from .weylcomb import composition_class_counts
+from .weylcomb import composition_class_counts, ep_weights
 
 __all__ = [
     "ParahoricCombo",
@@ -170,16 +164,10 @@ def ep_function(n: int) -> ParahoricCombo:
 
         sum over I in {1, .., n-1} of (-1)^(n-1-|I|)/(n-|I|) e_{J_I},
 
-    collapsed onto partitions: a partition with l parts collects its
-    composition count of terms, each with coefficient (-1)^(l-1)/l."""
+    collapsed onto partitions, with the coefficients of ``ep_weights``."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    terms = {
-        lam: QScalar(Fraction((-1) ** (len(lam) - 1) * composition_count(lam),
-                              len(lam)))
-        for lam in partitions(n)
-    }
-    return ParahoricCombo(n, "e", terms)
+    return ParahoricCombo(n, "e", ep_weights(n))
 
 
 def product_ep(d: int, r: int) -> ParahoricCombo:

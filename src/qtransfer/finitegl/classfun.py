@@ -28,10 +28,9 @@ from ..algebra.partitions import (
     compositions,
     conjugate,
     partitions,
-    subsets,
 )
 from ..algebra.qcount import qbinom_at
-from ..weylcomb import _subset_coefficient, block_composition, composition_class_counts
+from ..weylcomb import composition_class_counts, ep_weights
 from .fqmat import Mat, mat_inv, mat_mul
 from .group import GLGroup, ParabolicSubgroup
 
@@ -284,14 +283,13 @@ def comb_prop_check(group: GLGroup) -> dict:
 
         R_(d) = d * sum_I (-1)^(d-1-|I|)/(d-|I|) Ind_{J_I}(1),
 
-    as exact class functions, with the equality verdict."""
+    as exact class functions, with the equality verdict.  Ind_{J_I}(1)
+    depends only on the sorted blocks lam of I, so the right side is
+    d * sum over lam of ep_weights(d)[lam] Ind_{P_lam}(1)."""
     d = group.d
     lhs = dl_character(group, (d,))
-    rhs = zero_class_function(group)
-    for I in subsets(d - 1):
-        rhs = rhs + parabolic_trivial_ind(group, block_composition(I, d)).scale(
-            _subset_coefficient(d, I))
-    rhs = rhs.scale(d)
+    rhs = sum((parabolic_trivial_ind(group, lam).scale(d * weight)
+               for lam, weight in ep_weights(d).items()), zero_class_function(group))
     return {
         "d": group.d,
         "q": group.q,

@@ -17,8 +17,8 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from math import prod
 from typing import Iterator, Sequence
 
 from ..algebra.partitions import as_composition, conjugate, partitions
@@ -91,19 +91,18 @@ class GLClass:
 
 def _centralizer_order(label: Label, q: int) -> int:
     """Product over primary components of the unipotent-type centralizer
-    order q_f^{sum (lambda'_j)^2} * prod_i phi_{m_i}(q_f^{-1})."""
-    total = Fraction(1)
+    order q_f^{sum (lambda'_j)^2} * prod_m phi_m(q_f^{-1}), m running over the
+    part multiplicities, in integers: q_f^{sum (lambda'_j)^2 - sum_m m(m+1)/2}
+    * prod_m prod_{l<=m} (q_f^l - 1)."""
+    total = 1
     for f, lam in label:
         qf = q ** (len(f) - 1)
-        e = sum(c * c for c in conjugate(lam))
-        val = Fraction(qf) ** e
-        for m in Counter(lam).values():
-            for l in range(1, m + 1):
-                val *= 1 - Fraction(1, qf ** l)
-        total *= val
-    if total.denominator != 1 or total <= 0:
-        raise AssertionError(f"centralizer order {total} is not a positive integer")
-    return int(total)
+        mults = Counter(lam).values()
+        e = sum(c * c for c in conjugate(lam)) - sum(m * (m + 1) // 2 for m in mults)
+        if e < 0:
+            raise AssertionError(f"centralizer exponent {e} of {lam} is negative")
+        total *= qf ** e * prod(qf ** l - 1 for m in mults for l in range(1, m + 1))
+    return total
 
 
 def _label_char_poly(label: Label, q: int) -> Poly:

@@ -13,16 +13,17 @@ double coset is the Young subgroup W_J given by Kilmoyer's lemma
 (W_M cap w W_I w^-1 = W_J for minimal w; Geck-Pfeiffer, Characters of
 Finite Coxeter Groups and Iwahori-Hecke Algebras, 2.1-2.2); double-coset
 representatives are built one per integer matrix with the block sizes as
-margins, never by scanning S_d.  The brute-force enumerations these
-replace stay as oracles (``YoungSubgroup.elements``,
-``support_by_enumeration``, and in the tests the descent-rule scan of S_d)
-that the tests and ``verify`` compare against.
+margins, never by scanning S_d; the Euler-Poincare sum over the subsets I
+collapses onto partitions (``ep_weights``).  The brute-force enumerations
+these replace stay as oracles (``YoungSubgroup.elements``,
+``support_by_enumeration``, and in the tests the descent-rule scan of S_d
+and the subset sums) that the tests and ``verify`` compare against.
 
 Each enumeration refuses, before it starts, when its own size exceeds
 ENUM_LIMIT = 8! elements: ``all_perms`` on d!, ``YoungSubgroup.elements`` on
-|W_I|, ``min_double_coset_reps`` on the number of double cosets, and the
-subset sum of ``f_g_table`` on its 2^(d-1) terms.  It never subsamples, and
-the limit has no override.
+|W_I| and ``min_double_coset_reps`` on the number of double cosets;
+``f_g_table`` refuses once the terms it has summed exceed it.  Nothing
+subsamples, and the limit has no override.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ from math import factorial
 from operator import add, mul, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .algebra.partitions import as_partition, partitions, sn_class_size, subsets
+from .algebra.partitions import (as_partition, composition_count, partitions,
+                                 sn_class_size, subsets)
 
 __all__ = [
     "Perm",
@@ -52,6 +54,7 @@ __all__ = [
     "young_subgroup",
     "composition_class_counts",
     "SdClassFunction",
+    "ep_weights",
     "f_g",
     "f_g_table",
     "one_adic_ep",
@@ -200,8 +203,20 @@ class SdClassFunction:
         return self.values[as_partition(rho)]
 
 
-def _subset_coefficient(d: int, I: frozenset) -> Fraction:
-    return Fraction((-1) ** (d - 1 - len(I)), d - len(I))
+def _ep_coefficient(blocks: int) -> Fraction:
+    # (-1)^(d-1-|I|)/(d-|I|) for a subset I that cuts d into d - |I| blocks
+    return Fraction((-1) ** (blocks - 1), blocks)
+
+
+def ep_weights(d: int) -> dict[tuple[int, ...], Fraction]:
+    """The Euler-Poincare sum over the subsets I of {1, .., d-1}, with
+    coefficients (-1)^(d-1-|I|)/(d-|I|), collapsed onto the sorted block
+    sizes of I: a partition lam with l parts collects composition_count(lam)
+    subsets, so weighs composition_count(lam) (-1)^(l-1)/l."""
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    return {lam: composition_count(lam) * _ep_coefficient(len(lam))
+            for lam in partitions(d)}
 
 
 def f_g(d: int, rho: Sequence[int]) -> Fraction:
@@ -219,20 +234,18 @@ def f_g(d: int, rho: Sequence[int]) -> Fraction:
 
 
 def f_g_table(d: int) -> SdClassFunction:
-    """The full indicator vector rho -> f_g(d, rho), one term per subset I
-    with closed-form cycle-type counts.  Refuses when its 2^(d-1) terms
-    exceed ENUM_LIMIT, i.e. for d >= 17."""
-    _refuse_beyond_limit(f"the subsets I of f_g_table({d})", 2 ** (d - 1))
-    # |W_I| and the cycle-type counts of W_I depend only on the sorted
-    # composition of I, so the subset terms are summed per sorted composition
-    weights: dict[tuple[int, ...], Fraction] = {}
-    for I in subsets(d - 1):
-        W = young_subgroup(I, d)
-        lam = tuple(sorted(W.composition, reverse=True))
-        weights[lam] = weights.get(lam, 0) + _subset_coefficient(d, I) / W.order
+    """The full indicator vector rho -> f_g(d, rho).  W_I and its cycle-type
+    counts depend only on the sorted blocks lam of I, so this is d times the
+    sum over lam of ep_weights(d)[lam] * count_lam(rho) / |W_lam|.  Refuses
+    once its (lam, rho) terms exceed ENUM_LIMIT, i.e. for d >= 19."""
     totals = {rho: Fraction(0) for rho in partitions(d)}
-    for lam, weight in weights.items():
-        for rho, count in composition_class_counts(lam).items():
+    terms = 0
+    for lam, weight in ep_weights(d).items():
+        counts = composition_class_counts(lam)
+        terms += len(counts)
+        _refuse_beyond_limit(f"the terms of f_g_table({d}) summed so far", terms)
+        weight /= sum(counts.values())  # |W_lam|
+        for rho, count in counts.items():
             totals[rho] += weight * count
     return SdClassFunction(d, {rho: d * val for rho, val in totals.items()})
 
@@ -249,7 +262,7 @@ def one_adic_ep(d: int) -> dict[Perm, Fraction]:
     values = {w: Fraction(0) for w in all_perms(d)}
     for I in subsets(d - 1):
         W = young_subgroup(I, d)
-        coeff = _subset_coefficient(d, I) / W.order
+        coeff = _ep_coefficient(d - len(I)) / W.order
         for w in W.elements():
             values[w] += coeff
     return values
@@ -450,7 +463,7 @@ def proper_levi_vanishing(d: int, M: Iterable[int]) -> dict[frozenset, Fraction]
         for J in itertools.combinations(sorted(M), k):
             sums[frozenset(J)] = Fraction(0)
     for I in subsets(d - 1):
-        coeff = _subset_coefficient(d, I)
+        coeff = _ep_coefficient(d - len(I))
         tally = Counter(_support(M, I, w) for w in min_double_coset_reps(M, I, d))
         for J, count in tally.items():
             sums[J] += coeff * count

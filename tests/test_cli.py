@@ -82,7 +82,8 @@ def test_verify_comb_prop(capsys):
 
 
 def test_verify_comb_prop_beyond_s8(capsys):
-    # f_g_table is a closed form: d = 12 sums 2^11 subset terms, no S_d scan
+    # f_g_table is a closed form: d = 12 sums one term per (partition,
+    # cycle type) pair, no subset walk and no S_d scan
     code, report = run_json(capsys, "verify", "--suite", "comb-prop",
                             "--dmax", "12")
     assert code == 0
@@ -263,8 +264,17 @@ def test_enumeration_budget_error_exit_2(capsys, monkeypatch):
     assert code == 2
     assert report["status"] == "error"
     assert report["error"] == (
-        "EnumerationBudgetError: enumerating the subsets I of f_g_table(3) "
-        "(4 elements) exceeds the enumeration limit 2")
+        "EnumerationBudgetError: enumerating the terms of f_g_table(2) "
+        "summed so far (3 elements) exceeds the enumeration limit 2")
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_verify_workers_below_one_exit_2(capsys, workers):
+    code, report = run_json(capsys, "verify", "--suite", "comb-prop",
+                            "--dmax", "2", "--workers", workers)
+    assert code == 2
+    assert report["status"] == "error" and "params" not in report
+    assert report["error"] == f"--workers must be at least 1, not {workers}"
 
 
 def test_empty_parahoric_type_exit_2(capsys):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import flag_scan_oracle
-from qtransfer.algebra import compositions, parahoric_index, partitions
+from qtransfer.algebra import compositions, parahoric_index, partitions, subsets
 from qtransfer.finitegl import (
     BudgetError,
     GLGroup,
@@ -35,6 +35,7 @@ from qtransfer.finitegl.fqmat import (
     poly_mul,
     rref_subspaces,
 )
+from qtransfer.weylcomb import block_composition
 
 SMALL_GROUPS = [(1, 2), (1, 3), (1, 5), (2, 2), (2, 3), (3, 2)]
 MEDIUM_GROUPS = [(2, 5), (3, 3), (4, 2)]
@@ -239,6 +240,25 @@ def test_dl_averaging_roundtrip():
 def test_comb_prop(d, q):
     report = comb_prop_check(cached_group(d, q))
     assert report["equal"], report
+
+
+def comb_prop_rhs_by_subsets(group):
+    """Oracle for the right side of ``comb_prop_check``: one induced
+    character per subset I, of the composition I cuts, not of its sorted
+    parts."""
+    d = group.d
+    total = trivial_character(group).scale(0)
+    for I in subsets(d - 1):
+        coeff = Fraction((-1) ** (d - 1 - len(I)), d - len(I))
+        total = total + parabolic_trivial_ind(group, block_composition(I, d)).scale(coeff)
+    return [str(v) for v in total.scale(d).values]
+
+
+@pytest.mark.parametrize("d,q", [(d, 2) for d in range(2, 7)]
+                         + [(d, 3) for d in range(2, 5)] + [(2, 5), (3, 5)])
+def test_comb_prop_rhs_against_the_subset_sum(d, q):
+    group = cached_group(d, q)
+    assert comb_prop_check(group)["rhs"] == comb_prop_rhs_by_subsets(group)
 
 
 @pytest.mark.parametrize("d,q", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3)])

@@ -27,6 +27,18 @@ def test_no_budget_parameters_in_package():
     assert not found, found
 
 
+def test_no_private_names_imported_across_modules():
+    # a helper another module needs is public; underscore names stay inside
+    # the module that defines them
+    found = [f"{path.relative_to(SRC)}:{node.lineno} {alias.name}"
+             for path in sorted(SRC.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.ImportFrom)
+             and (node.level or (node.module or "").split(".")[0] == "qtransfer")
+             for alias in node.names if alias.name.startswith("_")]
+    assert not found, found
+
+
 def _string_annotation_names(tree: ast.Module) -> set[str]:
     # names inside a string annotation are not ast.Name nodes of the module
     annotations = [value for node in ast.walk(tree)

@@ -7,7 +7,7 @@ from math import factorial
 import pytest
 
 from qtransfer import weylcomb
-from qtransfer.algebra.partitions import compositions, subsets
+from qtransfer.algebra.partitions import compositions, partitions, subsets
 from qtransfer.weylcomb import (
     ENUM_LIMIT,
     EnumerationBudgetError,
@@ -98,6 +98,35 @@ def test_f_g_indicator_to_12():
         table = f_g_table(d)
         for rho in partitions(d):
             assert table(rho) == (1 if rho == (d,) else 0)
+
+
+def f_g_table_by_subsets(d):
+    """Oracle for ``f_g_table``: one term per subset I of {1, .., d-1},
+    summed per sorted composition of I, then spread over the cycle-type
+    counts of its Young subgroup."""
+    weights = Counter()
+    for I in subsets(d - 1):
+        W = young_subgroup(I, d)
+        lam = tuple(sorted(W.composition, reverse=True))
+        weights[lam] += Fraction((-1) ** (d - 1 - len(I)), d - len(I)) / W.order
+    totals = Counter()
+    for lam, weight in weights.items():
+        for rho, count in composition_class_counts(lam).items():
+            totals[rho] += weight * count
+    return {rho: d * totals[rho] for rho in partitions(d)}
+
+
+def test_f_g_table_against_the_subset_sum_to_14():
+    for d in range(1, 15):
+        assert f_g_table(d).values == f_g_table_by_subsets(d), d
+
+
+def test_f_g_table_reach_past_the_subset_count():
+    # 2^16 and 2^17 subsets, but fewer than ENUM_LIMIT (partition, cycle
+    # type) terms; d = 19 is refused in test_enumeration_bound
+    for d in (17, 18):
+        table = f_g_table(d)
+        assert all(table(rho) == (1 if rho == (d,) else 0) for rho in partitions(d))
 
 
 def test_one_adic_ep_values_d2():
@@ -311,8 +340,10 @@ def test_enumeration_bound():
         min_double_coset_reps(frozenset(), frozenset(), 9)
     with pytest.raises(EnumerationBudgetError, match=r"W_\(9,\) \(362880 elements\)"):
         YoungSubgroup(9, (9,)).elements()
-    with pytest.raises(EnumerationBudgetError, match=r"f_g_table\(17\) \(65536 elements\)"):
-        f_g_table(17)
+    # f_g_table counts its (partition, cycle type) terms as it sums them
+    with pytest.raises(EnumerationBudgetError,
+                       match=r"f_g_table\(19\) summed so far \(\d+ elements\) .* 40320"):
+        f_g_table(19)
     # closed forms are not refused on a proxy: no S_11 scan happens here
     assert f_g(11, (11,)) == 1
     assert len(support_by_enumeration({1}, {1}, tuple(range(1, 10)))) == 2
