@@ -2,8 +2,9 @@
 virtual characters by inversion of the Weyl-averaging identity, and the
 finite-group identity checks.
 
-All values are exact rationals.  Induced-from-trivial characters are
-stable-flag counts in closed form: from the class labels alone, by
+All values are exact rationals; the Deligne-Lusztig inversion runs in
+integers, as every R_rho value is one.  Induced-from-trivial characters
+are stable-flag counts in closed form: from the class labels alone, by
 Birkhoff's count of submodules of a primary F_q[t]-module, so they work for
 every group whose classes fit the class limit; a scan of every subspace of
 F_q^d is the oracle the tests compare them against.  The induction
@@ -248,7 +249,9 @@ def dl_character(group: GLGroup, rho: Sequence[int]) -> ClassFunction:
         Ind_{P_mu}(1) = (1/|W_mu|) sum over w in W_mu of R_{type(w)}
 
     over all partitions mu of d.  The system is triangular with nonzero
-    diagonal in any order extending dominance; a singular system would be
+    diagonal in any order extending dominance, and is solved in integers
+    from the integer flag counts: every R_rho value is an integer, so a
+    singular system or a remainder in the division by the diagonal would be
     an implementation bug and raises.
     """
     rho = as_partition(rho)
@@ -259,8 +262,7 @@ def dl_character(group: GLGroup, rho: Sequence[int]) -> ClassFunction:
         return cached  # type: ignore[return-value]
     parts = sorted(partitions(group.d), reverse=True)  # descending lex
     counts = {mu: composition_class_counts(mu) for mu in parts}
-    orders = {mu: sum(counts[mu].values()) for mu in parts}
-    solved: dict[tuple[int, ...], ClassFunction] = {}
+    solved: dict[tuple[int, ...], list[int]] = {}
     for mu in reversed(parts):  # from (1^d) upward
         row = counts[mu]
         for tau in parts:
@@ -269,13 +271,19 @@ def dl_character(group: GLGroup, rho: Sequence[int]) -> ClassFunction:
         diag = row.get(mu, 0)
         if diag == 0:
             raise AssertionError("singular averaging system (implementation bug)")
-        rhs = parabolic_trivial_ind(group, mu).scale(orders[mu])
+        order = sum(row.values())
+        rhs = [order * int(v) for v in parabolic_trivial_ind(group, mu).values]
         for tau, count in row.items():
             if tau != mu:
-                rhs = rhs - solved[tau].scale(count)
-        solved[mu] = rhs.scale(Fraction(1, diag))
-    group._dl_cache.update(solved)
-    return solved[rho]
+                rhs = [a - count * b for a, b in zip(rhs, solved[tau])]
+        quotients = [divmod(a, diag) for a in rhs]
+        if any(rem for _, rem in quotients):
+            raise AssertionError(f"R_{mu} on GL_{group.d}(F_{group.q}) is not integral")
+        solved[mu] = [quo for quo, _ in quotients]
+    group._dl_cache.update(
+        (mu, ClassFunction(group, tuple(map(Fraction, values))))
+        for mu, values in solved.items())
+    return group._dl_cache[rho]
 
 
 def comb_prop_check(group: GLGroup) -> dict:

@@ -10,6 +10,10 @@ conjugacy invariant.  Class sizes come from the classical centralizer
 order formula; representatives are block-diagonal companion matrices.
 The test suite re-derives the classes of every enumerable group by brute
 force and checks them against this construction.
+
+A parabolic P_c is generated by transvections and diagonal matrices; its
+classes are orbits under conjugation by them, each step one row and one
+column operation, and conjugation by all of P is the oracle in the tests.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .fqmat import (
     block_diag,
     char_poly,
     companion_matrix,
+    conjugate_elementary,
     factor_monic,
     kernel_dim,
     mat_det,
@@ -284,6 +289,12 @@ class ParabolicSubgroup:
                             for _ in range(part))
         self._below = tuple(i * d + j for i in range(d) for j in range(d)
                             if self._block[i] > self._block[j])
+        # the generators of P as (i, j, c), see ``generators``
+        zeta = _primitive_root(group.q)
+        self.elementary = tuple((i, j, 1) for i in range(d) for j in range(d)
+                                if i != j and self._block[i] <= self._block[j])
+        if zeta != 1:
+            self.elementary += tuple((i, i, zeta) for i in range(d))
         self._elements: tuple[Mat, ...] | None = None
         self._classes: tuple[tuple[Mat, int, int], ...] | None = None
         self._pclass_of: dict[Mat, int] | None = None
@@ -329,26 +340,19 @@ class ParabolicSubgroup:
         return self._elements
 
     def generators(self) -> tuple[tuple[Mat, Mat], ...]:
-        """(g, g^-1) pairs that generate P: the transvections I + E_ij
-        (i != j) that its block pattern allows, then diag(1, .., zeta, .., 1)
-        at each position, with zeta a primitive root mod q (none when
-        q = 2).  Transvections and these diagonal matrices generate each
-        Levi block GL_n(F_q), and the transvections across blocks generate
-        the unipotent radical."""
-        group = self.group
-        d, q = group.d, group.q
-        ident = group.identity()
-
-        def pair(pos: int, val: int, inv: int) -> tuple[Mat, Mat]:
+        """(g, g^-1) pairs that generate P, one per entry (i, j, c) of
+        ``elementary``: the transvections I + E_ij (i != j) that its block
+        pattern allows, then diag(1, .., zeta, .., 1) at each position, with
+        zeta the least primitive root mod q (none when q = 2).  Transvections
+        and these diagonal matrices generate each Levi block GL_n(F_q), and
+        the transvections across blocks generate the unipotent radical."""
+        d, q = self.group.d, self.group.q
+        ident = self.group.identity()
+        pairs = []
+        for i, j, c in self.elementary:
             g, g_inv = list(ident), list(ident)
-            g[pos], g_inv[pos] = val, inv
-            return tuple(g), tuple(g_inv)
-
-        pairs = [pair(i * d + j, 1, q - 1) for i in range(d) for j in range(d)
-                 if i != j and self._block[i] <= self._block[j]]
-        zeta = _primitive_root(q)
-        if zeta != 1:
-            pairs += [pair(i * d + i, zeta, pow(zeta, q - 2, q)) for i in range(d)]
+            g[i * d + j], g_inv[i * d + j] = c, (q - c if i != j else pow(c, -1, q))
+            pairs.append((tuple(g), tuple(g_inv)))
         return tuple(pairs)
 
     def coset_reps(self) -> tuple[Mat, ...]:
@@ -393,8 +397,10 @@ class ParabolicSubgroup:
         that contains them).  P = G takes them from the group's class data.
         A proper P walks its elements in order; each element not yet placed
         represents a new class, whose orbit is closed under conjugation by
-        ``generators`` and whose representative is labelled once, as
-        P-conjugate elements are G-conjugate.  The sizes must sum to |P|."""
+        the ``elementary`` generators, each one row and one column operation
+        (``conjugate_elementary``), and whose representative is labelled
+        once, as P-conjugate elements are G-conjugate.  The sizes must sum
+        to |P|."""
         if self._classes is not None:
             return self._classes
         group = self.group
@@ -403,7 +409,7 @@ class ParabolicSubgroup:
                                   for gidx, cls in enumerate(group.classes))
             return self._classes
         d, q = group.d, group.q
-        gens = self.generators()
+        gens = self.elementary
         assigned: dict[Mat, int] = {}
         classes = []
         for x in self.elements():
@@ -415,8 +421,8 @@ class ParabolicSubgroup:
             size = 1
             while frontier:
                 y = frontier.pop()
-                for g, g_inv in gens:
-                    z = mat_mul(mat_mul(g, y, d, q), g_inv, d, q)
+                for i, j, c in gens:
+                    z = conjugate_elementary(y, i, j, c, d, q)
                     if z not in assigned:
                         assigned[z] = idx
                         frontier.append(z)

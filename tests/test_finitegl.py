@@ -14,6 +14,7 @@ from qtransfer.finitegl import (
     ParabolicSubgroup,
     cached_group,
     class_count,
+    classfun,
     comb_prop_check,
     dl_character,
     ind_conjugate_identity_exhaustive,
@@ -26,6 +27,7 @@ from qtransfer.finitegl.classfun import _conjugation_counts_grouped, _left_coset
 from qtransfer.finitegl.fqmat import (
     char_poly,
     companion_matrix,
+    conjugate_elementary,
     factor_monic,
     mat_det,
     mat_inv,
@@ -395,6 +397,79 @@ def test_generator_orbits_match_conjugation_oracle(d, q):
         classes, assigned = pclasses_by_conjugation(P)
         assert P.classes == classes
         assert {m: P.class_index_of(m) for m in P.elements()} == assigned
+
+
+@pytest.mark.parametrize("d,q", SMALL_GROUPS + MEDIUM_GROUPS)
+def test_elementary_conjugation_matches_matrix_products(d, q):
+    # the row-and-column form of g y g^-1 against two products, for every
+    # elementary generator of every parabolic and every element y of it
+    group = cached_group(d, q)
+    for comp in compositions(d):
+        P = ParabolicSubgroup(group, comp)
+        for (i, j, c), (g, g_inv) in zip(P.elementary, P.generators(), strict=True):
+            for y in P.elements():
+                assert conjugate_elementary(y, i, j, c, d, q) == \
+                    mat_mul(mat_mul(g, y, d, q), g_inv, d, q), (comp, i, j, c, y)
+
+
+@pytest.mark.parametrize("d,q", SMALL_GROUPS + MEDIUM_GROUPS)
+def test_generators_generate_the_parabolic(d, q):
+    # the closure of {I} under left multiplication by the generators is P
+    group = cached_group(d, q)
+    for comp in compositions(d):
+        P = ParabolicSubgroup(group, comp)
+        gens = [g for g, _ in P.generators()]
+        reached = {group.identity()}
+        frontier = [group.identity()]
+        while frontier:
+            y = frontier.pop()
+            for g in gens:
+                z = mat_mul(g, y, d, q)
+                if z not in reached:
+                    reached.add(z)
+                    frontier.append(z)
+        assert len(reached) == P.order, comp
+        assert all(P.contains(m) for m in reached), comp
+
+
+def test_parabolic_classes_conjugate_without_matrix_products(monkeypatch):
+    # |P_(2,1)| = 864 in GL_3(F_3); conjugating by its 7 generators with two
+    # products each would take 12096 calls, labelling one representative
+    # per P-class takes a few per class
+    group = cached_group(3, 3)
+    group.classes
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return mat_mul(*args)
+
+    monkeypatch.setattr("qtransfer.finitegl.group.mat_mul", counted)
+    P = ParabolicSubgroup(group, (2, 1))
+    assert P.order == 864 and len(P.generators()) == 7
+    assert P.classes
+    assert 0 < calls < P.order
+
+
+def test_dl_inversion_raises_on_a_remainder(monkeypatch):
+    # the inverse of the averaging system is integral (p_rho has integer
+    # coefficients in the h basis), so integer flag counts never leave a
+    # remainder; a wrong system does.  Raise the diagonal entry of (3) in
+    # GL_3(F_2) from 2 to 3, so the row sum is 7: at the identity the row
+    # asks for 3 * R_(3)(1) = 7 * 1 - 3 * R_(2,1)(1) - R_(1,1,1)(1)
+    # = 7 + 21 - 21 = 7.
+    counts = classfun.composition_class_counts
+
+    def wrong_diagonal(mu):
+        row = dict(counts(mu))
+        if tuple(mu) == (3,):
+            row[(3,)] += 1
+        return row
+
+    monkeypatch.setattr(classfun, "composition_class_counts", wrong_diagonal)
+    with pytest.raises(AssertionError, match=r"R_\(3,\) on GL_3\(F_2\) is not integral"):
+        dl_character(GLGroup(3, 2), (3,))
 
 
 @pytest.mark.parametrize("d,q", SMALL_GROUPS + [(3, 3), (4, 2)])
