@@ -99,8 +99,6 @@ def parabolic_order(comp: Sequence[int], q: int) -> int:
     |P_c| = |Levi| * q^(number of strictly-upper off-block positions).
     """
     c = as_composition(comp)
-    if not is_prime(q):
-        raise ValueError(f"q = {q} is not prime")
     levi = 1
     for part in c:
         levi *= gl_order(part, q)

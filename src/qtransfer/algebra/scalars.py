@@ -36,7 +36,7 @@ from typing import Iterator, Mapping, Union
 
 Rational = Union[int, Fraction]
 
-__all__ = ["QScalar", "PoleError", "ZERO", "ONE", "V", "Q"]
+__all__ = ["QScalar", "PoleError", "Coeffish", "as_qscalar", "ZERO", "ONE", "V", "Q"]
 
 
 class PoleError(ArithmeticError):
@@ -389,6 +389,9 @@ class QScalar:
         return (self._shift, self._num, self._den, self._c) == (o._shift, o._num, o._den, o._c)
 
     def __hash__(self) -> int:
+        # a constant equals its rational, so it hashes as that rational
+        if self._shift == 0 and self._den == (1,) and len(self._num) < 2:
+            return hash(self._c)
         return hash((self._shift, self._num, self._den, self._c))
 
     def __bool__(self) -> bool:
@@ -480,6 +483,14 @@ class QScalar:
 
     def __repr__(self) -> str:
         return f"QScalar({self})"
+
+
+Coeffish = QScalar | Rational
+
+
+def as_qscalar(c: Coeffish) -> QScalar:
+    """A coefficient as a QScalar: a QScalar as it is, a rational converted."""
+    return c if isinstance(c, QScalar) else QScalar(c)
 
 
 ZERO = QScalar(0)

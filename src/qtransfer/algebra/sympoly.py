@@ -20,7 +20,7 @@ from .partitions import (
     ssyt_tableaux,
     ssyt_weight,
 )
-from .scalars import QScalar, Rational
+from .scalars import Coeffish, QScalar, as_qscalar
 
 __all__ = [
     "SymPoly",
@@ -30,13 +30,6 @@ __all__ = [
     "schur",
     "complete_homogeneous",
 ]
-
-Coeffish = QScalar | Rational
-
-
-def _as_scalar(c: Coeffish) -> QScalar:
-    return c if isinstance(c, QScalar) else QScalar(c)
-
 
 class SymPoly:
     """An S_n-invariant Laurent polynomial, keyed by dominant exponent vectors."""
@@ -54,7 +47,7 @@ class SymPoly:
                 raise ValueError(f"key {key} has length != {nvars}")
             if not is_weakly_decreasing(key):
                 raise ValueError(f"key {key} is not dominant")
-            c = _as_scalar(coeff)
+            c = as_qscalar(coeff)
             if not c.is_zero():
                 clean[key] = c
         self.terms = clean
@@ -77,7 +70,7 @@ class SymPoly:
         """
         groups: dict[tuple[int, ...], dict[tuple[int, ...], QScalar]] = {}
         for key, coeff in expansion.items():
-            c = _as_scalar(coeff)
+            c = as_qscalar(coeff)
             if c.is_zero():
                 continue
             groups.setdefault(dominant(key), {})[tuple(key)] = c
@@ -108,7 +101,7 @@ class SymPoly:
         return SymPoly(self.nvars, {k: -c for k, c in self.terms.items()})
 
     def scale(self, c: Coeffish) -> "SymPoly":
-        c = _as_scalar(c)
+        c = as_qscalar(c)
         return SymPoly(self.nvars, {k: c * v for k, v in self.terms.items()})
 
     def __mul__(self, other):
@@ -171,7 +164,7 @@ class SymPoly:
         """Substitute QScalar values for the variables and sum."""
         if len(point) != self.nvars:
             raise ValueError(f"point has length {len(point)} != {self.nvars}")
-        vals = [_as_scalar(x) for x in point]
+        vals = [as_qscalar(x) for x in point]
         total = QScalar(0)
         for mono, c in self.expand().items():
             term = c

@@ -5,6 +5,8 @@ Exit codes: 0 all checks passed, 1 a mathematical identity evaluated and
 differed, 2 usage, precondition or budget error, 3 internal fault (any other
 exception; the JSON error names its type).  A reader that closes the output
 pipe early does not change the code: the rest of the output is dropped.
+Each ``cmd_*`` returns (params, status, payload); ``main`` wraps them in the
+one report envelope, with the command name and the elapsed time.
 """
 
 from __future__ import annotations
@@ -96,18 +98,6 @@ def _classfun_json(name: str, cf) -> dict:
     }
 
 
-def _report(command: str, params: dict, status: str, payload,
-            started: float) -> dict:
-    return {
-        "schema": SCHEMA,
-        "command": command,
-        "params": params,
-        "status": status,
-        "payload": payload,
-        "elapsed_ms": int(1000 * (time.monotonic() - started)),
-    }
-
-
 def _write(render: Callable[[], None]) -> None:
     """Run render, which prints to stdout, and flush.  When the reader has
     closed the pipe, stdout is pointed at os.devnull, so that the flush at
@@ -146,8 +136,7 @@ def _print_table(report: dict) -> None:
 # -- transfer ----------------------------------------------------------------
 
 
-def cmd_transfer(args) -> dict:
-    started = time.monotonic()
+def cmd_transfer(args) -> tuple[dict, str, dict]:
     p = TransferParams(r=args.r, d=args.d)
     params = {"basis": args.basis, "r": args.r, "d": args.d}
     if args.basis in ("e", "p"):
@@ -176,7 +165,7 @@ def cmd_transfer(args) -> dict:
         "params": {"r": args.r, "d": args.d},
         "image": _sympoly_json(image),
     }
-    return _report("transfer", params, PASS, payload, started)
+    return params, PASS, payload
 
 
 # -- verification suites -----------------------------------------------------
@@ -292,8 +281,7 @@ SUITES = {
 }
 
 
-def cmd_verify(args) -> dict:
-    started = time.monotonic()
+def cmd_verify(args) -> tuple[dict, str, dict]:
     if args.workers < 1:
         raise UsageError(f"--workers must be at least 1, not {args.workers}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
@@ -303,23 +291,20 @@ def cmd_verify(args) -> dict:
         if not cases:
             raise UsageError(f"suite {name} selects no cases at these budgets")
     payload = {}
-    ok = True
     for name, cases in selected.items():
         details = _pmap(SUITES[name].check, cases, args.workers)
-        suite_ok = all(c["ok"] for c in details)
-        payload[name] = {"ok": suite_ok, "cases": details}
-        ok = ok and suite_ok
+        payload[name] = {"ok": all(c["ok"] for c in details), "cases": details}
+    ok = all(suite["ok"] for suite in payload.values())
     params = {"suite": args.suite, "nmax": args.nmax, "degmax": args.degmax,
               "dmax": args.dmax, "n": args.n, "q": args.q,
               "workers": args.workers}
-    return _report("verify", params, PASS if ok else FAIL, payload, started)
+    return params, PASS if ok else FAIL, payload
 
 
 # -- finite GL ----------------------------------------------------------------
 
 
-def cmd_finite_gl(args) -> dict:
-    started = time.monotonic()
+def cmd_finite_gl(args) -> tuple[dict, str, dict]:
     group = cached_group(args.d, args.q)
     params = {"d": args.d, "q": args.q, "what": args.what}
     if args.what == "classes":
@@ -330,41 +315,34 @@ def cmd_finite_gl(args) -> dict:
             "class_count": len(group.classes),
             "classes": _class_table_json(group),
         }
-        return _report("finite-gl", params, PASS, payload, started)
+        return params, PASS, payload
     if args.what == "ind":
         comp = (as_composition(int(p) for p in args.c.split(","))
                 if args.c else (args.d,))
         params["c"] = render_partition(comp)
         cf = parabolic_trivial_ind(group, comp)
-        name = f"ind[{render_partition(comp)}]"
-        return _report("finite-gl", params, PASS, _classfun_json(name, cf),
-                       started)
+        return params, PASS, _classfun_json(f"ind[{params['c']}]", cf)
     if args.what == "dl":
         rho = parse_partition(args.rho) if args.rho else (args.d,)
         params["rho"] = render_partition(rho)
         cf = dl_character(group, rho)
-        name = f"dl[{render_partition(rho)}]"
-        return _report("finite-gl", params, PASS, _classfun_json(name, cf),
-                       started)
+        return params, PASS, _classfun_json(f"dl[{params['rho']}]", cf)
     # comb-prop
     rep = comb_prop_check(group)
-    return _report("finite-gl", params, PASS if rep["equal"] else FAIL, rep,
-                   started)
+    return params, PASS if rep["equal"] else FAIL, rep
 
 
 # -- EP functions --------------------------------------------------------------
 
 
-def cmd_ep(args) -> dict:
-    started = time.monotonic()
+def cmd_ep(args) -> tuple[dict, str, dict]:
     if args.action == "build":
         if args.n is None:
             raise UsageError("ep build requires --n")
         combo = ep_function(args.n)
         payload = {"e_basis": combo.to_json(),
                    "one_basis": to_one_basis(combo).to_json()}
-        return _report("ep", {"action": "build", "n": args.n}, PASS, payload,
-                       started)
+        return {"action": "build", "n": args.n}, PASS, payload
     if args.d is None or args.r is None:
         raise UsageError(f"ep {args.action} requires --d and --r")
     parts = parse_partition(args.type) if args.type else (1,) * args.r
@@ -376,21 +354,19 @@ def cmd_ep(args) -> dict:
     if args.action == "fj":
         combo = f_J(t)
         payload: dict = {"f_J": combo.to_json()}
+        status = PASS
         if args.shadow_q is not None:
             rep = fj_shadow_report(t, args.shadow_q)
             params["shadow_q"] = args.shadow_q
             payload["shadow_check"] = rep
             status = PASS if rep["equal"] else FAIL
-        else:
-            status = PASS
-        return _report("ep", params, status, payload, started)
+        return params, status, payload
     # shadow
     if args.shadow_q is None:
         raise UsageError("ep shadow requires --shadow-q")
     params["shadow_q"] = args.shadow_q
     cf = shadow(f_J(t), args.shadow_q)
-    name = f"shadow[d={args.d};{render_partition(parts)}]"
-    return _report("ep", params, PASS, _classfun_json(name, cf), started)
+    return params, PASS, _classfun_json(f"shadow[d={args.d};{params['type']}]", cf)
 
 
 # -- argument parsing -----------------------------------------------------------
@@ -460,14 +436,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.monotonic()
     try:
-        report = args.func(args)
+        params, status, payload = args.func(args)
     except UsageError as exc:
         return _error(str(exc), 2)
     except (ValueError, BudgetError, EnumerationBudgetError) as exc:
         return _error(f"{type(exc).__name__}: {exc}", 2)
     except Exception as exc:  # an internal fault, not a verdict or a misuse
         return _error(f"{type(exc).__name__}: {exc}", 3)
+    report = {"schema": SCHEMA, "command": args.command, "params": params,
+              "status": status, "payload": payload,
+              "elapsed_ms": int(1000 * (time.monotonic() - started))}
     return _emit(report, args.table)
 
 

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 
 from .algebra.partitions import as_composition, as_partition, render_partition
 from .algebra.qcount import parahoric_index
-from .algebra.scalars import QScalar
+from .algebra.scalars import Coeffish, QScalar, as_qscalar
 from .finitegl import ClassFunction, cached_group, dl_character, parabolic_trivial_ind
 from .finitegl.classfun import zero_class_function
 from .weylcomb import composition_class_counts, ep_weights
@@ -41,13 +41,6 @@ __all__ = [
     "weyl_averaged_dl",
     "fj_shadow_report",
 ]
-
-Coeffish = QScalar | int | Fraction
-
-
-def _scalar(c: Coeffish) -> QScalar:
-    return c if isinstance(c, QScalar) else QScalar(c)
-
 
 @dataclass(frozen=True)
 class DParahoricType:
@@ -90,7 +83,7 @@ class ParahoricCombo:
             lam = as_partition(key)
             if sum(lam) != n:
                 raise ValueError(f"type {lam} is not a partition of {n}")
-            c = _scalar(coeff)
+            c = as_qscalar(coeff)
             if not c.is_zero():
                 clean[lam] = c
         self.terms = clean
@@ -110,7 +103,7 @@ class ParahoricCombo:
         return self + other.scale(-1)
 
     def scale(self, c: Coeffish) -> "ParahoricCombo":
-        c = _scalar(c)
+        c = as_qscalar(c)
         return ParahoricCombo(self.n, self.basis,
                               {k: c * v for k, v in self.terms.items()})
 
@@ -189,6 +182,15 @@ def levi_scalar(comp: Sequence[int]) -> int:
     return prod(as_composition(comp))
 
 
+def _torus_weights(t: DParahoricType) -> list[tuple[tuple[int, ...], Fraction]]:
+    """The Weyl average over W_L as (torus type, weight) pairs, one per cycle
+    type rho of W_L: the parts d*m of rho, and the share of W_L of type rho."""
+    counts = composition_class_counts(t.parts)
+    order = sum(counts.values())
+    return [(tuple(t.d * m for m in rho), Fraction(count, order))
+            for rho, count in counts.items()]
+
+
 def f_J(t: DParahoricType) -> ParahoricCombo:
     """Iwahori-biinvariant combination attached to the parahoric of type t
     in GL_r(D), expanded in the e-basis of GL_n(F), n = r*d:
@@ -197,17 +199,15 @@ def f_J(t: DParahoricType) -> ParahoricCombo:
         concatenation product over the parts m of w of
         (d*m) * f^EP_{GL_{d*m}}.
     """
-    counts = composition_class_counts(t.parts)
-    order = sum(counts.values())
     out = ParahoricCombo(t.n, "e")
-    for rho, count in counts.items():
+    for torus, weight in _torus_weights(t):
         term: ParahoricCombo | None = None
-        for m in rho:
-            factor = ep_function(t.d * m).scale(t.d * m)
+        for part in torus:
+            factor = ep_function(part).scale(part)
             term = factor if term is None else term.tensor(factor)
         if term is None or term.n != t.n:
             raise AssertionError(f"f_J term does not live on GL_{t.n}")
-        out = out + term.scale(Fraction(count, order))
+        out = out + term.scale(weight)
     return out
 
 
@@ -249,12 +249,9 @@ def weyl_averaged_dl(t: DParahoricType, q: int) -> ClassFunction:
     """(1/|W_L|) sum over w in W_L of the Deligne-Lusztig character of
     GL_n(F_q) whose torus type concatenates the parts d*m of w."""
     group = cached_group(t.n, q)
-    counts = composition_class_counts(t.parts)
-    order = sum(counts.values())
     total = zero_class_function(group)
-    for rho, count in counts.items():
-        torus = tuple(t.d * m for m in rho)
-        total = total + dl_character(group, torus).scale(Fraction(count, order))
+    for torus, weight in _torus_weights(t):
+        total = total + dl_character(group, torus).scale(weight)
     return total
 
 

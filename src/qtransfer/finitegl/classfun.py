@@ -12,6 +12,8 @@ identity sums over the Bruhat coset representatives of G/P and the
 P-classes of P, so it needs P and [G:P] within the scan limit but never
 enumerates G.  The coset-sum definition of induction over an enumerated
 group (``induce_class_function``) is the oracle the tests compare against.
+Induced characters and the R_rho are memoised in this module, per group
+object and validated key.
 """
 
 from __future__ import annotations
@@ -117,7 +119,7 @@ def _left_coset_reps(group: GLGroup, subgroup_elements: Sequence[Mat]) -> list[M
     d, q = group.d, group.q
     reps: list[Mat] = []
     assigned: set[Mat] = set()
-    for g in group.element_list():
+    for g in group.elements():
         if g in assigned:
             continue
         reps.append(g)
@@ -156,7 +158,7 @@ def induced_values_averaged(group: GLGroup, sub_order: int,
     """The representative-free form (1/|H|) sum over t in G of f(t^-1 x t)."""
     d, q = group.d, group.q
     total = Fraction(0)
-    for t in group.element_list():
+    for t in group.elements():
         y = mat_mul(mat_mul(mat_inv(t, d, q), x, d, q), t, d, q)
         if y in f:
             total += f[y]
@@ -228,15 +230,15 @@ def parabolic_trivial_ind(group: GLGroup, comp: Sequence[int]) -> ClassFunction:
     comp = as_composition(comp)
     if sum(comp) != group.d:
         raise ValueError(f"{comp} is not a composition of {group.d}")
-    cached = group._ind_cache.get(comp)
-    if cached is not None:
-        return cached  # type: ignore[return-value]
-    out = ClassFunction(group, tuple(
+    return _trivial_ind(group, comp)
+
+
+@lru_cache(maxsize=None)
+def _trivial_ind(group: GLGroup, comp: tuple[int, ...]) -> ClassFunction:
+    return ClassFunction(group, tuple(
         Fraction(_flag_count(tuple(sorted((len(f) - 1, lam) for f, lam in cls.label)),
                              comp, group.q))
         for cls in group.classes))
-    group._ind_cache[comp] = out
-    return out
 
 
 # -- Deligne-Lusztig characters by inversion ---------------------------------
@@ -257,9 +259,12 @@ def dl_character(group: GLGroup, rho: Sequence[int]) -> ClassFunction:
     rho = as_partition(rho)
     if sum(rho) != group.d:
         raise ValueError(f"{rho} is not a partition of {group.d}")
-    cached = group._dl_cache.get(rho)
-    if cached is not None:
-        return cached  # type: ignore[return-value]
+    return _dl_characters(group)[rho]
+
+
+@lru_cache(maxsize=None)
+def _dl_characters(group: GLGroup) -> dict[tuple[int, ...], ClassFunction]:
+    """Every R_mu of the group, solved together; callers only read the dict."""
     parts = sorted(partitions(group.d), reverse=True)  # descending lex
     counts = {mu: composition_class_counts(mu) for mu in parts}
     solved: dict[tuple[int, ...], list[int]] = {}
@@ -280,10 +285,8 @@ def dl_character(group: GLGroup, rho: Sequence[int]) -> ClassFunction:
         if any(rem for _, rem in quotients):
             raise AssertionError(f"R_{mu} on GL_{group.d}(F_{group.q}) is not integral")
         solved[mu] = [quo for quo, _ in quotients]
-    group._dl_cache.update(
-        (mu, ClassFunction(group, tuple(map(Fraction, values))))
-        for mu, values in solved.items())
-    return group._dl_cache[rho]
+    return {mu: ClassFunction(group, tuple(map(Fraction, values)))
+            for mu, values in solved.items()}
 
 
 def comb_prop_check(group: GLGroup) -> dict:

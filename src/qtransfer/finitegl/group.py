@@ -14,6 +14,11 @@ force and checks them against this construction.
 A parabolic P_c is generated by transvections and diagonal matrices; its
 classes are orbits under conjugation by them, each step one row and one
 column operation, and conjugation by all of P is the oracle in the tests.
+
+Each derived value has one builder, run on first use: ``conjugacy_classes``
+for the class data (the label lookup derives from it), ``elements`` for the
+element scan, and ``ParabolicSubgroup._class_data`` for P-classes and their
+lookup.
 """
 
 from __future__ import annotations
@@ -21,9 +26,9 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import prod
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from ..algebra.partitions import as_composition, conjugate, partitions
 from ..algebra.qcount import gl_order, is_prime, parabolic_order
@@ -139,10 +144,6 @@ class GLGroup:
         self.q = q
         self.order = gl_order(d, q)
         self._classes: tuple[GLClass, ...] | None = None
-        self._class_lookup: dict[Label, int] | None = None
-        self._elements: tuple[Mat, ...] | None = None
-        self._ind_cache: dict[tuple[int, ...], object] = {}
-        self._dl_cache: dict[tuple[int, ...], object] = {}
 
     def __repr__(self) -> str:
         return f"GLGroup(d={self.d}, q={self.q})"
@@ -150,6 +151,8 @@ class GLGroup:
     # -- conjugacy classes -------------------------------------------------
 
     def conjugacy_classes(self) -> tuple[GLClass, ...]:
+        """The classes in label order, built on the first call; the only
+        builder of the class data."""
         if self._classes is None:
             count = class_count(self.d, self.q)
             if count > CLASS_LIMIT:
@@ -169,12 +172,15 @@ class GLGroup:
             if len(classes) != count or sum(c.size for c in classes) != self.order:
                 raise AssertionError("class count or class sizes do not match the group")
             self._classes = tuple(classes)
-            self._class_lookup = {c.label: i for i, c in enumerate(self._classes)}
         return self._classes
 
     @property
     def classes(self) -> tuple[GLClass, ...]:
         return self.conjugacy_classes()
+
+    @cached_property
+    def _class_lookup(self) -> dict[Label, int]:
+        return {c.label: i for i, c in enumerate(self.conjugacy_classes())}
 
     def _all_labels(self) -> Iterator[Label]:
         irrs = [f for f in monic_irreducibles(self.q, self.d) if f != (0, 1)]
@@ -224,7 +230,6 @@ class GLGroup:
         return tuple(sorted(label))
 
     def class_index_of(self, mat: Mat) -> int:
-        self.conjugacy_classes()
         return self._class_lookup[self.label_of(mat)]
 
     def identity(self) -> Mat:
@@ -233,31 +238,27 @@ class GLGroup:
     def identity_class_index(self) -> int:
         f_x_minus_1 = ((self.q - 1) % self.q, 1)
         label: Label = ((f_x_minus_1, (1,) * self.d),)
-        self.conjugacy_classes()
         return self._class_lookup[label]
 
     # -- elements ------------------------------------------------------------
 
-    def scan_space(self) -> int:
-        return self.q ** (self.d * self.d)
-
-    def elements(self) -> Iterator[Mat]:
-        """All invertible matrices, by scanning q^(d^2) candidates; refuses
-        before the scan when that exceeds SCAN_LIMIT."""
-        if self.scan_space() > SCAN_LIMIT:
-            raise BudgetError(
-                f"GL_{self.d}(F_{self.q}) element scan space {self.scan_space()} "
-                f"exceeds the scan limit {SCAN_LIMIT}")
-        return (flat for flat in itertools.product(range(self.q), repeat=self.d * self.d)
-                if mat_det(flat, self.d, self.q))
-
-    def element_list(self) -> tuple[Mat, ...]:
-        if self._elements is None:
-            elems = tuple(self.elements())
-            if len(elems) != self.order:
-                raise AssertionError("element count does not match group order")
-            self._elements = elems
+    def elements(self) -> tuple[Mat, ...]:
+        """All invertible matrices, scanned from q^(d^2) candidates on the
+        first call; refuses before the scan when that exceeds SCAN_LIMIT."""
         return self._elements
+
+    @cached_property
+    def _elements(self) -> tuple[Mat, ...]:
+        scan = self.q ** (self.d * self.d)
+        if scan > SCAN_LIMIT:
+            raise BudgetError(
+                f"GL_{self.d}(F_{self.q}) element scan space {scan} "
+                f"exceeds the scan limit {SCAN_LIMIT}")
+        elems = tuple(flat for flat in itertools.product(range(self.q), repeat=self.d * self.d)
+                      if mat_det(flat, self.d, self.q))
+        if len(elems) != self.order:
+            raise AssertionError("element count does not match group order")
+        return elems
 
 
 def _primitive_root(q: int) -> int:
@@ -295,9 +296,6 @@ class ParabolicSubgroup:
                                 if i != j and self._block[i] <= self._block[j])
         if zeta != 1:
             self.elementary += tuple((i, i, zeta) for i in range(d))
-        self._elements: tuple[Mat, ...] | None = None
-        self._classes: tuple[tuple[Mat, int, int], ...] | None = None
-        self._pclass_of: dict[Mat, int] | None = None
 
     def contains(self, mat: Mat) -> bool:
         """Block upper-triangular pattern test (input assumed invertible)."""
@@ -306,17 +304,19 @@ class ParabolicSubgroup:
     __contains__ = contains
 
     def elements(self) -> tuple[Mat, ...]:
-        """Direct construction: invertible diagonal blocks, each the element
-        list of its GL_part(F_q), and free entries above.  Refuses when |P|
-        or a block's scan exceeds SCAN_LIMIT."""
-        if self._elements is not None:
-            return self._elements
+        """Direct construction, on the first call: invertible diagonal
+        blocks, each the element list of its GL_part(F_q), and free entries
+        above.  Refuses when |P| or a block's scan exceeds SCAN_LIMIT."""
+        return self._elements
+
+    @cached_property
+    def _elements(self) -> tuple[Mat, ...]:
         d, q = self.group.d, self.group.q
         if self.order > SCAN_LIMIT:
             raise BudgetError(
                 f"P_{self.composition} in GL_{d}(F_{q}) has {self.order} elements, "
                 f"beyond the scan limit {SCAN_LIMIT}")
-        block_gls = [cached_group(part, q).element_list() for part in self.composition]
+        block_gls = [cached_group(part, q).elements() for part in self.composition]
         free = [(i, j) for i in range(d) for j in range(d)
                 if self._block[j] > self._block[i]]
         out = []
@@ -336,8 +336,7 @@ class ParabolicSubgroup:
         if len(out) != self.order:
             raise AssertionError("parabolic element count mismatch")
         out.sort()
-        self._elements = tuple(out)
-        return self._elements
+        return tuple(out)
 
     def generators(self) -> tuple[tuple[Mat, Mat], ...]:
         """(g, g^-1) pairs that generate P, one per entry (i, j, c) of
@@ -393,21 +392,27 @@ class ParabolicSubgroup:
 
     @property
     def classes(self) -> tuple[tuple[Mat, int, int], ...]:
-        """P-conjugacy classes as (representative, size, index of the G-class
-        that contains them).  P = G takes them from the group's class data.
-        A proper P walks its elements in order; each element not yet placed
-        represents a new class, whose orbit is closed under conjugation by
-        the ``elementary`` generators, each one row and one column operation
-        (``conjugate_elementary``), and whose representative is labelled
-        once, as P-conjugate elements are G-conjugate.  The sizes must sum
-        to |P|."""
-        if self._classes is not None:
-            return self._classes
+        """P-classes as (representative, size, G-class index), see ``_class_data``."""
+        return self._class_data[0]
+
+    def class_index_of(self, mat: Mat) -> int:
+        """Index in ``classes`` of the P-class of an element of P."""
+        return self._class_data[1](mat)
+
+    @cached_property
+    def _class_data(self) -> tuple[tuple[tuple[Mat, int, int], ...], Callable[[Mat], int]]:
+        """The P-classes and the lookup of an element's class index, built
+        together on first use.  P = G takes both from the group's class
+        data.  A proper P walks its elements in order; each element not yet
+        placed represents a new class, whose orbit is closed under
+        conjugation by the ``elementary`` generators, each one row and one
+        column operation (``conjugate_elementary``), and whose
+        representative is labelled once, as P-conjugate elements are
+        G-conjugate.  The sizes must sum to |P|."""
         group = self.group
         if len(self.composition) == 1:
-            self._classes = tuple((cls.rep, cls.size, gidx)
-                                  for gidx, cls in enumerate(group.classes))
-            return self._classes
+            return (tuple((cls.rep, cls.size, gidx) for gidx, cls in enumerate(group.classes)),
+                    group.class_index_of)
         d, q = group.d, group.q
         gens = self.elementary
         assigned: dict[Mat, int] = {}
@@ -432,22 +437,4 @@ class ParabolicSubgroup:
             raise AssertionError(
                 f"P-classes of P_{self.composition} in GL_{d}(F_{q}) do not sum "
                 f"to |P| = {self.order}")
-        self._classes = tuple(classes)
-        self._pclass_of = assigned
-        return self._classes
-
-    def class_index_of(self, mat: Mat) -> int:
-        """Index in ``classes`` of the P-class of an element of P."""
-        if len(self.composition) == 1:
-            return self.group.class_index_of(mat)
-        self.classes  # partitions P on first use
-        return self._pclass_of[mat]
-
-    def conjugacy_classes(self) -> list[tuple[Mat, tuple[Mat, ...]]]:
-        """Test oracle: the P-classes as (representative, all members)
-        pairs, in the order of ``classes``.  It looks up the class of every
-        element of P, and so labels every element of G when P = G."""
-        members: list[list[Mat]] = [[] for _ in self.classes]
-        for m in self.elements():
-            members[self.class_index_of(m)].append(m)
-        return [(rep, tuple(ms)) for (rep, _, _), ms in zip(self.classes, members)]
+        return tuple(classes), assigned.__getitem__

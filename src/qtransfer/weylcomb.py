@@ -30,10 +30,10 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial
+from functools import cached_property, lru_cache
+from math import factorial, prod
 from operator import add, mul, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -138,22 +138,16 @@ class YoungSubgroup:
 
     d: int
     composition: tuple[int, ...]
-    blocks: tuple[tuple[int, int], ...] = field(init=False)  # 1-based [lo, hi]
 
-    def __post_init__(self):
-        lo = 1
-        blocks = []
-        for part in self.composition:
-            blocks.append((lo, lo + part - 1))
-            lo += part
-        object.__setattr__(self, "blocks", tuple(blocks))
+    @cached_property
+    def blocks(self) -> tuple[tuple[int, int], ...]:
+        """The 1-based [lo, hi] of each block, on first use."""
+        starts = itertools.accumulate(self.composition, initial=1)
+        return tuple((lo, lo + part - 1) for lo, part in zip(starts, self.composition))
 
     @property
     def order(self) -> int:
-        n = 1
-        for part in self.composition:
-            n *= factorial(part)
-        return n
+        return prod(map(factorial, self.composition))
 
     def __contains__(self, w: Perm) -> bool:
         return all(all(lo <= w[i - 1] <= hi for i in range(lo, hi + 1))

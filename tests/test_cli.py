@@ -300,6 +300,21 @@ def test_table_mode(capsys):
     assert "status  : pass" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["transfer", "--basis", "e", "--k", "1", "--r", "1", "--d", "2"],
+    ["verify", "--suite", "comb-prop", "--dmax", "2"],
+    ["finite-gl", "--d", "2", "--q", "2", "--what", "classes"],
+    ["ep", "build", "--n", "2"],
+])
+def test_every_command_reports_in_one_envelope(capsys, argv):
+    code, report = run_json(capsys, *argv)
+    assert code == 0
+    assert set(report) == {"schema", "command", "params", "status", "payload",
+                           "elapsed_ms"}
+    assert report["command"] == argv[0]
+    assert isinstance(report["elapsed_ms"], int) and report["elapsed_ms"] >= 0
+
+
 def test_exit_code_mapping_for_failed_identity(capsys):
     from qtransfer.cli import FAIL, _emit
     report = {"schema": "1", "command": "verify", "params": {},

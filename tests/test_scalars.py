@@ -40,6 +40,17 @@ def test_canonical_equality():
     assert (Q * Q - 1) / (Q - 1) == Q + 1
 
 
+@pytest.mark.parametrize("value", [3, -7, Fraction(1, 2), Fraction(-5, 3), 0])
+def test_constants_hash_as_the_rational_they_equal(value):
+    # equal values hash equal, so a constant and its rational find each other
+    # in sets and as dict keys, whichever route built the constant
+    for x in (QScalar(value), (V + value) - V, QScalar(value) * Q / Q):
+        assert x == value
+        assert hash(x) == hash(value)
+        assert value in {x} and x in {value}
+        assert {x: 1}[value] == 1
+
+
 def test_negative_powers_stay_in_numerator():
     x = V ** -3 + QScalar(2)
     assert x.is_laurent()

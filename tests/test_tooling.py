@@ -39,6 +39,35 @@ def test_no_private_names_imported_across_modules():
     assert not found, found
 
 
+def _names_defined(tree: ast.Module) -> set[str]:
+    # defs, stored attributes and names, and strings (a __slots__ entry)
+    defined = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            defined.add(node.attr)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            defined.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            defined.add(node.value)
+    return defined
+
+
+def test_no_private_attributes_used_across_modules():
+    # x._name reads state that another module owns; that module should
+    # offer it through a public name
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined = _names_defined(tree)
+        found += [f"{path.relative_to(SRC)}:{node.lineno} {node.attr}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                  and not node.attr.startswith("__") and node.attr not in defined]
+    assert not found, found
+
+
 def _string_annotation_names(tree: ast.Module) -> set[str]:
     # names inside a string annotation are not ast.Name nodes of the module
     annotations = [value for node in ast.walk(tree)
