@@ -9,8 +9,10 @@ coefficient arithmetic.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
+from operator import lt
 from typing import Iterator, Sequence
 
 __all__ = [
@@ -75,13 +77,7 @@ def compositions(n: int) -> Iterator[tuple[int, ...]]:
 
 def composition_count(lam: Sequence[int]) -> int:
     """Number of compositions whose multiset of parts is the partition lam."""
-    mult: dict[int, int] = {}
-    for p in lam:
-        mult[p] = mult.get(p, 0) + 1
-    count = factorial(len(lam))
-    for m in mult.values():
-        count //= factorial(m)
-    return count
+    return factorial(len(lam)) // prod(map(factorial, Counter(lam).values()))
 
 
 def conjugate(lam: Sequence[int]) -> tuple[int, ...]:
@@ -140,13 +136,7 @@ def orbit(key: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 def z_order(rho: Sequence[int]) -> int:
     """Order of the centralizer in S_n of a permutation of cycle type rho."""
-    z = 1
-    mult: dict[int, int] = {}
-    for p in rho:
-        mult[p] = mult.get(p, 0) + 1
-    for part, m in mult.items():
-        z *= part ** m * factorial(m)
-    return z
+    return prod(part ** m * factorial(m) for part, m in Counter(rho).items())
 
 
 def sn_class_size(rho: Sequence[int]) -> int:
@@ -156,41 +146,29 @@ def sn_class_size(rho: Sequence[int]) -> int:
 
 def ssyt_tableaux(shape: Sequence[int], max_entry: int
                   ) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Semistandard Young tableaux of the given shape, entries in 1..max_entry.
+    """Semistandard Young tableaux of the given shape, entries in 1..max_entry,
+    generated lazily, in lexicographic order of their rows.
 
-    Rows weakly increase, columns strictly increase.
+    Rows weakly increase: each row is drawn from
+    ``itertools.combinations_with_replacement`` of the entries.  Columns
+    strictly increase: a row is kept when each entry exceeds the one above.
     """
     shape = as_partition(shape) if shape else ()
-    if not shape:
-        yield ()
-        return
     if len(shape) > max_entry:
         return  # first column cannot strictly increase
+    entries = range(1, max_entry + 1)
 
-    def fill_row(length: int, above: tuple[int, ...], lo: int
-                 ) -> Iterator[tuple[int, ...]]:
-        # above[i] bounds entry i from below (strict); lo bounds the first
-        # entry so rows are generated in a deterministic order.
-        def rec(i: int, prev: int) -> Iterator[tuple[int, ...]]:
-            if i == length:
-                yield ()
-                return
-            start = max(prev, above[i] + 1 if i < len(above) else 1)
-            for val in range(start, max_entry + 1):
-                for rest in rec(i + 1, val):
-                    yield (val,) + rest
-        yield from rec(0, lo)
-
-    def rec_rows(r: int, above: tuple[int, ...]
-                 ) -> Iterator[tuple[tuple[int, ...], ...]]:
+    def rows_from(r: int, above: tuple[int, ...]
+                  ) -> Iterator[tuple[tuple[int, ...], ...]]:
         if r == len(shape):
             yield ()
             return
-        for row in fill_row(shape[r], above, 1):
-            for rest in rec_rows(r + 1, row):
-                yield (row,) + rest
+        for row in itertools.combinations_with_replacement(entries, shape[r]):
+            if all(map(lt, above, row)):
+                for rest in rows_from(r + 1, row):
+                    yield (row, *rest)
 
-    yield from rec_rows(0, ())
+    yield from rows_from(0, ())
 
 
 def ssyt_weight(tab: Sequence[Sequence[int]], max_entry: int) -> tuple[int, ...]:

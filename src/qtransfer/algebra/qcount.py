@@ -3,6 +3,8 @@ orders of GL_n(F_q) and its parabolics, and symbolic parahoric indices."""
 
 from __future__ import annotations
 
+from collections import Counter
+from functools import lru_cache
 from typing import Sequence
 
 from .partitions import as_composition
@@ -38,32 +40,22 @@ def qint_balanced(d: int, k: int = 1) -> QScalar:
     """
     if d < 1 or k < 1:
         raise ValueError("qint_balanced requires d, k >= 1")
-    terms: dict[int, int] = {}
-    for j in range(d):
-        e = k * (d - 1 - 2 * j)
-        terms[e] = terms.get(e, 0) + 1
-    return QScalar.from_v_terms(terms)
+    return QScalar.from_v_terms(Counter(k * (d - 1 - 2 * j) for j in range(d)))
 
 
-_QBINOM_CACHE: dict[tuple[int, int], QScalar] = {}
-
-
+@lru_cache(maxsize=None)
 def qbinom(d: int, a: int) -> QScalar:
     """Gaussian binomial coefficient [d choose a]_q, a polynomial in q.
 
     Computed by the q-Pascal recurrence
-    [d, a] = [d-1, a-1] + q^a [d-1, a].
+    [d, a] = [d-1, a-1] + q^a [d-1, a], memoized per (d, a) by lru_cache.
+    A bad (d, a) raises on every call: exceptions are not cached.
     """
     if a < 0 or a > d:
         raise ValueError(f"qbinom: need 0 <= a <= d, got (d, a) = ({d}, {a})")
     if a == 0 or a == d:
         return QScalar(1)
-    key = (d, a)
-    cached = _QBINOM_CACHE.get(key)
-    if cached is None:
-        cached = qbinom(d - 1, a - 1) + QScalar.q_power(a) * qbinom(d - 1, a)
-        _QBINOM_CACHE[key] = cached
-    return cached
+    return qbinom(d - 1, a - 1) + QScalar.q_power(a) * qbinom(d - 1, a)
 
 
 def qbinom_at(d: int, a: int, q: int) -> int:

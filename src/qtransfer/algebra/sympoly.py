@@ -8,6 +8,7 @@ speed, which is fine at desk scale (n <= 8, low degree).
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -20,7 +21,7 @@ from .partitions import (
     ssyt_tableaux,
     ssyt_weight,
 )
-from .scalars import Coeffish, QScalar, as_qscalar
+from .scalars import ZERO, Coeffish, QScalar, as_qscalar
 
 __all__ = [
     "SymPoly",
@@ -91,7 +92,7 @@ class SymPoly:
         self._check_compatible(other)
         out = dict(self.terms)
         for key, c in other.terms.items():
-            out[key] = out.get(key, QScalar(0)) + c
+            out[key] = out.get(key, ZERO) + c
         return SymPoly(self.nvars, out)
 
     def __sub__(self, other: "SymPoly") -> "SymPoly":
@@ -114,7 +115,7 @@ class SymPoly:
                     # only dominant representatives are recorded; the rest of
                     # each orbit is implied by symmetry of the product
                     if is_weakly_decreasing(key):
-                        prod[key] = prod.get(key, QScalar(0)) + cu * cw
+                        prod[key] = prod.get(key, ZERO) + cu * cw
             return SymPoly(self.nvars, prod)
         if isinstance(other, (QScalar, int, Fraction)):
             return self.scale(other)
@@ -227,10 +228,7 @@ def schur(n: int, mu: Sequence[int]) -> SymPoly:
     mu = as_partition(mu) if mu else ()
     if len(mu) > n:
         return SymPoly.zero(n)
-    counts: dict[tuple[int, ...], int] = {}
-    for tab in ssyt_tableaux(mu, n):
-        w = ssyt_weight(tab, n)
-        counts[w] = counts.get(w, 0) + 1
+    counts = Counter(ssyt_weight(tab, n) for tab in ssyt_tableaux(mu, n))
     # the weight multiset of SSYT is S_n-stable; from_expansion re-checks it
     return SymPoly.from_expansion(n, {w: QScalar(c) for w, c in counts.items()})
 

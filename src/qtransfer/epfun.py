@@ -21,9 +21,9 @@ from fractions import Fraction
 from math import prod
 from typing import Mapping, Sequence
 
-from .algebra.partitions import as_composition, as_partition, render_partition
+from .algebra.partitions import as_composition, as_partition, dominant, render_partition
 from .algebra.qcount import parahoric_index
-from .algebra.scalars import Coeffish, QScalar, as_qscalar
+from .algebra.scalars import ZERO, Coeffish, QScalar, as_qscalar
 from .finitegl import ClassFunction, cached_group, dl_character, parabolic_trivial_ind
 from .finitegl.classfun import zero_class_function
 from .weylcomb import composition_class_counts, ep_weights
@@ -96,7 +96,7 @@ class ParahoricCombo:
         self._check(other)
         out = dict(self.terms)
         for key, c in other.terms.items():
-            out[key] = out.get(key, QScalar(0)) + c
+            out[key] = out.get(key, ZERO) + c
         return ParahoricCombo(self.n, self.basis, out)
 
     def __sub__(self, other: "ParahoricCombo") -> "ParahoricCombo":
@@ -115,14 +115,14 @@ class ParahoricCombo:
         out: dict[tuple[int, ...], QScalar] = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
-                key = tuple(sorted(k1 + k2, reverse=True))
+                key = dominant(k1 + k2)
                 c = c1 * c2
                 acc = out.get(key)
                 out[key] = c if acc is None else acc + c
         return ParahoricCombo(self.n + other.n, "e", out)
 
     def coefficient(self, lam: Sequence[int]) -> QScalar:
-        return self.terms.get(as_partition(lam), QScalar(0))
+        return self.terms.get(as_partition(lam), ZERO)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], QScalar]]:
         """Reverse lexicographic on partitions: deterministic rendering order."""

@@ -71,9 +71,7 @@ class ClassFunction:
                              tuple(a + b for a, b in zip(self.values, other.values)))
 
     def __sub__(self, other: "ClassFunction") -> "ClassFunction":
-        self._same_group(other)
-        return ClassFunction(self.group,
-                             tuple(a - b for a, b in zip(self.values, other.values)))
+        return self + (-other)
 
     def __neg__(self) -> "ClassFunction":
         return ClassFunction(self.group, tuple(-a for a in self.values))

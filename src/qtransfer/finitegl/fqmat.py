@@ -263,7 +263,7 @@ def companion_matrix(f: Poly, q: int) -> Mat:
     return tuple(x for row in out for x in row)
 
 
-def block_diag(blocks: Sequence[tuple[Mat, int]], q: int) -> tuple[Mat, int]:
+def block_diag(blocks: Sequence[tuple[Mat, int]]) -> Mat:
     """Assemble flat block-diagonal matrix from (matrix, size) pairs."""
     d = sum(size for _, size in blocks)
     out = [0] * (d * d)
@@ -273,7 +273,7 @@ def block_diag(blocks: Sequence[tuple[Mat, int]], q: int) -> tuple[Mat, int]:
             for j in range(size):
                 out[(offset + i) * d + (offset + j)] = mat[i * size + j]
         offset += size
-    return tuple(out), d
+    return tuple(out)
 
 
 # -- subspaces ---------------------------------------------------------------

@@ -128,8 +128,7 @@ def _label_rep(label: Label, q: int) -> Mat:
         for part in lam:
             fm = poly_pow(f, part, q)
             blocks.append((companion_matrix(fm, q), len(fm) - 1))
-    mat, _ = block_diag(blocks, q)
-    return mat
+    return block_diag(blocks)
 
 
 class GLGroup:

@@ -15,6 +15,7 @@ elementary, power-sum, and Schur polynomials.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -157,19 +158,16 @@ def image_e(p: TransferParams, k: int) -> SymPoly:
     """
     if not 1 <= k <= p.n:
         raise ValueError(f"image_e: need 1 <= k <= n = {p.n}, got {k}")
-    out = SymPoly.zero(p.r)
-    for alpha in partitions(k, max_part=p.d):
-        if len(alpha) > p.r:
-            continue
+    terms = {}
+    for alpha in partitions(k, max_part=p.d, max_length=p.r):
         coeff = QScalar(1)
         for part in alpha:
             coeff = coeff * qbinom(p.d, part)
         # v-exponent: sum over the k padded entries of (alpha_i^2 - d)
         vexp = sum(part * part for part in alpha) - p.d * k
         coeff = coeff * QScalar.v_power(vexp)
-        key = alpha + (0,) * (p.r - len(alpha))
-        out = out + SymPoly(p.r, {key: coeff})
-    return out
+        terms[alpha + (0,) * (p.r - len(alpha))] = coeff
+    return SymPoly(p.r, terms)
 
 
 def image_p(p: TransferParams, k: int) -> SymPoly:
@@ -216,10 +214,7 @@ def general_powersum_map(g: GeneralMapParams, i: int) -> QScalar:
     if i < 1:
         raise ValueError("need i >= 1")
     step = i * (g.m // g.s)
-    terms: dict[int, int] = {}
-    for j in range(g.k * g.ell):
-        terms[-2 * j * step] = terms.get(-2 * j * step, 0) + 1
-    return QScalar.from_v_terms(terms)
+    return QScalar.from_v_terms(Counter(-2 * j * step for j in range(g.k * g.ell)))
 
 
 def _rank_of_rows(rows: list[list[QScalar]]) -> int:

@@ -37,8 +37,8 @@ from math import factorial, prod
 from operator import add, mul, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .algebra.partitions import (as_partition, composition_count, partitions,
-                                 sn_class_size, subsets)
+from .algebra.partitions import (as_partition, composition_count, dominant,
+                                 partitions, sn_class_size, subsets)
 
 __all__ = [
     "Perm",
@@ -107,7 +107,7 @@ def cycle_type(w: Perm) -> tuple[int, ...]:
                 j = w[j] - 1
                 length += 1
             lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
+    return dominant(lengths)
 
 
 def inversions(w: Perm) -> int:
@@ -126,7 +126,7 @@ def block_composition(I: Iterable[int], d: int) -> tuple[int, ...]:
     """Composition of d cut by the complement of I in {1, .., d-1}."""
     I = frozenset(I)
     if I and (min(I) < 1 or max(I) >= d):
-        raise ValueError(f"I must be a subset of 1..{d - 1}")
+        raise ValueError(f"{sorted(I)} is not a subset of 1..{d - 1}")
     cuts = [0, *itertools.filterfalse(I.__contains__, range(1, d)), d]
     return tuple(map(sub, cuts[1:], cuts))
 
@@ -172,11 +172,10 @@ def composition_class_counts(comp: Sequence[int]) -> dict[tuple[int, ...], int]:
     counting ``YoungSubgroup(sum(comp), comp).elements()`` by type."""
     counts: dict[tuple[int, ...], int] = {(): 1}
     for part in comp:
-        merged: dict[tuple[int, ...], int] = {}
+        merged = Counter()
         for rho, count in counts.items():
             for sigma in partitions(part):
-                key = tuple(sorted(rho + sigma, reverse=True))
-                merged[key] = merged.get(key, 0) + count * sn_class_size(sigma)
+                merged[dominant(rho + sigma)] += count * sn_class_size(sigma)
         counts = merged
     return counts
 
@@ -194,7 +193,10 @@ class SdClassFunction:
             raise ValueError("values must be keyed by all partitions of d")
 
     def __call__(self, rho: Sequence[int]) -> Fraction:
-        return self.values[as_partition(rho)]
+        rho = as_partition(rho)
+        if sum(rho) != self.d:
+            raise ValueError(f"{rho} is not a partition of {self.d}")
+        return self.values[rho]
 
 
 def _ep_coefficient(blocks: int) -> Fraction:

@@ -1,4 +1,5 @@
 import itertools
+import time
 from math import factorial
 
 import pytest
@@ -21,6 +22,9 @@ from qtransfer.algebra import (
 )
 
 PARTITION_COUNTS = {1: 1, 2: 2, 3: 3, 4: 5, 5: 7, 6: 11, 7: 15, 8: 22}
+
+# every shape mu with |mu| <= 6, the empty one included, and entries up to n <= 6
+SSYT_CASES = [(mu, n) for n in range(1, 7) for size in range(7) for mu in partitions(size)]
 
 
 def test_partition_counts():
@@ -94,20 +98,33 @@ def test_ssyt_counts_match_weyl_dimension():
                 den *= j - i
         return num // den
 
-    for n in (2, 3, 4):
-        for mu in [(1,), (2,), (1, 1), (2, 1), (3,), (2, 2)]:
-            if len(mu) > n:
-                continue
-            assert len(list(ssyt_tableaux(mu, n))) == dim(mu, n)
+    for mu, n in SSYT_CASES:
+        expected = dim(mu, n) if len(mu) <= n else 0
+        assert len(list(ssyt_tableaux(mu, n))) == expected, (mu, n)
 
 
 def test_ssyt_rules():
-    for tab in ssyt_tableaux((2, 1), 3):
-        (a, b), (c,) = tab
-        assert a <= b and a < c
+    for mu, n in SSYT_CASES:
+        tabs = list(ssyt_tableaux(mu, n))
+        assert len(set(tabs)) == len(tabs), (mu, n)
+        for tab in tabs:
+            assert tuple(map(len, tab)) == mu
+            assert all(1 <= x <= n for row in tab for x in row)
+            assert all(list(row) == sorted(row) for row in tab), tab
+            assert all(above[j] < row[j] for above, row in zip(tab, tab[1:])
+                       for j in range(len(row))), tab
     assert sum(ssyt_weight(((1, 2), (2,)), 3)) == 3
     # more rows than entries: no tableau
     assert list(ssyt_tableaux((1, 1, 1), 2)) == []
+
+
+def test_ssyt_tableaux_are_generated_lazily():
+    # shape (4, 4) has 2.8 billion tableaux with entries up to 40: an eager
+    # list would build all of them before returning the first
+    started = time.perf_counter()
+    first = next(ssyt_tableaux((4, 4), 40))
+    assert time.perf_counter() - started < 0.5
+    assert first == ((1, 1, 1, 1), (2, 2, 2, 2))
 
 
 def test_render_parse_roundtrip():

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -45,6 +46,16 @@ def test_block_composition():
     assert block_composition(frozenset({1, 2, 3}), 4) == (4,)
     assert block_composition(frozenset({1}), 3) == (2, 1)
     assert block_composition(frozenset({2}), 3) == (1, 2)
+
+
+def test_block_composition_names_the_set_passed_in():
+    # M and I both reach block_composition; the message names the set given
+    with pytest.raises(ValueError, match=r"^\[5\] is not a subset of 1\.\.2$"):
+        proper_levi_vanishing(3, {5})
+    with pytest.raises(ValueError, match=r"^\[5\] is not a subset of 1\.\.2$"):
+        young_subgroup({5}, 3)
+    with pytest.raises(ValueError, match=r"^\[0, 2\] is not a subset of 1\.\.3$"):
+        block_composition({0, 2}, 4)
 
 
 def test_young_subgroup_structure():
@@ -114,6 +125,17 @@ def f_g_table_by_subsets(d):
         for rho, count in composition_class_counts(lam).items():
             totals[rho] += weight * count
     return {rho: d * totals[rho] for rho in partitions(d)}
+
+
+def test_f_g_table_refuses_a_partition_of_another_size():
+    # the table answers with the ValueError of f_g, not a missing key
+    table = f_g_table(3)
+    for rho in ((4,), (2, 2), (1,)):
+        message = re.escape(f"{rho} is not a partition of 3")
+        with pytest.raises(ValueError, match=message):
+            table(rho)
+        with pytest.raises(ValueError, match=message):
+            f_g(3, rho)
 
 
 def test_f_g_table_against_the_subset_sum_to_14():
