@@ -8,6 +8,7 @@ from .partitions import (
     conjugate,
     dominant,
     is_weakly_decreasing,
+    kostka,
     orbit,
     parse_partition,
     partitions,
@@ -40,7 +41,8 @@ __all__ = [
     "QScalar", "PoleError", "ZERO", "ONE", "V", "Q",
     "partitions", "compositions", "composition_count", "conjugate",
     "as_partition", "as_composition", "is_weakly_decreasing", "dominant",
-    "orbit", "z_order", "sn_class_size", "ssyt_tableaux", "ssyt_weight",
+    "orbit", "z_order", "sn_class_size", "kostka", "ssyt_tableaux",
+    "ssyt_weight",
     "render_partition", "parse_partition", "subsets",
     "qint_balanced", "qbinom", "gl_order", "parabolic_order",
     "parahoric_index", "is_prime",

@@ -28,6 +28,7 @@ __all__ = [
     "orbit",
     "z_order",
     "sn_class_size",
+    "kostka",
     "ssyt_tableaux",
     "ssyt_weight",
     "render_partition",
@@ -142,6 +143,37 @@ def z_order(rho: Sequence[int]) -> int:
 def sn_class_size(rho: Sequence[int]) -> int:
     """Size of the conjugacy class of cycle type rho in S_{|rho|}."""
     return factorial(sum(rho)) // z_order(rho)
+
+
+@lru_cache(maxsize=None)
+def kostka(mu: tuple[int, ...], weight: tuple[int, ...]) -> int:
+    """Kostka number K_{mu, weight}: the number of semistandard tableaux of
+    shape mu whose entry i occurs weight[i-1] times (Macdonald I.5-6).
+
+    The largest entry fills a horizontal strip mu/nu of size weight[-1], and
+    what is left is a tableau of shape nu and weight weight[:-1].  So the
+    recursion runs over the partitions nu with mu_1 >= nu_1 >= mu_2 >= nu_2
+    >= ... >= 0 and |mu| - |nu| = weight[-1], memoized on (mu, weight).
+    Both arguments are tuples: mu a partition, weight non-negative.
+    """
+    if len(mu) > len(weight):
+        return 0  # first column cannot strictly increase
+    if not weight:
+        return 1
+    rest, strip = weight[:-1], weight[-1]
+
+    def inner(i: int, left: int) -> Iterator[tuple[int, ...]]:
+        # rows i, i+1, .. of nu, taking `left` more boxes off mu
+        if i == len(mu):
+            if left == 0:
+                yield ()
+            return
+        floor = mu[i + 1] if i + 1 < len(mu) else 0
+        for take in range(min(left, mu[i] - floor) + 1):
+            for tail in inner(i + 1, left - take):
+                yield (mu[i] - take, *tail)
+
+    return sum(kostka(tuple(p for p in nu if p), rest) for nu in inner(0, strip))
 
 
 def ssyt_tableaux(shape: Sequence[int], max_entry: int

@@ -2,13 +2,13 @@
 
 A :class:`SymPoly` stores only dominant (weakly decreasing) exponent
 vectors; the represented polynomial is the sum over each key's full
-S_n-orbit.  Multiplication expands orbits on demand -- correctness over
-speed, which is fine at desk scale (n <= 8, low degree).
+S_n-orbit.  Multiplication expands orbits on demand and keeps only the
+dominant products; the named polynomials below are built on dominant keys
+directly, Schur polynomials from Kostka numbers.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -16,10 +16,9 @@ from .partitions import (
     as_partition,
     dominant,
     is_weakly_decreasing,
+    kostka,
     orbit,
     partitions,
-    ssyt_tableaux,
-    ssyt_weight,
 )
 from .scalars import ZERO, Coeffish, QScalar, as_qscalar
 
@@ -220,17 +219,23 @@ def powersum(n: int, k: int) -> SymPoly:
 
 
 def schur(n: int, mu: Sequence[int]) -> SymPoly:
-    """Schur polynomial s_mu in n variables, from SSYT enumeration.
+    """Schur polynomial s_mu in n variables: the sum of K_{mu lam} m_lam
+    over the partitions lam of |mu| with at most n parts (Macdonald I.(5.12)).
 
+    Only lam dominated by mu can have K_{mu lam} != 0, so lam_1 <= mu_1.
     With more than n parts there is no column-strict filling and the zero
-    polynomial is returned.
+    polynomial is returned.  ``tests/tableau_oracle.py`` keeps the sum over
+    semistandard tableaux as the oracle.
     """
     mu = as_partition(mu) if mu else ()
     if len(mu) > n:
         return SymPoly.zero(n)
-    counts = Counter(ssyt_weight(tab, n) for tab in ssyt_tableaux(mu, n))
-    # the weight multiset of SSYT is S_n-stable; from_expansion re-checks it
-    return SymPoly.from_expansion(n, {w: QScalar(c) for w, c in counts.items()})
+    terms = {}
+    for lam in partitions(sum(mu), max_part=mu[0] if mu else 0, max_length=n):
+        count = kostka(mu, lam)
+        if count:
+            terms[lam + (0,) * (n - len(lam))] = QScalar(count)
+    return SymPoly(n, terms)
 
 
 def complete_homogeneous(n: int, k: int) -> SymPoly:

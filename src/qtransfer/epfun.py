@@ -88,6 +88,17 @@ class ParahoricCombo:
                 clean[lam] = c
         self.terms = clean
 
+    @classmethod
+    def _from_checked(cls, n: int, basis: str,
+                      terms: Mapping[tuple[int, ...], QScalar]) -> "ParahoricCombo":
+        """A combo on keys already known to be partitions of n, with QScalar
+        coefficients, such as the keys of existing combos; only the zero
+        coefficients are dropped."""
+        out = cls.__new__(cls)
+        out.n, out.basis = n, basis
+        out.terms = {key: c for key, c in terms.items() if not c.is_zero()}
+        return out
+
     def _check(self, other: "ParahoricCombo") -> None:
         if self.n != other.n or self.basis != other.basis:
             raise ValueError("combos have mismatched n or basis")
@@ -97,15 +108,15 @@ class ParahoricCombo:
         out = dict(self.terms)
         for key, c in other.terms.items():
             out[key] = out.get(key, ZERO) + c
-        return ParahoricCombo(self.n, self.basis, out)
+        return ParahoricCombo._from_checked(self.n, self.basis, out)
 
     def __sub__(self, other: "ParahoricCombo") -> "ParahoricCombo":
         return self + other.scale(-1)
 
     def scale(self, c: Coeffish) -> "ParahoricCombo":
         c = as_qscalar(c)
-        return ParahoricCombo(self.n, self.basis,
-                              {k: c * v for k, v in self.terms.items()})
+        return ParahoricCombo._from_checked(self.n, self.basis,
+                                            {k: c * v for k, v in self.terms.items()})
 
     def tensor(self, other: "ParahoricCombo") -> "ParahoricCombo":
         """Concatenation product: types merge as partitions of n1 + n2,
@@ -119,7 +130,7 @@ class ParahoricCombo:
                 c = c1 * c2
                 acc = out.get(key)
                 out[key] = c if acc is None else acc + c
-        return ParahoricCombo(self.n + other.n, "e", out)
+        return ParahoricCombo._from_checked(self.n + other.n, "e", out)
 
     def coefficient(self, lam: Sequence[int]) -> QScalar:
         return self.terms.get(as_partition(lam), ZERO)
@@ -216,19 +227,15 @@ def to_one_basis(x: ParahoricCombo) -> ParahoricCombo:
     e_J = [K:J] 1_J, so each coefficient picks up the symbolic index."""
     if x.basis != "e":
         raise ValueError("expected an e-basis combo")
-    return ParahoricCombo(
-        x.n, "one",
-        {k: c * parahoric_index(k) for k, c in x.terms.items()},
-    )
+    return ParahoricCombo._from_checked(
+        x.n, "one", {k: c * parahoric_index(k) for k, c in x.terms.items()})
 
 
 def to_e_basis(x: ParahoricCombo) -> ParahoricCombo:
     if x.basis != "one":
         raise ValueError("expected a one-basis combo")
-    return ParahoricCombo(
-        x.n, "e",
-        {k: c / parahoric_index(k) for k, c in x.terms.items()},
-    )
+    return ParahoricCombo._from_checked(
+        x.n, "e", {k: c / parahoric_index(k) for k, c in x.terms.items()})
 
 
 def shadow(x: ParahoricCombo, q: int) -> ClassFunction:

@@ -10,22 +10,20 @@ stored in v-units, i.e. doubled q-exponents).  Equivalently it is the
 substitution z_{(k-1)d+j} <- v**(d+1-2j) * t_k.  Both realizations are
 implemented -- the monomial map as the main path, the substitution as an
 independent oracle -- together with the closed forms of the images of
-elementary, power-sum, and Schur polynomials.
+elementary, complete homogeneous and power-sum polynomials.  The map is a
+ring homomorphism, so the image of a Schur polynomial is the Jacobi-Trudi
+determinant of the images of the h_k (or its dual in the e_k); no tableau
+is walked.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .algebra.partitions import (
-    as_partition,
-    orbit,
-    partitions,
-    ssyt_tableaux,
-    ssyt_weight,
-)
+from .algebra.partitions import as_partition, conjugate, orbit, partitions
 from .algebra.qcount import qbinom, qint_balanced
 from .algebra.scalars import QScalar
 from .algebra.sympoly import SymPoly, powersum
@@ -37,6 +35,7 @@ __all__ = [
     "transfer_sym",
     "substitution_image",
     "image_e",
+    "image_h",
     "image_p",
     "image_schur",
     "modulus_exponent",
@@ -170,6 +169,31 @@ def image_e(p: TransferParams, k: int) -> SymPoly:
     return SymPoly(p.r, terms)
 
 
+def image_h(p: TransferParams, k: int) -> SymPoly:
+    """Closed form of the image of the complete homogeneous h_k:
+
+        sum over partitions alpha of k with at most r parts of
+        prod_i h_{alpha_i}(X) * m_alpha,
+
+    since h_k of all n variables is the sum over the splittings of k among
+    the r blocks of the product of h of each block.  X is one block of the
+    substitution, (v^(d-1), v^(d-3), .., v^(1-d)), at which h_b is the
+    principal specialisation v^(-b(d-1)) [d+b-1 choose b]_q.
+    h_0 = 1 and h_k = 0 for k < 0.
+    """
+    if k < 0:
+        return SymPoly.zero(p.r)
+    h_at_x = [QScalar.v_power(-b * (p.d - 1)) * qbinom(p.d + b - 1, b)
+              for b in range(k + 1)]
+    terms = {}
+    for alpha in partitions(k, max_length=p.r):
+        coeff = QScalar(1)
+        for part in alpha:
+            coeff = coeff * h_at_x[part]
+        terms[alpha + (0,) * (p.r - len(alpha))] = coeff
+    return SymPoly(p.r, terms)
+
+
 def image_p(p: TransferParams, k: int) -> SymPoly:
     """Closed form of the image of p_k: the balanced q-integer times p_k."""
     if k < 1:
@@ -178,18 +202,51 @@ def image_p(p: TransferParams, k: int) -> SymPoly:
 
 
 def image_schur(p: TransferParams, mu: Sequence[int]) -> SymPoly:
-    """Image of the Schur polynomial s_mu via SSYT enumeration.
+    """Image of the Schur polynomial s_mu by Jacobi-Trudi in the image.
 
-    Every tableau of shape mu with entries in 1..n contributes the transfer
-    of its weight monomial.
+    s_mu = det(h_{mu_i - i + j}) and, over the conjugate mu',
+    s_mu = det(e_{mu'_i - i + j}) (Macdonald I.(3.4), (3.5)); the transfer
+    is a ring homomorphism, so it maps either determinant to the same
+    determinant of ``image_h`` or ``image_e``.  The dual form is taken
+    unless mu has fewer rows than columns: the images of the e_k have fewer
+    terms.  With more than n parts s_mu is zero.  No division occurs.
+    ``transfer_sym(p, schur(p.n, mu))`` stays the oracle, and
+    ``tests/tableau_oracle.py`` keeps the sum over semistandard tableaux.
     """
     mu = as_partition(mu) if mu else ()
     if len(mu) > p.n:
         return SymPoly.zero(p.r)
-    weights = (ssyt_weight(tab, p.n) for tab in ssyt_tableaux(mu, p.n))
-    return SymPoly.from_expansion(p.r, {
-        b: QScalar.from_v_terms(hits)
-        for b, hits in _v_exponent_counts(p, weights).items()})
+    dual = len(mu) >= (mu[0] if mu else 0)
+    rows = conjugate(mu) if dual else mu
+    minors = {(): SymPoly(p.r, {(0,) * p.r: QScalar(1)})}
+
+    def minor(cols: tuple[int, ...]) -> SymPoly:
+        # Laplace expansion along row i, the first row not yet expanded;
+        # a minor depends only on the columns left, so it is memoized on them
+        if cols not in minors:
+            i = len(rows) - len(cols)
+            total = SymPoly.zero(p.r)
+            for pos, j in enumerate(cols):
+                k = rows[i] - i + j
+                entry = _jacobi_trudi_entry(p, k, dual)
+                if entry is None:
+                    continue
+                rest = minor(cols[:pos] + cols[pos + 1:])
+                term = rest if k == 0 else entry * rest
+                total = total - term if pos % 2 else total + term
+            minors[cols] = total
+        return minors[cols]
+
+    return minor(tuple(range(len(rows))))
+
+
+@lru_cache(maxsize=None)
+def _jacobi_trudi_entry(p: TransferParams, k: int, dual: bool) -> SymPoly | None:
+    """The image of e_k (dual) or h_k, memoized: every shape of one p reads
+    the same few.  None for the zero entries: k < 0, and e_k for k > n."""
+    if k < 0 or dual and k > p.n:
+        return None
+    return image_e(p, k) if dual and k else image_h(p, k)
 
 
 def modulus_exponent(p: TransferParams, a: Sequence[int], b: Sequence[int]) -> int:
