@@ -77,7 +77,9 @@ def compositions(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def composition_count(lam: Sequence[int]) -> int:
-    """Number of compositions whose multiset of parts is the partition lam."""
+    """Number of distinct orderings of any multiset lam: the compositions with
+    the parts of a partition, or the S_n-orbit size of an exponent vector,
+    zeros and negative entries included."""
     return factorial(len(lam)) // prod(map(factorial, Counter(lam).values()))
 
 
@@ -116,8 +118,8 @@ def orbit(key: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     order: a next-permutation walk over the sorted multiset emits each one
     once.
 
-    Memoized: orbit expansion dominates SymPoly arithmetic, and the same
-    dominant keys recur constantly.
+    Memoized: SymPoly products and transfer_sym walk the orbits of the same
+    dominant keys again and again.
     """
     perm = sorted(key)
     out = [tuple(perm)]

@@ -2,18 +2,23 @@
 
 A :class:`SymPoly` stores only dominant (weakly decreasing) exponent
 vectors; the represented polynomial is the sum over each key's full
-S_n-orbit.  Multiplication expands orbits on demand and keeps only the
-dominant products; the named polynomials below are built on dominant keys
+S_n-orbit.  Multiplication stays on dominant keys too: a product of two
+monomial functions walks the orbit of one factor only, and orbit sizes are
+multinomials.  The named polynomials below are built on dominant keys
 directly, Schur polynomials from Kostka numbers.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from typing import Mapping, Sequence
+from math import prod
+from operator import add
+from typing import Iterator, Mapping, Sequence
 
 from .partitions import (
     as_partition,
+    composition_count,
     dominant,
     is_weakly_decreasing,
     kostka,
@@ -29,12 +34,13 @@ __all__ = [
     "powersum",
     "schur",
     "complete_homogeneous",
+    "multiplicative_sum",
 ]
 
 class SymPoly:
     """An S_n-invariant Laurent polynomial, keyed by dominant exponent vectors."""
 
-    __slots__ = ("nvars", "terms", "_expansion")
+    __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], Coeffish] = ()):
         if nvars < 1:
@@ -51,7 +57,6 @@ class SymPoly:
             if not c.is_zero():
                 clean[key] = c
         self.terms = clean
-        self._expansion: dict[tuple[int, ...], QScalar] | None = None
 
     # -- constructors ----------------------------------------------------
 
@@ -76,8 +81,7 @@ class SymPoly:
             groups.setdefault(dominant(key), {})[tuple(key)] = c
         terms = {}
         for dom, members in groups.items():
-            orb = orbit(dom)
-            if len(members) != len(orb):
+            if len(members) != composition_count(dom):
                 raise ValueError(f"expansion is not symmetric at orbit of {dom}")
             vals = set(members.values())
             if len(vals) != 1:
@@ -107,15 +111,13 @@ class SymPoly:
     def __mul__(self, other):
         if isinstance(other, SymPoly):
             self._check_compatible(other)
-            prod: dict[tuple[int, ...], QScalar] = {}
-            for u, cu in self.expand().items():
-                for w, cw in other.expand().items():
-                    key = tuple(x + y for x, y in zip(u, w))
-                    # only dominant representatives are recorded; the rest of
-                    # each orbit is implied by symmetry of the product
-                    if is_weakly_decreasing(key):
-                        prod[key] = prod.get(key, ZERO) + cu * cw
-            return SymPoly(self.nvars, prod)
+            out: dict[tuple[int, ...], QScalar] = {}
+            for a, ca in self.terms.items():
+                for b, cb in other.terms.items():
+                    cab = ca * cb
+                    for lam, k in _monomial_product(a, b):
+                        out[lam] = out.get(lam, ZERO) + (cab if k == 1 else cab * k)
+            return SymPoly(self.nvars, out)
         if isinstance(other, (QScalar, int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -151,14 +153,8 @@ class SymPoly:
     # -- expansion and evaluation -----------------------------------------
 
     def expand(self) -> dict[tuple[int, ...], QScalar]:
-        """Full monomial expansion over all orbit members (cached)."""
-        if self._expansion is None:
-            full: dict[tuple[int, ...], QScalar] = {}
-            for key, c in self.terms.items():
-                for mono in orbit(key):
-                    full[mono] = c
-            self._expansion = full
-        return self._expansion
+        """Full monomial expansion over all orbit members, built afresh."""
+        return {mono: c for key, c in self.terms.items() for mono in orbit(key)}
 
     def evaluate(self, point: Sequence[Coeffish]) -> QScalar:
         """Substitute QScalar values for the variables and sum."""
@@ -192,6 +188,24 @@ class SymPoly:
         return f"SymPoly({self.nvars}, {self})"
 
 
+def _monomial_product(a: tuple[int, ...], b: tuple[int, ...]
+                      ) -> Iterator[tuple[tuple[int, ...], int]]:
+    """m_a * m_b as pairs (lam, coefficient of m_lam), walking one orbit.
+
+    m_a * m_b is the sum over w in orbit(b) of |orbit(a)| / |orbit(lam)| *
+    m_lam with lam = sort(a + w).  Each coefficient is an integer, and a
+    remainder is refused.  The factors commute, so the smaller orbit is walked.
+    """
+    size_a, size_b = composition_count(a), composition_count(b)
+    if size_b > size_a:
+        a, b, size_a = b, a, size_b
+    for lam, count in Counter(dominant(map(add, a, w)) for w in orbit(b)).items():
+        k, rem = divmod(size_a * count, composition_count(lam))
+        if rem:
+            raise AssertionError(f"m_{a} * m_{b}: non-integral coefficient at {lam}")
+        yield lam, k
+
+
 def monomial_sym(n: int, w: Sequence[int]) -> SymPoly:
     """Monomial symmetric function m_w: the orbit sum of z**w.
 
@@ -208,7 +222,7 @@ def elementary(n: int, k: int) -> SymPoly:
     """Elementary symmetric polynomial e_k in n variables."""
     if not 1 <= k <= n:
         raise ValueError(f"elementary: need 1 <= k <= n, got k={k}, n={n}")
-    return SymPoly(n, {(1,) * k + (0,) * (n - k): QScalar(1)})
+    return multiplicative_sum(n, k, (1, 1))
 
 
 def powersum(n: int, k: int) -> SymPoly:
@@ -242,9 +256,19 @@ def complete_homogeneous(n: int, k: int) -> SymPoly:
     """h_k in n variables: sum of all monomials of degree k."""
     if k < 0:
         raise ValueError("complete_homogeneous: need k >= 0")
-    if k == 0:
-        return SymPoly(n, {(0,) * n: QScalar(1)})
-    terms = {}
-    for lam in partitions(k, max_length=n):
-        terms[lam + (0,) * (n - len(lam))] = QScalar(1)
-    return SymPoly(n, terms)
+    return multiplicative_sum(n, k, (1,) * (k + 1))
+
+
+def multiplicative_sum(n: int, k: int, c: Sequence[Coeffish]) -> SymPoly:
+    """The degree-k part of prod_{i=1}^{n} (1 + sum_{b>=1} c[b] z_i**b):
+
+        sum over partitions alpha of k with at most n parts of
+        prod_i c[alpha_i] * m_alpha.
+
+    This serves any family that is multiplicative over the variables, or
+    over the blocks of variables they stand for: e_k has c = (1, 1) and h_k
+    has c all ones.  c[0] is never read; parts b >= len(c) have no entry in
+    c and drop out.
+    """
+    return SymPoly(n, {alpha + (0,) * (n - len(alpha)): prod(c[b] for b in alpha)
+                       for alpha in partitions(k, max_part=len(c) - 1, max_length=n)})

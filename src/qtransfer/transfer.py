@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 from .algebra.partitions import as_partition, conjugate, orbit, partitions
 from .algebra.qcount import qbinom, qint_balanced
 from .algebra.scalars import QScalar
-from .algebra.sympoly import SymPoly, powersum
+from .algebra.sympoly import SymPoly, multiplicative_sum, powersum
 
 __all__ = [
     "TransferParams",
@@ -147,51 +147,24 @@ def substitution_image(p: TransferParams, f: SymPoly) -> SymPoly:
 
 
 def image_e(p: TransferParams, k: int) -> SymPoly:
-    """Closed form of the image of e_k: a q-binomial-weighted sum of
-    monomial functions over partitions of k.
-
-    Each partition alpha is padded with zeros to exactly k entries; the
-    exponent sum_{i=1}^{k} (alpha_i**2 - d)/2 runs over all k entries,
-    zeros included.  Parts larger than d contribute a vanishing q-binomial
-    and are skipped; monomial functions with more than r parts are zero.
-    """
+    """Closed form of the image of e_k: ``multiplicative_sum`` over the r
+    blocks, where e_b of one block of the substitution is
+    v^(b^2 - db) [d choose b]_q for b <= d."""
     if not 1 <= k <= p.n:
         raise ValueError(f"image_e: need 1 <= k <= n = {p.n}, got {k}")
-    terms = {}
-    for alpha in partitions(k, max_part=p.d, max_length=p.r):
-        coeff = QScalar(1)
-        for part in alpha:
-            coeff = coeff * qbinom(p.d, part)
-        # v-exponent: sum over the k padded entries of (alpha_i^2 - d)
-        vexp = sum(part * part for part in alpha) - p.d * k
-        coeff = coeff * QScalar.v_power(vexp)
-        terms[alpha + (0,) * (p.r - len(alpha))] = coeff
-    return SymPoly(p.r, terms)
+    block = [QScalar.v_power(b * b - p.d * b) * qbinom(p.d, b)
+             for b in range(min(p.d, k) + 1)]
+    return multiplicative_sum(p.r, k, block)
 
 
 def image_h(p: TransferParams, k: int) -> SymPoly:
-    """Closed form of the image of the complete homogeneous h_k:
-
-        sum over partitions alpha of k with at most r parts of
-        prod_i h_{alpha_i}(X) * m_alpha,
-
-    since h_k of all n variables is the sum over the splittings of k among
-    the r blocks of the product of h of each block.  X is one block of the
-    substitution, (v^(d-1), v^(d-3), .., v^(1-d)), at which h_b is the
-    principal specialisation v^(-b(d-1)) [d+b-1 choose b]_q.
-    h_0 = 1 and h_k = 0 for k < 0.
-    """
+    """Closed form of the image of h_k: ``multiplicative_sum`` over the r
+    blocks, where h_b of one block of the substitution is
+    v^(-b(d-1)) [d+b-1 choose b]_q.  h_k = 0 for k < 0."""
     if k < 0:
         return SymPoly.zero(p.r)
-    h_at_x = [QScalar.v_power(-b * (p.d - 1)) * qbinom(p.d + b - 1, b)
-              for b in range(k + 1)]
-    terms = {}
-    for alpha in partitions(k, max_length=p.r):
-        coeff = QScalar(1)
-        for part in alpha:
-            coeff = coeff * h_at_x[part]
-        terms[alpha + (0,) * (p.r - len(alpha))] = coeff
-    return SymPoly(p.r, terms)
+    block = [QScalar.v_power(-b * (p.d - 1)) * qbinom(p.d + b - 1, b) for b in range(k + 1)]
+    return multiplicative_sum(p.r, k, block)
 
 
 def image_p(p: TransferParams, k: int) -> SymPoly:

@@ -84,6 +84,7 @@ def test_orbit_matches_permutation_set():
                 perms = orbit(key)
                 assert len(perms) == len(set(perms))
                 assert set(perms) == set(itertools.permutations(key))
+                assert composition_count(key) == len(perms)
 
 
 def test_ssyt_counts_match_weyl_dimension():

@@ -1,9 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qtransfer.algebra import (
+    ONE,
     QScalar,
     SymPoly,
     V,
@@ -13,6 +14,8 @@ from qtransfer.algebra import (
     powersum,
     schur,
 )
+from qtransfer.algebra import sympoly
+from product_oracle import product_by_expansion
 
 
 @st.composite
@@ -24,6 +27,28 @@ def sympolys(draw, nvars=3, max_terms=3):
         terms[key] = QScalar(draw(st.fractions(min_value=-5, max_value=5,
                                                max_denominator=4)))
     return SymPoly(nvars, terms)
+
+
+# signs for cancellation, and quotients that are not Laurent polynomials
+COEFFS = [ONE, -ONE, V, -V ** -1, 2 / (V + 1), -2 / (V + 1), (V - 1) / (V ** 2 + 1)]
+
+
+@st.composite
+def product_pairs(draw):
+    """Two SymPolys in n <= 6 variables on keys from a few values, so that
+    entries repeat and go negative and each orbit stays small."""
+    n = draw(st.integers(1, 6))
+    values = draw(st.lists(st.integers(-2, 3), min_size=1, max_size=3, unique=True))
+
+    def poly():
+        terms = {}
+        for _ in range(draw(st.integers(0, 2))):
+            key = tuple(sorted(draw(st.lists(st.sampled_from(values),
+                                             min_size=n, max_size=n)), reverse=True))
+            terms[key] = draw(st.sampled_from(COEFFS))
+        return SymPoly(n, terms)
+
+    return poly(), poly()
 
 
 def test_constructor_validation():
@@ -115,6 +140,27 @@ def test_ring_axioms(f, g, h):
     assert f * g == g * f
     assert (f * g) * h == f * (g * h)
     assert f * (g + h) == f * g + f * h
+
+
+@settings(max_examples=60, deadline=None)
+@given(product_pairs())
+# (m_1 + 1)(m_1 - 1) = m_1^2 - 1: the m_1 terms cancel
+@example((monomial_sym(2, (1,)) + monomial_sym(2, ()),
+          monomial_sym(2, (1,)) - monomial_sym(2, ())))
+def test_product_matches_double_expansion(pair):
+    f, g = pair
+    assert f * g == product_by_expansion(f, g)
+
+
+def test_wrong_orbit_size_is_refused(monkeypatch):
+    # m_(1,0,0)^2 = m_(2,0,0) + 2 m_(1,1,0); with |orbit(1,1,0)| read as 4
+    # the coefficient 3 * 2 / 4 is not an integer
+    count = sympoly.composition_count
+    monkeypatch.setattr(sympoly, "composition_count",
+                        lambda key: count(key) + (key == (1, 1, 0)))
+    f = monomial_sym(3, (1,))
+    with pytest.raises(AssertionError, match="non-integral"):
+        f * f
 
 
 @settings(max_examples=30, deadline=None)

@@ -7,6 +7,7 @@ from qtransfer.algebra import (
     QScalar,
     SymPoly,
     V,
+    complete_homogeneous,
     elementary,
     monomial_sym,
     partitions,
@@ -19,6 +20,7 @@ from qtransfer.transfer import (
     TransferParams,
     general_powersum_map,
     image_e,
+    image_h,
     image_p,
     image_schur,
     modulus_exponent,
@@ -27,6 +29,7 @@ from qtransfer.transfer import (
     surjectivity_witness,
     transfer_sym,
 )
+from product_oracle import product_by_expansion
 
 
 def all_params(nmax):
@@ -86,6 +89,25 @@ def test_image_schur_examples():
     for k in range(1, 5):
         assert image_schur(p, (k,)) == monomial_sym(1, (k,)).scale(
             qint_balanced(k + 1, 1))
+
+
+def test_no_production_path_expands_orbits(monkeypatch):
+    # only evaluate and the substitution oracle may expand a SymPoly
+    p = TransferParams(r=2, d=2)
+    f = monomial_sym(p.n, (2, 1, -1)) + elementary(p.n, 2).scale(V)
+    cube = product_by_expansion(product_by_expansion(f, f), f)
+
+    def refuse(self):
+        raise AssertionError("SymPoly.expand called")
+
+    monkeypatch.setattr(SymPoly, "expand", refuse)
+    assert f ** 3 == cube
+    for k in range(1, p.n + 1):
+        assert image_e(p, k) == transfer_sym(p, elementary(p.n, k))
+        assert image_h(p, k) == transfer_sym(p, complete_homogeneous(p.n, k))
+    for mu in ((2, 1), (1, 1, 1), (3, 1), (2, 2, 1)):
+        assert image_schur(p, mu) == transfer_sym(p, schur(p.n, mu))
+    assert surjectivity_witness(p, 4)["ok"]
 
 
 def test_oracle_equivalence_moderate():
