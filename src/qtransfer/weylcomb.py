@@ -13,15 +13,18 @@ double coset is the Young subgroup W_J given by Kilmoyer's lemma
 (W_M cap w W_I w^-1 = W_J for minimal w; Geck-Pfeiffer, Characters of
 Finite Coxeter Groups and Iwahori-Hecke Algebras, 2.1-2.2); double-coset
 representatives are built one per integer matrix with the block sizes as
-margins, never by scanning S_d; the Euler-Poincare sum over the subsets I
-collapses onto partitions (``ep_weights``).  The brute-force enumerations
-these replace stay as oracles (``YoungSubgroup.elements``,
+margins, never by scanning S_d, from column steps kept in one table for
+the current composition of M and shared by every I against it; each
+Young subgroup is built once per (I, d); the Euler-Poincare sum over the
+subsets I collapses onto partitions (``ep_weights``).  The brute-force
+enumerations these replace stay as oracles (``YoungSubgroup.elements``,
 ``support_by_enumeration``, and in the tests the descent-rule scan of S_d
 and the subset sums) that the tests and ``verify`` compare against.
 
 Each enumeration refuses, before it starts, when its own size exceeds
 ENUM_LIMIT = 8! elements: ``all_perms`` on d!, ``YoungSubgroup.elements`` on
-|W_I| and ``min_double_coset_reps`` on the number of double cosets;
+|W_I| and ``min_double_coset_reps`` on the number of double cosets and
+on the steps of one column block (a refusal drops the step table);
 ``f_g_table`` refuses once the terms it has summed exceed it.  Nothing
 subsamples, and the limit has no override.
 """
@@ -145,7 +148,7 @@ class YoungSubgroup:
         starts = itertools.accumulate(self.composition, initial=1)
         return tuple((lo, lo + part - 1) for lo, part in zip(starts, self.composition))
 
-    @property
+    @cached_property
     def order(self) -> int:
         return prod(map(factorial, self.composition))
 
@@ -161,7 +164,13 @@ class YoungSubgroup:
 
 
 def young_subgroup(I: Iterable[int], d: int) -> YoungSubgroup:
-    """The Young subgroup W_I attached to I by the complement rule."""
+    """The Young subgroup W_I attached to I by the complement rule, one
+    shared object per (I, d)."""
+    return _young_subgroup(frozenset(I), d)
+
+
+@lru_cache(maxsize=None)
+def _young_subgroup(I: frozenset, d: int) -> YoungSubgroup:
     return YoungSubgroup(d, block_composition(I, d))
 
 
@@ -266,11 +275,18 @@ def one_adic_ep(d: int) -> dict[Perm, Fraction]:
 
 def orbital_sum(f: Mapping[Perm, Fraction], g: Perm) -> Fraction:
     """O_g(f) = sum over v in S_d of f(v^-1 g v), for a mapping f on all of
-    S_d such as the 1-adic EP function."""
-    total = Fraction(0)
-    for v in all_perms(len(g)):
-        total += f[perm_mul(perm_inv(v), perm_mul(g, v))]
-    return total
+    S_d such as the 1-adic EP function.  Summed over u = v^-1 instead:
+    u g u^-1 sends u(i) to u(g(i)), so it is u o g with its positions
+    relabelled by u, one pass with no inverse.  The conjugates are tallied
+    first, so f is read and multiplied once per distinct conjugate."""
+    d = len(g)
+    conjugates = Counter()
+    for u in all_perms(d):
+        conj = [0] * d
+        for ui, ugi in zip(u, perm_mul(u, g)):
+            conj[ui - 1] = ugi
+        conjugates[tuple(conj)] += 1
+    return sum((f[w] * n for w, n in conjugates.items()), Fraction(0))
 
 
 # -- double cosets ---------------------------------------------------------
@@ -307,9 +323,12 @@ def min_double_coset_reps(M: Iterable[int], I: Iterable[int], d: int) -> list[Pe
     scan S_d with it as the oracle.  By Kilmoyer's lemma
     |W_M w W_I| = |W_M| |W_I| / |W_J(w)| with J(w) the support set of
     ``restriction_support``, and these sizes must sum to d!; a failure of
-    that invariant raises.  Results are cached per (M, I, d).  Refuses,
-    before building any, when the number of double cosets (of matrices)
-    exceeds ENUM_LIMIT; d! itself is not a bound.
+    that invariant raises.  Results are cached per (M, I, d).  A column
+    block's steps depend only on alpha, the row sums still to fill and the
+    block's size, so the I against one M share them through one step table
+    for the current alpha (``_step_table``), which the next M's alpha
+    replaces.  Refuses, before building any, when the number of double
+    cosets (of matrices) exceeds ENUM_LIMIT; d! itself is not a bound.
     """
     return list(_min_double_coset_reps_cached(frozenset(M), frozenset(I), d))
 
@@ -342,44 +361,59 @@ def _steps(alpha: tuple[int, ...], stops: tuple[int, ...], left: tuple[int, ...]
             for column in columns]
 
 
+@lru_cache(maxsize=1)
+def _step_table(alpha: tuple[int, ...]) -> dict[tuple[tuple[int, ...], int], list]:
+    """The steps of the walks with row sums alpha, keyed by (left, size) and
+    filled on demand by ``_column_steps``.  A step depends on alpha, left and
+    the column, not on the other column sums, so every I against one M
+    shares them; one alpha is kept at a time, since the callers take the
+    I for one M in a row and keeping every alpha would grow with all the
+    compositions seen."""
+    return {}
+
+
 def _column_steps(what: str, alpha: tuple[int, ...], beta: tuple[int, ...]
-                  ) -> tuple[int, list[dict[tuple[int, ...], list]]]:
-    """The number of matrices with row sums alpha and column sums beta, and
-    per column block the steps from each vector of row sums left that a
-    walk reaches.  Each step starts a distinct walk and every walk ends in
-    a matrix, so a block with more than ENUM_LIMIT steps is refused before
-    the count ends."""
+                  ) -> list[dict[tuple[int, ...], list]]:
+    """Per column block of the matrices with row sums alpha and column sums
+    beta, the steps from each vector of row sums left that a walk reaches,
+    read from ``_step_table(alpha)``.  Each step starts a distinct walk and
+    every walk ends in a matrix, so a block with more than ENUM_LIMIT steps
+    is refused before the count of matrices ends, and that count is refused
+    past ENUM_LIMIT before any walk.  A (left, size) whose columns overrun
+    the limit never enters the table, and a refusal drops the table."""
+    table = _step_table(alpha)
     stops = tuple(end + 1 for end in itertools.accumulate(alpha))
     counts = {alpha: 1}
     layers = []
-    for size in beta:
-        layer = {}
-        room = ENUM_LIMIT + 1
-        for left in counts:
-            columns = list(itertools.islice(_splits(left, size), room))
-            room -= len(columns)
-            if not room:
-                raise EnumerationBudgetError(
-                    f"enumerating {what} (more than {ENUM_LIMIT} elements) "
-                    f"exceeds the enumeration limit {ENUM_LIMIT}")
-            layer[left] = _steps(alpha, stops, left, columns)
-        walked: dict[tuple[int, ...], int] = {}
-        for left, n in counts.items():
-            for rest, _, _ in layer[left]:
-                walked[rest] = walked.get(rest, 0) + n
-        layers.append(layer)
-        counts = walked
-    return sum(counts.values()), layers
-
-
-def _young_order(J: frozenset) -> int:
-    # |W_J|: (run + 1)! per maximal run of consecutive elements of J, built
-    # up one factor per element
-    order = run = 1
-    for j in sorted(J):
-        run = run + 1 if j - 1 in J else 2
-        order *= run
-    return order
+    try:
+        for size in beta:
+            layer = {}
+            total = 0
+            for left in counts:
+                steps = table.get((left, size))
+                if steps is None:
+                    columns = list(itertools.islice(_splits(left, size), ENUM_LIMIT + 1))
+                    total += len(columns)
+                    if total <= ENUM_LIMIT:
+                        steps = table[left, size] = _steps(alpha, stops, left, columns)
+                else:
+                    total += len(steps)
+                if total > ENUM_LIMIT:
+                    raise EnumerationBudgetError(
+                        f"enumerating {what} (more than {ENUM_LIMIT} elements) "
+                        f"exceeds the enumeration limit {ENUM_LIMIT}")
+                layer[left] = steps
+            walked: dict[tuple[int, ...], int] = {}
+            for left, n in counts.items():
+                for rest, _, _ in layer[left]:
+                    walked[rest] = walked.get(rest, 0) + n
+            layers.append(layer)
+            counts = walked
+        _refuse_beyond_limit(what, sum(counts.values()))
+    except EnumerationBudgetError:
+        _step_table.cache_clear()
+        raise
+    return layers
 
 
 # one shared tuple per permutation in the cached representatives of all
@@ -390,17 +424,17 @@ _PERMS: dict[Perm, Perm] = {}
 @lru_cache(maxsize=None)
 def _min_double_coset_reps_cached(M: frozenset, I: frozenset, d: int
                                   ) -> tuple[Perm, ...]:
-    alpha, beta = block_composition(M, d), block_composition(I, d)
+    W_M, W_I = young_subgroup(M, d), young_subgroup(I, d)
     what = f"the double cosets W_{sorted(M)} \\ S_{d} / W_{sorted(I)}"
-    count, layers = _column_steps(what, alpha, beta)
-    _refuse_beyond_limit(what, count)
-    walks: list[tuple[int, Perm, tuple[int, ...]]] = [(0, (), alpha)]
+    layers = _column_steps(what, W_M.composition, W_I.composition)
+    walks: list[tuple[int, Perm, tuple[int, ...]]] = [(0, (), W_M.composition)]
     for steps in layers:
         walks = [(length + added, w + values, rest) for length, w, left in walks
                  for rest, added, values in steps[left]]
     reps = [_PERMS.setdefault(w, w) for _, w, _ in sorted(walks)]
-    product = _young_order(M) * _young_order(I)
-    total = sum(product // _young_order(_support(M, I, w)) for w in reps)
+    product = W_M.order * W_I.order
+    supports = Counter(_support(M, I, w) for w in reps)
+    total = sum(n * (product // young_subgroup(J, d).order) for J, n in supports.items())
     if total != factorial(d):
         raise AssertionError(
             f"double cosets of W_{sorted(M)}, W_{sorted(I)} in S_{d} have "
@@ -458,9 +492,12 @@ def proper_levi_vanishing(d: int, M: Iterable[int]) -> dict[frozenset, Fraction]
     for k in range(len(M) + 1):
         for J in itertools.combinations(sorted(M), k):
             sums[frozenset(J)] = Fraction(0)
+    # integer counts per (J, number of blocks of I): the coefficient depends
+    # on I only through its number of blocks
+    tally = Counter()
     for I in subsets(d - 1):
-        coeff = _ep_coefficient(d - len(I))
-        tally = Counter(_support(M, I, w) for w in min_double_coset_reps(M, I, d))
-        for J, count in tally.items():
-            sums[J] += coeff * count
+        blocks = d - len(I)
+        tally.update((_support(M, I, w), blocks) for w in min_double_coset_reps(M, I, d))
+    for (J, blocks), count in tally.items():
+        sums[J] += _ep_coefficient(blocks) * count
     return sums

@@ -70,6 +70,20 @@ def test_young_subgroup_structure():
     assert trivial.composition == (1, 1, 1) and trivial.order == 1
 
 
+def test_young_subgroup_is_built_once_per_set():
+    W = young_subgroup(frozenset({1, 3}), 5)
+    for same in ([3, 1], {1, 3}, frozenset({3, 1}), (i for i in (1, 3))):
+        assert young_subgroup(same, 5) is W
+    assert young_subgroup({1, 3}, 6) is not W
+    assert W.order == 4 and W.order is W.__dict__["order"]
+    # a bad set raises each time, naming the set, and is never cached
+    cached = weylcomb._young_subgroup.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^\[1, 5\] is not a subset of 1\.\.4$"):
+            young_subgroup(iter([5, 1]), 5)
+    assert weylcomb._young_subgroup.cache_info().currsize == cached
+
+
 def test_class_counts():
     # whole group: ordinary class sizes
     from qtransfer.algebra import partitions, sn_class_size
@@ -181,6 +195,15 @@ def test_orbital_sum_identity():
             assert d * orbital_sum(f, g) == z_order(rho) * f_g(d, rho)
 
 
+def test_orbital_sum_against_the_literal_conjugation():
+    # the sum over v of f(v^-1 g v), with both products taken by perm_mul
+    for d in range(1, 5):
+        f = one_adic_ep(d)
+        for g in all_perms(d):
+            literal = sum(f[perm_mul(perm_inv(v), perm_mul(g, v))] for v in all_perms(d))
+            assert orbital_sum(f, g) == literal, g
+
+
 def test_min_double_coset_reps_structure():
     # M or I full, the other empty: reps biject with one-sided cosets
     d = 4
@@ -256,6 +279,22 @@ def test_min_double_coset_reps_match_the_descent_rule_d7_d8(d):
             descent_rule_reps(M, I, d), (d, M, I)
 
 
+def test_min_double_coset_reps_independent_of_table_eviction():
+    # every (M, I) to d = 6 from empty caches, in a seeded order that
+    # interleaves the M, so the one-alpha step table is evicted and rebuilt
+    # between pairs of one M
+    weylcomb._min_double_coset_reps_cached.cache_clear()
+    weylcomb._step_table.cache_clear()
+    weylcomb._young_subgroup.cache_clear()
+    pairs = [(M, I, d) for d in range(1, 7) for M in subsets(d - 1) for I in subsets(d - 1)]
+    random.Random(18).shuffle(pairs)
+    assert len({(M, d) for M, _, d in pairs[:20]}) > 10
+    for M, I, d in pairs:
+        assert tuple(min_double_coset_reps(M, I, d)) == \
+            descent_rule_reps(M, I, d), (d, M, I)
+        assert weylcomb._step_table.cache_info().currsize == 1
+
+
 def test_min_double_coset_reps_checks_the_cardinality_invariant(monkeypatch):
     monkeypatch.setattr(weylcomb, "_support", lambda M, I, w: frozenset())
     weylcomb._min_double_coset_reps_cached.cache_clear()
@@ -299,6 +338,20 @@ def test_proper_levi_vanishing_small():
                 continue
             sums = proper_levi_vanishing(d, M)
             assert all(v == 0 for v in sums.values()), (d, M, sums)
+
+
+def test_proper_levi_vanishing_against_the_sum_per_pair():
+    # one Fraction multiply-add per (I, J), keyed by every J inside M
+    for d in (3, 4, 5):
+        for M in subsets(d - 1):
+            if M == frozenset(range(1, d)):
+                continue
+            expected = {J: Fraction(0) for J in subsets(d - 1) if J <= M}
+            for I in subsets(d - 1):
+                coeff = Fraction((-1) ** (d - 1 - len(I)), d - len(I))
+                for w in min_double_coset_reps(M, I, d):
+                    expected[restriction_support(M, I, w)] += coeff
+            assert proper_levi_vanishing(d, M) == expected, (d, M)
 
 
 def test_proper_levi_vanishing_rejects_full():
@@ -350,6 +403,19 @@ def test_min_double_coset_reps_beyond_d8():
     with pytest.raises(EnumerationBudgetError,
                        match=r"S_16 / W_\[\] \(more than 40320 elements\)"):
         min_double_coset_reps(frozenset(), frozenset(), 16)
+
+
+def test_refused_builds_drop_the_step_table():
+    # a refusal inside a column block and a refusal on the count of
+    # matrices both leave no step table behind, and the next build works
+    weylcomb._min_double_coset_reps_cached.cache_clear()
+    M = frozenset({1, 2, 3, 5, 6, 7})
+    for refused in ((frozenset(), frozenset(), 16), (frozenset(), frozenset({1}), 9)):
+        with pytest.raises(EnumerationBudgetError, match="exceeds the enumeration limit"):
+            min_double_coset_reps(*refused)
+        assert weylcomb._step_table.cache_info().currsize == 0
+        assert len(min_double_coset_reps(M, frozenset(), 9)) == 630
+        weylcomb._min_double_coset_reps_cached.cache_clear()
 
 
 def test_enumeration_bound():
