@@ -2,7 +2,9 @@
 
 from .partitions import (
     as_composition,
+    as_composition_of,
     as_partition,
+    as_partition_of,
     composition_count,
     compositions,
     conjugate,
@@ -40,7 +42,8 @@ from .sympoly import (
 __all__ = [
     "QScalar", "PoleError", "ZERO", "ONE", "V", "Q",
     "partitions", "compositions", "composition_count", "conjugate",
-    "as_partition", "as_composition", "is_weakly_decreasing", "dominant",
+    "as_partition", "as_composition", "as_partition_of", "as_composition_of",
+    "is_weakly_decreasing", "dominant",
     "orbit", "z_order", "sn_class_size", "kostka", "ssyt_tableaux",
     "ssyt_weight",
     "render_partition", "parse_partition", "subsets",

@@ -12,17 +12,20 @@ import itertools
 from collections import Counter
 from functools import lru_cache
 from math import factorial, prod
-from operator import lt
-from typing import Iterator, Sequence
+from operator import lt, sub
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "partitions",
     "subsets",
     "compositions",
+    "block_composition",
     "composition_count",
     "conjugate",
     "as_partition",
     "as_composition",
+    "as_partition_of",
+    "as_composition_of",
     "is_weakly_decreasing",
     "dominant",
     "orbit",
@@ -66,14 +69,25 @@ def subsets(n: int) -> Iterator[frozenset[int]]:
         yield frozenset(i + 1 for i, b in enumerate(bits) if b)
 
 
+def block_composition(I: Iterable[int], d: int) -> tuple[int, ...]:
+    """Composition of d cut by the complement of I in {1, .., d-1}: the
+    blocks of the Young subgroup W_I and of the Levi type indexed by I."""
+    I = frozenset(I)
+    if I and (min(I) < 1 or max(I) >= d):
+        raise ValueError(f"{sorted(I)} is not a subset of 1..{d - 1}")
+    cuts = [0, *itertools.filterfalse(I.__contains__, range(1, d)), d]
+    return tuple(map(sub, cuts[1:], cuts))
+
+
 def compositions(n: int) -> Iterator[tuple[int, ...]]:
-    """All 2**(n-1) compositions of n (ordered sequences of positive parts)."""
+    """All 2**(n-1) compositions of n (ordered sequences of positive parts),
+    one per set of cut points, in the order of ``subsets``."""
     if n == 0:
         yield ()
         return
+    full = frozenset(range(1, n))
     for cut_points in subsets(n - 1):
-        cuts = [0, *sorted(cut_points), n]
-        yield tuple(cuts[i + 1] - cuts[i] for i in range(len(cuts) - 1))
+        yield block_composition(full - cut_points, n)
 
 
 def composition_count(lam: Sequence[int]) -> int:
@@ -100,6 +114,22 @@ def as_composition(seq: Sequence[int]) -> tuple[int, ...]:
     c = tuple(seq)
     if not c or any(p <= 0 for p in c):
         raise ValueError(f"not a composition: {c}")
+    return c
+
+
+def as_partition_of(seq: Sequence[int], n: int) -> tuple[int, ...]:
+    """seq as a partition, refused unless it is one and its parts sum to n."""
+    lam = as_partition(seq)
+    if sum(lam) != n:
+        raise ValueError(f"{lam} is not a partition of {n}")
+    return lam
+
+
+def as_composition_of(seq: Sequence[int], n: int) -> tuple[int, ...]:
+    """seq as a composition, refused unless it is one and its parts sum to n."""
+    c = as_composition(seq)
+    if sum(c) != n:
+        raise ValueError(f"{c} is not a composition of {n}")
     return c
 
 

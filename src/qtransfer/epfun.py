@@ -18,10 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import prod
 from typing import Mapping, Sequence
 
-from .algebra.partitions import as_composition, as_partition, dominant, render_partition
+from .algebra.partitions import (as_composition, as_partition, as_partition_of, dominant,
+                                 render_partition)
 from .algebra.qcount import parahoric_index
 from .algebra.scalars import ZERO, Coeffish, QScalar, as_qscalar
 from .finitegl import ClassFunction, cached_group, dl_character, parabolic_trivial_ind
@@ -80,9 +82,7 @@ class ParahoricCombo:
         self.basis = basis
         clean: dict[tuple[int, ...], QScalar] = {}
         for key, coeff in dict(terms).items():
-            lam = as_partition(key)
-            if sum(lam) != n:
-                raise ValueError(f"type {lam} is not a partition of {n}")
+            lam = as_partition_of(key, n)
             c = as_qscalar(coeff)
             if not c.is_zero():
                 clean[lam] = c
@@ -180,11 +180,14 @@ def product_ep(d: int, r: int) -> ParahoricCombo:
     (-1)^(r(d-1)) and the (d^r) coefficient d^r."""
     if d < 1 or r < 1:
         raise ValueError("d and r must be >= 1")
-    factor = ep_function(d).scale(d)
-    out = factor
-    for _ in range(r - 1):
-        out = out.tensor(factor)
-    return out
+    return _ep_product((d,) * r)
+
+
+def _ep_product(parts: Sequence[int]) -> ParahoricCombo:
+    """The concatenation product over the parts m of m * f^EP_{GL_m}, one
+    scaled EP function built per distinct part."""
+    factors = {m: ep_function(m).scale(m) for m in parts}
+    return reduce(ParahoricCombo.tensor, (factors[m] for m in parts))
 
 
 def levi_scalar(comp: Sequence[int]) -> int:
@@ -212,11 +215,8 @@ def f_J(t: DParahoricType) -> ParahoricCombo:
     """
     out = ParahoricCombo(t.n, "e")
     for torus, weight in _torus_weights(t):
-        term: ParahoricCombo | None = None
-        for part in torus:
-            factor = ep_function(part).scale(part)
-            term = factor if term is None else term.tensor(factor)
-        if term is None or term.n != t.n:
+        term = _ep_product(torus)
+        if term.n != t.n:
             raise AssertionError(f"f_J term does not live on GL_{t.n}")
         out = out + term.scale(weight)
     return out
@@ -263,8 +263,12 @@ def weyl_averaged_dl(t: DParahoricType, q: int) -> ClassFunction:
 
 
 def fj_shadow_report(t: DParahoricType, q: int) -> dict:
-    """Compare shadow(f_J(t), q) with the Weyl-averaged DL character; both
-    pipelines run independently."""
+    """Compare shadow(f_J(t), q) with the Weyl-averaged DL character.  Both
+    sides read the Weyl average ``_torus_weights(t)``, built on
+    ``composition_class_counts``, which the test
+    ``test_composition_class_counts_against_enumeration`` checks against
+    W_L enumerated; past it, one side induces from parabolics and the
+    other inverts to DL characters."""
     lhs = shadow(f_J(t), q)
     rhs = weyl_averaged_dl(t, q)
     return {

@@ -26,8 +26,8 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 from ..algebra.partitions import (
-    as_composition,
-    as_partition,
+    as_composition_of,
+    as_partition_of,
     compositions,
     conjugate,
     partitions,
@@ -79,9 +79,6 @@ class ClassFunction:
     def scale(self, c) -> "ClassFunction":
         c = Fraction(c)
         return ClassFunction(self.group, tuple(c * a for a in self.values))
-
-    __rmul__ = scale
-    __mul__ = scale
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ClassFunction):
@@ -225,10 +222,7 @@ def parabolic_trivial_ind(group: GLGroup, comp: Sequence[int]) -> ClassFunction:
     on the module type read off the class label, and is computed from
     Birkhoff's submodule counts without touching a subspace or a matrix.
     The tests compare it with a scan of every subspace of F_q^d."""
-    comp = as_composition(comp)
-    if sum(comp) != group.d:
-        raise ValueError(f"{comp} is not a composition of {group.d}")
-    return _trivial_ind(group, comp)
+    return _trivial_ind(group, as_composition_of(comp, group.d))
 
 
 @lru_cache(maxsize=None)
@@ -254,10 +248,7 @@ def dl_character(group: GLGroup, rho: Sequence[int]) -> ClassFunction:
     singular system or a remainder in the division by the diagonal would be
     an implementation bug and raises.
     """
-    rho = as_partition(rho)
-    if sum(rho) != group.d:
-        raise ValueError(f"{rho} is not a partition of {group.d}")
-    return _dl_characters(group)[rho]
+    return _dl_characters(group)[as_partition_of(rho, group.d)]
 
 
 @lru_cache(maxsize=None)

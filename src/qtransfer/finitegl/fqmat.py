@@ -23,7 +23,6 @@ __all__ = [
     "mat_det",
     "mat_inv",
     "mat_rank",
-    "kernel_dim",
     "char_poly",
     "poly_mul",
     "poly_pow",
@@ -104,10 +103,6 @@ def _row_reduce(rows: list[list[int]], q: int) -> int:
 def mat_rank(a: Mat, d: int, q: int) -> int:
     rows = [list(a[i * d:(i + 1) * d]) for i in range(d)]
     return _row_reduce(rows, q)
-
-
-def kernel_dim(a: Mat, d: int, q: int) -> int:
-    return d - mat_rank(a, d, q)
 
 
 def mat_det(a: Mat, d: int, q: int) -> int:

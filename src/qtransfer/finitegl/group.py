@@ -30,7 +30,7 @@ from functools import cached_property, lru_cache
 from math import prod
 from typing import Callable, Iterator, Sequence
 
-from ..algebra.partitions import as_composition, conjugate, partitions
+from ..algebra.partitions import as_composition_of, conjugate, partitions
 from ..algebra.qcount import gl_order, is_prime, parabolic_order
 from ..weylcomb import min_double_coset_reps, perm_inv
 from .fqmat import (
@@ -41,10 +41,10 @@ from .fqmat import (
     companion_matrix,
     conjugate_elementary,
     factor_monic,
-    kernel_dim,
     mat_det,
     mat_identity,
     mat_mul,
+    mat_rank,
     monic_irreducibles,
     poly_eval_matrix,
     poly_mul,
@@ -217,7 +217,7 @@ class GLGroup:
             assigned = 0
             while assigned < mult:
                 power = mat_mul(power, B, self.d, self.q)
-                k = kernel_dim(power, self.d, self.q)
+                k = self.d - mat_rank(power, self.d, self.q)
                 parts_ge = (k - prev_k) // deg
                 if parts_ge <= 0:
                     raise AssertionError("kernel profile stalled before filling")
@@ -277,9 +277,7 @@ class ParabolicSubgroup:
 
     def __init__(self, group: GLGroup, comp: Sequence[int]):
         self.group = group
-        self.composition = as_composition(comp)
-        if sum(self.composition) != group.d:
-            raise ValueError(f"{comp} is not a composition of {group.d}")
+        self.composition = as_composition_of(comp, group.d)
         self.order = parabolic_order(self.composition, group.q)
         d = group.d
         self._starts = tuple(itertools.accumulate(self.composition[:-1], initial=0))
@@ -299,8 +297,6 @@ class ParabolicSubgroup:
     def contains(self, mat: Mat) -> bool:
         """Block upper-triangular pattern test (input assumed invertible)."""
         return not any(mat[k] for k in self._below)
-
-    __contains__ = contains
 
     def elements(self) -> tuple[Mat, ...]:
         """Direct construction, on the first call: invertible diagonal

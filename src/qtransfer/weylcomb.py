@@ -40,8 +40,8 @@ from math import factorial, prod
 from operator import add, mul, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .algebra.partitions import (as_partition, composition_count, dominant,
-                                 partitions, sn_class_size, subsets)
+from .algebra.partitions import (as_partition_of, block_composition, composition_count,
+                                 dominant, partitions, sn_class_size, subsets)
 
 __all__ = [
     "Perm",
@@ -63,7 +63,6 @@ __all__ = [
     "one_adic_ep",
     "orbital_sum",
     "min_double_coset_reps",
-    "min_coset_reps_in",
     "restriction_support",
     "support_by_enumeration",
     "proper_levi_vanishing",
@@ -123,15 +122,6 @@ def inversions(w: Perm) -> int:
 def all_perms(d: int) -> tuple[Perm, ...]:
     _refuse_beyond_limit(f"S_{d}", factorial(d))
     return tuple(itertools.permutations(range(1, d + 1)))
-
-
-def block_composition(I: Iterable[int], d: int) -> tuple[int, ...]:
-    """Composition of d cut by the complement of I in {1, .., d-1}."""
-    I = frozenset(I)
-    if I and (min(I) < 1 or max(I) >= d):
-        raise ValueError(f"{sorted(I)} is not a subset of 1..{d - 1}")
-    cuts = [0, *itertools.filterfalse(I.__contains__, range(1, d)), d]
-    return tuple(map(sub, cuts[1:], cuts))
 
 
 @dataclass(frozen=True)
@@ -202,10 +192,7 @@ class SdClassFunction:
             raise ValueError("values must be keyed by all partitions of d")
 
     def __call__(self, rho: Sequence[int]) -> Fraction:
-        rho = as_partition(rho)
-        if sum(rho) != self.d:
-            raise ValueError(f"{rho} is not a partition of {self.d}")
-        return self.values[rho]
+        return self.values[as_partition_of(rho, self.d)]
 
 
 def _ep_coefficient(blocks: int) -> Fraction:
@@ -232,9 +219,7 @@ def f_g(d: int, rho: Sequence[int]) -> Fraction:
     Evaluates to 1 when rho = (d) (a single d-cycle) and 0 otherwise.  Read
     off ``f_g_table(d)``: one entry costs as much as the whole table.
     """
-    rho = as_partition(rho)
-    if sum(rho) != d:
-        raise ValueError(f"{rho} is not a partition of {d}")
+    rho = as_partition_of(rho, d)  # before the table is built
     return f_g_table(d)(rho)
 
 
@@ -295,16 +280,6 @@ def orbital_sum(f: Mapping[Perm, Fraction], g: Perm) -> Fraction:
 def _right_descent_free(w: Perm, I: frozenset) -> bool:
     # w minimal in w W_I  <=>  w increases at every position of I
     return all(w[i - 1] < w[i] for i in I)
-
-
-def min_coset_reps_in(M: Iterable[int], J: Iterable[int], d: int) -> list[Perm]:
-    """Minimal representatives, inside W_M, of the cosets w W_J (J subset M)."""
-    M = frozenset(M)
-    J = frozenset(J)
-    if not J <= M:
-        raise ValueError("J must be contained in M")
-    W_M = young_subgroup(M, d)
-    return [w for w in W_M.elements() if _right_descent_free(w, J)]
 
 
 def min_double_coset_reps(M: Iterable[int], I: Iterable[int], d: int) -> list[Perm]:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -89,8 +90,26 @@ def test_product_ep_coefficients():
 
 
 def test_product_ep_r1():
-    for d in range(1, 6):
-        assert product_ep(d, 1) == ep_function(d).scale(d)
+    # oracle: the r-fold tensor of the scaled EP function, one factor at a time
+    for d in range(1, 9):
+        factor = ep_function(d).scale(d)
+        expected = factor
+        for r in range(1, 8 // d + 1):
+            if r > 1:
+                expected = expected.tensor(factor)
+            assert product_ep(d, r) == expected, (d, r)
+            assert f_J(DParahoricType(d, (1,) * r)) == expected, (d, r)
+
+
+def test_f_J_factorizes_over_the_parts():
+    # W_L is the product of the S_{r_i}, so the Weyl average is the tensor
+    # of the one-block averages
+    for d in range(1, 5):
+        for r in range(1, 8 // d + 1):
+            for parts in partitions(r):
+                blocks = [f_J(DParahoricType(d, (part,))) for part in parts]
+                assert f_J(DParahoricType(d, parts)) == reduce(
+                    ParahoricCombo.tensor, blocks), (d, parts)
 
 
 def test_levi_scalar():

@@ -220,6 +220,20 @@ def test_parabolic_trivial_ind_degrees():
                 assert ind.inner_with_trivial() == 1
 
 
+def test_type_checks_refuse_a_type_of_the_wrong_size():
+    group = cached_group(3, 2)
+    for comp in ((1, 1), [2, 2]):
+        message = rf"^\({comp[0]}, {comp[1]}\) is not a composition of 3$"
+        with pytest.raises(ValueError, match=message):
+            parabolic_trivial_ind(group, comp)
+        with pytest.raises(ValueError, match=message):
+            ParabolicSubgroup(group, comp)
+    with pytest.raises(ValueError, match=r"^\(2,\) is not a partition of 3$"):
+        dl_character(group, (2,))
+    with pytest.raises(ValueError, match=r"^\(2, 2\) is not a partition of 3$"):
+        dl_character(group, [2, 2])
+
+
 def test_dl_borel_case_and_gl2_values():
     for q in (2, 3):
         group = cached_group(2, q)

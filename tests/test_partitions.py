@@ -6,7 +6,9 @@ import pytest
 
 from qtransfer.algebra import (
     as_composition,
+    as_composition_of,
     as_partition,
+    as_partition_of,
     composition_count,
     compositions,
     conjugate,
@@ -18,8 +20,10 @@ from qtransfer.algebra import (
     sn_class_size,
     ssyt_tableaux,
     ssyt_weight,
+    subsets,
     z_order,
 )
+from qtransfer.algebra.partitions import block_composition
 
 PARTITION_COUNTS = {1: 1, 2: 2, 3: 3, 4: 5, 5: 7, 6: 11, 7: 15, 8: 22}
 
@@ -38,9 +42,13 @@ def test_partition_bounds():
 
 
 def test_compositions_count_and_collapse():
-    for n in range(1, 7):
+    for n in range(1, 9):
         comps = list(compositions(n))
         assert len(comps) == 2 ** (n - 1)
+        # one per set of cut points, in the order of subsets: the cut rule
+        # applied to the complement of each set
+        full = frozenset(range(1, n))
+        assert comps == [block_composition(full - S, n) for S in subsets(n - 1)]
         for lam in partitions(n):
             matching = [c for c in comps if tuple(sorted(c, reverse=True)) == lam]
             assert len(matching) == composition_count(lam)
@@ -58,6 +66,16 @@ def test_validators():
     with pytest.raises(ValueError):
         as_composition((2, 0))
     assert as_partition((3, 1)) == (3, 1)
+    assert as_partition_of([3, 1], 4) == (3, 1)
+    assert as_composition_of([1, 3], 4) == (1, 3)
+    with pytest.raises(ValueError, match=r"^\(4,\) is not a partition of 3$"):
+        as_partition_of([4], 3)
+    with pytest.raises(ValueError, match=r"^\(1, 3\) is not a composition of 3$"):
+        as_composition_of([1, 3], 3)
+    with pytest.raises(ValueError, match=r"^not a partition: \(1, 2\)$"):
+        as_partition_of((1, 2), 3)
+    with pytest.raises(ValueError, match=r"^not a composition: \(2, 0\)$"):
+        as_composition_of((2, 0), 2)
 
 
 def test_class_sizes_sum_to_group_order():

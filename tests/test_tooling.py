@@ -115,6 +115,26 @@ def test_every_all_entry_resolves():
     assert not missing, missing
 
 
+def test_type_check_messages_come_from_partitions():
+    # "is not a partition of n" and "is not a composition of n" are raised by
+    # as_partition_of and as_composition_of only; other modules call them
+    phrases = ("is not a partition of", "is not a composition of")
+
+    def messages(path):
+        return [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ValueError"
+                and any(isinstance(c, ast.Constant) and isinstance(c.value, str)
+                        and any(p in c.value for p in phrases)
+                        for arg in node.args for c in ast.walk(arg))]
+
+    owner = SRC / "algebra" / "partitions.py"
+    assert len(messages(owner)) == 2
+    found = [f"{path.relative_to(SRC)}:{line}"
+             for path in sorted(SRC.rglob("*.py")) if path != owner
+             for line in messages(path)]
+    assert not found, found
+
+
 def test_scalar_polynomial_helpers_are_integer_only():
     # the fraction-free core: a value's one rational is its content, so no
     # module-level helper of algebra/scalars.py may name Fraction
