@@ -10,8 +10,10 @@ every group whose classes fit the class limit; a scan of every subspace of
 F_q^d is the oracle the tests compare them against.  The induction
 identity sums over the Bruhat coset representatives of G/P and the
 P-classes of P, so it needs P and [G:P] within the scan limit but never
-enumerates G.  The coset-sum definition of induction over an enumerated
-group (``induce_class_function``) is the oracle the tests compare against.
+enumerates G, and it conjugates by row and column operations, not general
+products, which are the oracle in the tests.  The coset-sum definition of
+induction over an enumerated group (``induce_class_function``) is the
+oracle the tests compare against.
 Induced characters and the R_rho are memoised in this module, per group
 object and validated key.
 """
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -34,7 +37,7 @@ from ..algebra.partitions import (
 )
 from ..algebra.qcount import qbinom_at
 from ..weylcomb import composition_class_counts, ep_weights
-from .fqmat import Mat, mat_inv, mat_mul
+from .fqmat import Mat, conjugate_elementary, mat_inv, mat_mul
 from .group import GLGroup, ParabolicSubgroup
 
 __all__ = [
@@ -302,32 +305,18 @@ def comb_prop_check(group: GLGroup) -> dict:
 # -- the induced-class-function core identity --------------------------------
 
 
-def _conjugation_counts_grouped(group: GLGroup, class_index: int,
-                                parabolic: ParabolicSubgroup) -> dict[int, int]:
-    """For each P-class index c, with x the representative of the G-class
-    class_index: #{t in G : t x t^-1 in class c}, by orbit-stabilizer as
-    |Z_G(x)| times |C intersect class_G(x)|.  P-conjugate elements are
-    G-conjugate, so each P-class C lies inside the G-class of its
-    representative and the intersection is all of C or empty.  No pass over
-    G or P; the tests compare it with the literal oracle
-    ``induced_values_averaged``."""
-    centralizer = group.order // group.classes[class_index].size
-    return {pidx: centralizer * size
-            for pidx, (_, size, gidx) in enumerate(parabolic.classes)
-            if gidx == class_index}
-
-
-def _coset_sum_counts(group: GLGroup, x: Mat, parabolic: ParabolicSubgroup,
-                      reps: Sequence[tuple[Mat, Mat]]) -> dict[int, int]:
-    """For each P-class index c: #{s in reps : s^-1 x s in class c}, over
-    (s, s^-1) pairs."""
-    d, q = group.d, group.q
-    counts: dict[int, int] = {}
-    for s, s_inv in reps:
-        y = mat_mul(mat_mul(s_inv, x, d, q), s, d, q)
-        if parabolic.contains(y):
-            idx = parabolic.class_index_of(y)
-            counts[idx] = counts.get(idx, 0) + 1
+def _conjugation_counts_grouped(group: GLGroup,
+                                parabolic: ParabolicSubgroup) -> list[dict[int, int]]:
+    """For each G-class, with x its representative, and each P-class index
+    c: #{t in G : t x t^-1 in class c}, by orbit-stabilizer as |Z_G(x)|
+    times |C intersect class_G(x)|, in one pass over the P-classes.
+    P-conjugate elements are G-conjugate, so each P-class C lies inside the
+    G-class of its representative and the intersection is all of C or
+    empty.  No pass over G or P; the tests compare it with the literal
+    oracle ``induced_values_averaged``."""
+    counts: list[dict[int, int]] = [{} for _ in group.classes]
+    for pidx, (_, size, gidx) in enumerate(parabolic.classes):
+        counts[gidx][pidx] = group.order // group.classes[gidx].size * size
     return counts
 
 
@@ -339,38 +328,51 @@ def _ind_identity_cases(group: GLGroup, parabolic: ParabolicSubgroup) -> list[di
         sum_{s'} 1_{s' C s'^-1}(x)  over a different set of representatives,
 
     evaluated on every class x of G; one case per C, in P-class order.  The
-    representatives s come from the Bruhat cells and each s' is s times a
-    generator of P, so no pass runs over G."""
+    s run over the Bruhat cells (``coset_conjugator``, which refuses on
+    [G:P] before any class data is built), and s' = s g^-1 for the
+    generators g = (i, j, c) of P taken in turn, so s'^-1 x s' is one more
+    ``conjugate_elementary``; no general product, and no pass over G.  The
+    counts are scattered into the rows of the P-class they land in; every
+    other row is ("0", "0", "0"), and a P-class meets only its own G-class,
+    so each case has one nonzero row."""
+    conjugates = parabolic.coset_conjugator()
     d, q = group.d, group.q
-    reps = [(s, mat_inv(s, d, q)) for s in parabolic.coset_reps()]
-    twists = parabolic.generators() or ((group.identity(), group.identity()),)
-    reps2 = [(mat_mul(s, t, d, q), mat_mul(t_inv, s_inv, d, q))
-             for (s, s_inv), (t, t_inv) in zip(reps, itertools.cycle(twists))]
-    per_class_counts = [
-        (_coset_sum_counts(group, cls.rep, parabolic, reps),
-         _conjugation_counts_grouped(group, gidx, parabolic),
-         _coset_sum_counts(group, cls.rep, parabolic, reps2))
-        for gidx, cls in enumerate(group.classes)
-    ]
-    cases = []
-    for cidx in range(len(parabolic.classes)):
-        values = [(Fraction(a.get(cidx, 0)),
-                   Fraction(b.get(cidx, 0), parabolic.order),
-                   Fraction(c3.get(cidx, 0)))
-                  for a, b, c3 in per_class_counts]
-        cases.append({
-            "composition": list(parabolic.composition),
-            "class_index": cidx,
-            "equal": all(va == vb == vc for va, vb, vc in values),
-            "values": [tuple(str(x) for x in row) for row in values],
-        })
-    return cases
+    # with no generator (GL_1(F_2)) the twist is the identity diag(1)
+    twists = parabolic.elementary or ((0, 0, 1),)
+    grouped = _conjugation_counts_grouped(group, parabolic)
+    rows: list[dict[int, tuple]] = [{} for _ in parabolic.classes]  # G-class -> values
+    for gidx, cls in enumerate(group.classes):
+        first, twisted = Counter(), Counter()
+        for y, (i, j, c) in zip(conjugates(cls.rep), itertools.cycle(twists)):
+            if parabolic.contains(y):
+                first[parabolic.class_index_of(y)] += 1
+            z = conjugate_elementary(y, i, j, c, d, q)
+            if parabolic.contains(z):
+                twisted[parabolic.class_index_of(z)] += 1
+        middle = grouped[gidx]
+        for pidx in first.keys() | middle.keys() | twisted.keys():
+            rows[pidx][gidx] = (Fraction(first[pidx]),
+                                Fraction(middle.get(pidx, 0), parabolic.order),
+                                Fraction(twisted[pidx]))
+    zero = ("0", "0", "0")
+    return [{
+        "composition": list(parabolic.composition),
+        "class_index": cidx,
+        "equal": all(va == vb == vc for va, vb, vc in nonzero.values()),
+        "values": [tuple(map(str, nonzero[gidx])) if gidx in nonzero else zero
+                   for gidx in range(len(group.classes))],
+    } for cidx, nonzero in enumerate(rows)]
 
 
 def ind_conjugate_identity_exhaustive(group: GLGroup,
                                       comp: Sequence[int] | None = None) -> dict:
-    """Run the three-expression identity for every parabolic class C (of the
-    given composition, or of all compositions of d) against every class of G."""
+    """Run the three-expression identity of ``_ind_identity_cases`` for every
+    parabolic class C (of the given composition, or of all compositions of
+    d) against every class of G.  Each parabolic refuses with BudgetError
+    when [G:P] exceeds SCAN_LIMIT, before its class data or that of G is
+    built, and a proper P when |P| does.  The tests compare the report,
+    case by case and row by row, with the coset sums by general products
+    of ``tests/coset_sum_oracle.py``."""
     comps = compositions(group.d) if comp is None else [comp]
     cases = [case for c in comps
              for case in _ind_identity_cases(group, ParabolicSubgroup(group, c))]

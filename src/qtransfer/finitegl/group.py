@@ -14,11 +14,13 @@ force and checks them against this construction.
 A parabolic P_c is generated by transvections and diagonal matrices; its
 classes are orbits under conjugation by them, each step one row and one
 column operation, and conjugation by all of P is the oracle in the tests.
+Its left cosets are walked through the Bruhat cells, and conjugation by a
+representative u w is row and column operations for u and a relabel for w.
 
 Each derived value has one builder, run on first use: ``conjugacy_classes``
 for the class data (the label lookup derives from it), ``elements`` for the
-element scan, and ``ParabolicSubgroup._class_data`` for P-classes and their
-lookup.
+element scan, ``ParabolicSubgroup._class_data`` for P-classes and their
+lookup, and ``ParabolicSubgroup._bruhat_cells`` for the cells.
 """
 
 from __future__ import annotations
@@ -287,7 +289,9 @@ class ParabolicSubgroup:
                             for _ in range(part))
         self._below = tuple(i * d + j for i in range(d) for j in range(d)
                             if self._block[i] > self._block[j])
-        # the generators of P as (i, j, c), see ``generators``
+        # generators of P as (i, j, c): the transvections I + E_ij (i != j)
+        # its block pattern allows, then diag(1, .., zeta, .., 1) at each
+        # position, zeta the least primitive root mod q (none when q = 2)
         zeta = _primitive_root(group.q)
         self.elementary = tuple((i, j, 1) for i in range(d) for j in range(d)
                                 if i != j and self._block[i] <= self._block[j])
@@ -296,7 +300,7 @@ class ParabolicSubgroup:
 
     def contains(self, mat: Mat) -> bool:
         """Block upper-triangular pattern test (input assumed invertible)."""
-        return not any(mat[k] for k in self._below)
+        return not any(map(mat.__getitem__, self._below))
 
     def elements(self) -> tuple[Mat, ...]:
         """Direct construction, on the first call: invertible diagonal
@@ -333,32 +337,17 @@ class ParabolicSubgroup:
         out.sort()
         return tuple(out)
 
-    def generators(self) -> tuple[tuple[Mat, Mat], ...]:
-        """(g, g^-1) pairs that generate P, one per entry (i, j, c) of
-        ``elementary``: the transvections I + E_ij (i != j) that its block
-        pattern allows, then diag(1, .., zeta, .., 1) at each position, with
-        zeta the least primitive root mod q (none when q = 2).  Transvections
-        and these diagonal matrices generate each Levi block GL_n(F_q), and
-        the transvections across blocks generate the unipotent radical."""
-        d, q = self.group.d, self.group.q
-        ident = self.group.identity()
-        pairs = []
-        for i, j, c in self.elementary:
-            g, g_inv = list(ident), list(ident)
-            g[i * d + j], g_inv[i * d + j] = c, (q - c if i != j else pow(c, -1, q))
-            pairs.append((tuple(g), tuple(g_inv)))
-        return tuple(pairs)
-
-    def coset_reps(self) -> tuple[Mat, ...]:
-        """One representative per left coset g P, from the Bruhat
-        decomposition of G into the cells U_w w P (Carter, Finite Groups of
-        Lie Type, 2.5-2.8).  w runs through the minimal representatives of
-        the cosets w W_c of S_d, which increase on each block of positions;
-        the matrix of w sends e_j to e_w(j), and U_w is the group of upper
-        unitriangular u whose free entries are the (i, j) with i < j and
-        w^-1(i) > w^-1(j).  The representative u w has column k equal to
-        column w(k) of u.  Refuses, before building any, when [G:P] exceeds
-        SCAN_LIMIT; the number of representatives times |P| must be |G|."""
+    @cached_property
+    def _bruhat_cells(self) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, int], ...]], ...]:
+        """The Bruhat cells U_w w P of G (Carter, Finite Groups of Lie Type,
+        2.5-2.8) as (w, free) pairs, read by ``coset_reps`` and
+        ``coset_conjugator``.  w runs through the minimal representatives of
+        the cosets w W_c of S_d, which increase on each block of positions,
+        in one-line form from 0; the matrix of w sends e_k to e_w(k).  U_w
+        is the group of upper unitriangular u whose free entries are the
+        (i, j) with i < j and w^-1(i) > w^-1(j).  Refuses, before building
+        any cell, when [G:P] exceeds SCAN_LIMIT; the cell sizes q^len(free)
+        must sum to [G:P]."""
         group = self.group
         d, q = group.d, group.q
         index = group.order // self.order
@@ -368,22 +357,58 @@ class ParabolicSubgroup:
                 f"beyond the scan limit {SCAN_LIMIT}")
         # W_c is generated by the simple reflections inside the blocks
         inside = frozenset(range(1, d)) - frozenset(self._starts)
-        ident = group.identity()
-        reps = []
+        cells = []
         for w in min_double_coset_reps((), inside, d):  # one-line, values from 1
             w_inv = perm_inv(w)
-            free = [i * d + j for i in range(d) for j in range(i + 1, d)
-                    if w_inv[i] > w_inv[j]]
+            cells.append((tuple(k - 1 for k in w),
+                          tuple((i, j) for i in range(d) for j in range(i + 1, d)
+                                if w_inv[i] > w_inv[j])))
+        if sum(q ** len(free) for _, free in cells) != index:
+            raise AssertionError(
+                f"the Bruhat cells of P_{self.composition} in GL_{d}(F_{q}) "
+                f"do not hold [G:P] = {index} cosets")
+        return tuple(cells)
+
+    def coset_reps(self) -> tuple[Mat, ...]:
+        """One representative u w per left coset g P: for each cell (w, free)
+        of ``_bruhat_cells``, every u in U_w, with column k of u w equal to
+        column w(k) of u.  Refuses when [G:P] exceeds SCAN_LIMIT."""
+        d, q = self.group.d, self.group.q
+        ident = self.group.identity()
+        reps = []
+        for w, free in self._bruhat_cells:
             for values in itertools.product(range(q), repeat=len(free)):
                 u = list(ident)
-                for pos, val in zip(free, values):
-                    u[pos] = val
-                reps.append(tuple(u[i * d + w[k] - 1] for i in range(d) for k in range(d)))
-        if len(reps) * self.order != group.order:
-            raise AssertionError(
-                f"{len(reps)} Bruhat coset representatives of P_{self.composition} "
-                f"in GL_{d}(F_{q}), not [G:P] = {index}")
+                for (i, j), val in zip(free, values):
+                    u[i * d + j] = val
+                reps.append(tuple(u[i * d + w[k]] for i in range(d) for k in range(d)))
         return tuple(reps)
+
+    def coset_conjugator(self) -> Callable[[Mat], list[Mat]]:
+        """The map x -> [s^-1 x s for s = u w in ``coset_reps()``], the same
+        multiset without a general matrix product; refuses at once, before
+        any x, when [G:P] exceeds SCAN_LIMIT.  In each cell u runs over the
+        products of the transvections I + c E_ij over the free positions in
+        order, which for a closed set of positive roots reach each element
+        of U_w exactly once.  So u^-1 x u is x conjugated by one transvection
+        after another, one row and one column operation each
+        (``conjugate_elementary`` with -c), along a tree whose prefixes are
+        shared; w^-1 y w is the relabel (w^-1 y w)[a][b] = y[w(a)][w(b)]."""
+        d, q = self.group.d, self.group.q
+        cells = [(free, tuple(w[a] * d + w[b] for a in range(d) for b in range(d)))
+                 for w, free in self._bruhat_cells]
+
+        def conjugates(x: Mat) -> list[Mat]:
+            out = []
+            for free, relabel in cells:
+                level = [x]
+                for i, j in free:
+                    level = [conjugate_elementary(y, i, j, -c % q, d, q) if c else y
+                             for y in level for c in range(q)]
+                out.extend(tuple(map(y.__getitem__, relabel)) for y in level)
+            return out
+
+        return conjugates
 
     @property
     def classes(self) -> tuple[tuple[Mat, int, int], ...]:

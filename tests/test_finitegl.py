@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import flag_scan_oracle
+from coset_sum_oracle import generator_pairs, ind_identity_report
 from qtransfer.algebra import compositions, parahoric_index, partitions, subsets
 from qtransfer.finitegl import (
     BudgetError,
@@ -316,10 +317,10 @@ def test_grouped_conjugation_counts_against_literal_pass(d, q):
         f = {m: Fraction(base ** cidx)
              for cidx, members in enumerate(pclass_members(P))
              for m in members}
+        grouped = _conjugation_counts_grouped(group, P)
         for gidx, cls in enumerate(group.classes):
-            grouped = _conjugation_counts_grouped(group, gidx, P)
             literal = P.order * induced_values_averaged(group, P.order, f, cls.rep)
-            assert sum(n * base ** c for c, n in grouped.items()) == literal
+            assert sum(n * base ** c for c, n in grouped[gidx].items()) == literal
 
 
 @pytest.mark.parametrize("d,q", SMALL_GROUPS + MEDIUM_GROUPS)
@@ -412,7 +413,7 @@ def test_generator_orbits_match_conjugation_oracle(d, q):
     group = cached_group(d, q)
     for comp in compositions(d):
         P = ParabolicSubgroup(group, comp)
-        gens = P.generators()
+        gens = generator_pairs(P)
         assert all(P.contains(g) and mat_mul(g, g_inv, d, q) == group.identity()
                    for g, g_inv in gens)
         if len(comp) == 1:
@@ -429,7 +430,7 @@ def test_elementary_conjugation_matches_matrix_products(d, q):
     group = cached_group(d, q)
     for comp in compositions(d):
         P = ParabolicSubgroup(group, comp)
-        for (i, j, c), (g, g_inv) in zip(P.elementary, P.generators(), strict=True):
+        for (i, j, c), (g, g_inv) in zip(P.elementary, generator_pairs(P), strict=True):
             for y in P.elements():
                 assert conjugate_elementary(y, i, j, c, d, q) == \
                     mat_mul(mat_mul(g, y, d, q), g_inv, d, q), (comp, i, j, c, y)
@@ -441,7 +442,7 @@ def test_generators_generate_the_parabolic(d, q):
     group = cached_group(d, q)
     for comp in compositions(d):
         P = ParabolicSubgroup(group, comp)
-        gens = [g for g, _ in P.generators()]
+        gens = [g for g, _ in generator_pairs(P)]
         reached = {group.identity()}
         frontier = [group.identity()]
         while frontier:
@@ -470,7 +471,7 @@ def test_parabolic_classes_conjugate_without_matrix_products(monkeypatch):
 
     monkeypatch.setattr("qtransfer.finitegl.group.mat_mul", counted)
     P = ParabolicSubgroup(group, (2, 1))
-    assert P.order == 864 and len(P.generators()) == 7
+    assert P.order == 864 and len(P.elementary) == 7
     assert P.classes
     assert 0 < calls < P.order
 
@@ -517,6 +518,62 @@ def test_coset_reps_refuse_on_index():
     with pytest.raises(BudgetError, match="has 19923090075 cosets"):
         ParabolicSubgroup(GLGroup(8, 2), (1,) * 8).coset_reps()
     assert time.monotonic() - started < 1
+
+
+def test_induction_identity_refuses_on_index_before_class_data(monkeypatch):
+    # the Borel of GL_5(F_3) has 251680 cosets; neither the classes of G nor
+    # those of P (whose elements would refuse with another message) are built
+    def guarded(self):
+        raise AssertionError(f"classes of GL_{self.d}(F_{self.q}) were built")
+
+    monkeypatch.setattr(GLGroup, "conjugacy_classes", guarded)
+    started = time.monotonic()
+    with pytest.raises(BudgetError, match="has 251680 cosets, beyond the scan limit 200000"):
+        ind_conjugate_identity_exhaustive(GLGroup(5, 3), (1,) * 5)
+    assert time.monotonic() - started < 1
+
+
+@pytest.mark.parametrize("d,q", SMALL_GROUPS + MEDIUM_GROUPS)
+def test_induction_identity_against_coset_sum_oracle(d, q):
+    # every case, every row: composition, class index, verdict and values
+    group = cached_group(d, q)
+    assert ind_conjugate_identity_exhaustive(group) == ind_identity_report(group)
+
+
+@pytest.mark.parametrize("d,q", [(3, 3), (4, 2)])
+def test_coset_conjugator_against_matrix_products(d, q):
+    # the walked conjugates of each class representative are the multiset
+    # {s^-1 x s : s in coset_reps()}, for every parabolic
+    group = cached_group(d, q)
+    for comp in compositions(d):
+        P = ParabolicSubgroup(group, comp)
+        reps = [(s, mat_inv(s, d, q)) for s in P.coset_reps()]
+        conjugates = P.coset_conjugator()
+        for cls in group.classes:
+            x = cls.rep
+            assert Counter(conjugates(x)) == Counter(
+                mat_mul(mat_mul(s_inv, x, d, q), s, d, q) for s, s_inv in reps), (comp, x)
+
+
+def test_induction_identity_without_matrix_products(monkeypatch):
+    # two products per coset representative, for both sets of them, would
+    # take 7972 calls on GL_3(F_3) and 40648 on GL_4(F_2); labelling the
+    # P-class representatives takes a few per class
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return mat_mul(*args)
+
+    monkeypatch.setattr("qtransfer.finitegl.classfun.mat_mul", counted)
+    monkeypatch.setattr("qtransfer.finitegl.group.mat_mul", counted)
+    for d, q in [(3, 3), (4, 2)]:
+        group = GLGroup(d, q)
+        group.classes
+        calls = 0
+        assert ind_conjugate_identity_exhaustive(group)["ok"]
+        assert calls <= 1000, (d, q, calls)
 
 
 def test_induction_identity_enumerates_no_element_of_g(monkeypatch):
