@@ -16,8 +16,6 @@ from .partitions import (
     partitions,
     render_partition,
     sn_class_size,
-    ssyt_tableaux,
-    ssyt_weight,
     subsets,
     z_order,
 )
@@ -44,8 +42,7 @@ __all__ = [
     "partitions", "compositions", "composition_count", "conjugate",
     "as_partition", "as_composition", "as_partition_of", "as_composition_of",
     "is_weakly_decreasing", "dominant",
-    "orbit", "z_order", "sn_class_size", "kostka", "ssyt_tableaux",
-    "ssyt_weight",
+    "orbit", "z_order", "sn_class_size", "kostka",
     "render_partition", "parse_partition", "subsets",
     "qint_balanced", "qbinom", "gl_order", "parabolic_order",
     "parahoric_index", "is_prime",

@@ -1,4 +1,4 @@
-"""Partitions, compositions, exponent vectors, and tableaux.
+"""Partitions, compositions, exponent vectors, and Kostka numbers.
 
 Partitions and compositions are plain tuples of positive ints; exponent
 vectors ("dominant vectors") are weakly decreasing integer tuples,
@@ -12,7 +12,7 @@ import itertools
 from collections import Counter
 from functools import lru_cache
 from math import factorial, prod
-from operator import lt, sub
+from operator import sub
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -32,8 +32,6 @@ __all__ = [
     "z_order",
     "sn_class_size",
     "kostka",
-    "ssyt_tableaux",
-    "ssyt_weight",
     "render_partition",
     "parse_partition",
 ]
@@ -206,42 +204,6 @@ def kostka(mu: tuple[int, ...], weight: tuple[int, ...]) -> int:
                 yield (mu[i] - take, *tail)
 
     return sum(kostka(tuple(p for p in nu if p), rest) for nu in inner(0, strip))
-
-
-def ssyt_tableaux(shape: Sequence[int], max_entry: int
-                  ) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Semistandard Young tableaux of the given shape, entries in 1..max_entry,
-    generated lazily, in lexicographic order of their rows.
-
-    Rows weakly increase: each row is drawn from
-    ``itertools.combinations_with_replacement`` of the entries.  Columns
-    strictly increase: a row is kept when each entry exceeds the one above.
-    """
-    shape = as_partition(shape) if shape else ()
-    if len(shape) > max_entry:
-        return  # first column cannot strictly increase
-    entries = range(1, max_entry + 1)
-
-    def rows_from(r: int, above: tuple[int, ...]
-                  ) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if r == len(shape):
-            yield ()
-            return
-        for row in itertools.combinations_with_replacement(entries, shape[r]):
-            if all(map(lt, above, row)):
-                for rest in rows_from(r + 1, row):
-                    yield (row, *rest)
-
-    yield from rows_from(0, ())
-
-
-def ssyt_weight(tab: Sequence[Sequence[int]], max_entry: int) -> tuple[int, ...]:
-    """Weight vector of a tableau: entry i-count at position i-1."""
-    w = [0] * max_entry
-    for row in tab:
-        for x in row:
-            w[x - 1] += 1
-    return tuple(w)
 
 
 def render_partition(lam: Sequence[int]) -> str:

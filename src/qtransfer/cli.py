@@ -28,6 +28,7 @@ from .algebra.partitions import (
     render_partition,
     subsets,
 )
+from .algebra.qcount import is_prime
 from .algebra.sympoly import SymPoly, elementary, monomial_sym, powersum, schur
 from .epfun import (
     DParahoricType,
@@ -264,7 +265,8 @@ SUITES = {
                       for M in itertools.combinations(range(1, d), k)],
         _weyl_vanishing_case),
     # the induction identity enumerates each proper parabolic (never G);
-    # the suite keeps its case set at d <= 3
+    # the suite keeps its case set at d <= 3.  comb_prop, like ep-shadow,
+    # holds for any Ind_{P_lam}(1) values (see comb_prop_check)
     "finite-gl": Suite(
         lambda args: [("comb_prop", d, q)
                       for d, q in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]
@@ -284,6 +286,9 @@ SUITES = {
 def cmd_verify(args) -> tuple[dict, str, dict]:
     if args.workers < 1:
         raise UsageError(f"--workers must be at least 1, not {args.workers}")
+    for q in args.q:
+        if not is_prime(q):
+            raise UsageError(f"--q {q} is not a prime")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     # a suite that checks nothing must not pass: refuse before any suite runs
     selected = {name: SUITES[name].cases(args) for name in names}

@@ -5,8 +5,6 @@ from .classfun import (
     comb_prop_check,
     dl_character,
     ind_conjugate_identity_exhaustive,
-    induce_class_function,
-    induced_values_averaged,
     parabolic_trivial_ind,
     trivial_character,
     zero_class_function,
@@ -26,7 +24,6 @@ __all__ = [
     "GLGroup", "GLClass", "ParabolicSubgroup", "BudgetError",
     "CLASS_LIMIT", "SCAN_LIMIT", "cached_group", "class_count",
     "ClassFunction", "trivial_character", "zero_class_function",
-    "induce_class_function", "induced_values_averaged",
     "parabolic_trivial_ind", "dl_character", "comb_prop_check",
     "ind_conjugate_identity_exhaustive",
 ]

@@ -11,9 +11,8 @@ F_q^d is the oracle the tests compare them against.  The induction
 identity sums over the Bruhat coset representatives of G/P and the
 P-classes of P, so it needs P and [G:P] within the scan limit but never
 enumerates G, and it conjugates by row and column operations, not general
-products, which are the oracle in the tests.  The coset-sum definition of
-induction over an enumerated group (``induce_class_function``) is the
-oracle the tests compare against.
+products, which are the oracle in the tests, as is coset-sum induction
+over an enumerated group (``tests/coset_sum_oracle.py``).
 Induced characters and the R_rho are memoised in this module, per group
 object and validated key.
 """
@@ -26,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from ..algebra.partitions import (
     as_composition_of,
@@ -37,15 +36,13 @@ from ..algebra.partitions import (
 )
 from ..algebra.qcount import qbinom_at
 from ..weylcomb import composition_class_counts, ep_weights
-from .fqmat import Mat, conjugate_elementary, mat_inv, mat_mul
+from .fqmat import conjugate_elementary
 from .group import GLGroup, ParabolicSubgroup
 
 __all__ = [
     "ClassFunction",
     "trivial_character",
     "zero_class_function",
-    "induce_class_function",
-    "induced_values_averaged",
     "parabolic_trivial_ind",
     "dl_character",
     "comb_prop_check",
@@ -105,62 +102,6 @@ def trivial_character(group: GLGroup) -> ClassFunction:
 
 def zero_class_function(group: GLGroup) -> ClassFunction:
     return ClassFunction(group, (Fraction(0),) * len(group.classes))
-
-
-# -- induction ---------------------------------------------------------------
-
-
-def _left_coset_reps(group: GLGroup, subgroup_elements: Sequence[Mat]) -> list[Mat]:
-    """One representative g per left coset g H, the first in element order;
-    checks that the cosets tile the group.  The scan of G that the tests
-    compare ``ParabolicSubgroup.coset_reps`` against."""
-    d, q = group.d, group.q
-    reps: list[Mat] = []
-    assigned: set[Mat] = set()
-    for g in group.elements():
-        if g in assigned:
-            continue
-        reps.append(g)
-        for h in subgroup_elements:
-            assigned.add(mat_mul(g, h, d, q))
-    if len(reps) * len(subgroup_elements) != group.order:
-        raise AssertionError("coset decomposition failed")
-    return reps
-
-
-def induce_class_function(group: GLGroup, subgroup_elements: Sequence[Mat],
-                          f: Mapping[Mat, Fraction]) -> ClassFunction:
-    """Coset-sum induction: x -> sum over left-coset representatives s of
-    f(s^-1 x s), with f extended by zero off the subgroup.
-
-    Needs the whole group enumerated, so this is the small-group path.
-    """
-    d, q = group.d, group.q
-    sub = list(subgroup_elements)
-    sub_set = set(sub)
-    reps = _left_coset_reps(group, sub)
-    rep_invs = [mat_inv(s, d, q) for s in reps]
-    values = []
-    for cls in group.classes:
-        total = Fraction(0)
-        for s, s_inv in zip(reps, rep_invs):
-            y = mat_mul(mat_mul(s_inv, cls.rep, d, q), s, d, q)
-            if y in sub_set:
-                total += f.get(y, Fraction(0))
-        values.append(total)
-    return ClassFunction(group, tuple(values))
-
-
-def induced_values_averaged(group: GLGroup, sub_order: int,
-                            f: Mapping[Mat, Fraction], x: Mat) -> Fraction:
-    """The representative-free form (1/|H|) sum over t in G of f(t^-1 x t)."""
-    d, q = group.d, group.q
-    total = Fraction(0)
-    for t in group.elements():
-        y = mat_mul(mat_mul(mat_inv(t, d, q), x, d, q), t, d, q)
-        if y in f:
-            total += f[y]
-    return total / sub_order
 
 
 # -- stable-flag induction of the trivial character --------------------------
@@ -288,7 +229,13 @@ def comb_prop_check(group: GLGroup) -> dict:
 
     as exact class functions, with the equality verdict.  Ind_{J_I}(1)
     depends only on the sorted blocks lam of I, so the right side is
-    d * sum over lam of ep_weights(d)[lam] Ind_{P_lam}(1)."""
+    d * sum over lam of ep_weights(d)[lam] Ind_{P_lam}(1).  R_rho inverts
+    the Ind values, so this checks the S_d combinatorics (``ep_weights``,
+    ``composition_class_counts``) carried through the class data and holds
+    for any Ind values: ``_flag_count`` + 1 on 2-part compositions of types
+    with more than one primary part passes ``verify --suite finite-gl``, and
+    ``test_flag_counts_match_subspace_scan`` and
+    ``test_dl_characters_orthogonality_and_degree`` catch it."""
     d = group.d
     lhs = dl_character(group, (d,))
     rhs = sum((parabolic_trivial_ind(group, lam).scale(d * weight)
@@ -313,7 +260,7 @@ def _conjugation_counts_grouped(group: GLGroup,
     P-conjugate elements are G-conjugate, so each P-class C lies inside the
     G-class of its representative and the intersection is all of C or
     empty.  No pass over G or P; the tests compare it with the literal
-    oracle ``induced_values_averaged``."""
+    oracle ``induced_values_averaged`` of ``tests/coset_sum_oracle.py``."""
     counts: list[dict[int, int]] = [{} for _ in group.classes]
     for pidx, (_, size, gidx) in enumerate(parabolic.classes):
         counts[gidx][pidx] = group.order // group.classes[gidx].size * size

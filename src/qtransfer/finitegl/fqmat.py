@@ -19,9 +19,7 @@ __all__ = [
     "mat_identity",
     "mat_mul",
     "conjugate_elementary",
-    "mat_vec",
     "mat_det",
-    "mat_inv",
     "mat_rank",
     "char_poly",
     "poly_mul",
@@ -77,10 +75,6 @@ def conjugate_elementary(y: Mat, i: int, j: int, c: int, d: int, q: int) -> Mat:
     return tuple(out)
 
 
-def mat_vec(a: Mat, v: Sequence[int], d: int, q: int) -> tuple[int, ...]:
-    return tuple(sum(a[i * d + j] * v[j] for j in range(d)) % q for i in range(d))
-
-
 def _row_reduce(rows: list[list[int]], q: int) -> int:
     """In-place row echelon; returns the rank."""
     rank = 0
@@ -122,17 +116,6 @@ def mat_det(a: Mat, d: int, q: int) -> int:
                 c = (rows[r][col] * inv) % q
                 rows[r] = [(x - c * y) % q for x, y in zip(rows[r], rows[col])]
     return det % q
-
-
-def mat_inv(a: Mat, d: int, q: int) -> Mat:
-    aug = [list(a[i * d:(i + 1) * d]) + [1 if i == j else 0 for j in range(d)]
-           for i in range(d)]
-    _row_reduce(aug, q)
-    # the left block must have come out as the identity; a full-rank
-    # augmented matrix alone does not certify invertibility
-    if any(aug[i][j] != (1 if i == j else 0) for i in range(d) for j in range(d)):
-        raise ZeroDivisionError("matrix is singular")
-    return tuple(aug[i][d + j] for i in range(d) for j in range(d))
 
 
 def _principal_minor_sum(a: Mat, d: int, q: int, k: int) -> int:

@@ -233,9 +233,6 @@ class GLGroup:
     def class_index_of(self, mat: Mat) -> int:
         return self._class_lookup[self.label_of(mat)]
 
-    def identity(self) -> Mat:
-        return mat_identity(self.d)
-
     def identity_class_index(self) -> int:
         f_x_minus_1 = ((self.q - 1) % self.q, 1)
         label: Label = ((f_x_minus_1, (1,) * self.d),)
@@ -340,14 +337,14 @@ class ParabolicSubgroup:
     @cached_property
     def _bruhat_cells(self) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, int], ...]], ...]:
         """The Bruhat cells U_w w P of G (Carter, Finite Groups of Lie Type,
-        2.5-2.8) as (w, free) pairs, read by ``coset_reps`` and
-        ``coset_conjugator``.  w runs through the minimal representatives of
-        the cosets w W_c of S_d, which increase on each block of positions,
-        in one-line form from 0; the matrix of w sends e_k to e_w(k).  U_w
-        is the group of upper unitriangular u whose free entries are the
-        (i, j) with i < j and w^-1(i) > w^-1(j).  Refuses, before building
-        any cell, when [G:P] exceeds SCAN_LIMIT; the cell sizes q^len(free)
-        must sum to [G:P]."""
+        2.5-2.8) as (w, free) pairs, read by ``coset_conjugator`` and, in
+        the tests, by ``coset_reps`` of ``coset_sum_oracle.py``.  w runs
+        through the minimal representatives of the cosets w W_c of S_d,
+        which increase on each block of positions, in one-line form from 0;
+        the matrix of w sends e_k to e_w(k).  U_w is the group of upper
+        unitriangular u whose free entries are the (i, j) with i < j and
+        w^-1(i) > w^-1(j).  Refuses, before building any cell, when [G:P]
+        exceeds SCAN_LIMIT; the cell sizes q^len(free) must sum to [G:P]."""
         group = self.group
         d, q = group.d, group.q
         index = group.order // self.order
@@ -369,29 +366,15 @@ class ParabolicSubgroup:
                 f"do not hold [G:P] = {index} cosets")
         return tuple(cells)
 
-    def coset_reps(self) -> tuple[Mat, ...]:
-        """One representative u w per left coset g P: for each cell (w, free)
-        of ``_bruhat_cells``, every u in U_w, with column k of u w equal to
-        column w(k) of u.  Refuses when [G:P] exceeds SCAN_LIMIT."""
-        d, q = self.group.d, self.group.q
-        ident = self.group.identity()
-        reps = []
-        for w, free in self._bruhat_cells:
-            for values in itertools.product(range(q), repeat=len(free)):
-                u = list(ident)
-                for (i, j), val in zip(free, values):
-                    u[i * d + j] = val
-                reps.append(tuple(u[i * d + w[k]] for i in range(d) for k in range(d)))
-        return tuple(reps)
-
     def coset_conjugator(self) -> Callable[[Mat], list[Mat]]:
-        """The map x -> [s^-1 x s for s = u w in ``coset_reps()``], the same
-        multiset without a general matrix product; refuses at once, before
-        any x, when [G:P] exceeds SCAN_LIMIT.  In each cell u runs over the
-        products of the transvections I + c E_ij over the free positions in
-        order, which for a closed set of positive roots reach each element
-        of U_w exactly once.  So u^-1 x u is x conjugated by one transvection
-        after another, one row and one column operation each
+        """The map x -> [s^-1 x s for s = u w], u in U_w for each cell
+        (w, free) of ``_bruhat_cells``, one s per coset g P, without a
+        general matrix product; refuses at once, before any x, when [G:P]
+        exceeds SCAN_LIMIT.  In each cell u runs over the products of the
+        transvections I + c E_ij over the free positions in order, which
+        for a closed set of positive roots reach each element of U_w
+        exactly once.  So u^-1 x u is x conjugated by one transvection after
+        another, one row and one column operation each
         (``conjugate_elementary`` with -c), along a tree whose prefixes are
         shared; w^-1 y w is the relabel (w^-1 y w)[a][b] = y[w(a)][w(b)]."""
         d, q = self.group.d, self.group.q

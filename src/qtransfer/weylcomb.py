@@ -50,7 +50,6 @@ __all__ = [
     "perm_mul",
     "perm_inv",
     "cycle_type",
-    "inversions",
     "all_perms",
     "block_composition",
     "YoungSubgroup",
@@ -110,12 +109,6 @@ def cycle_type(w: Perm) -> tuple[int, ...]:
                 length += 1
             lengths.append(length)
     return dominant(lengths)
-
-
-def inversions(w: Perm) -> int:
-    """Coxeter length of w in type A."""
-    return sum(1 for i in range(len(w)) for j in range(i + 1, len(w))
-               if w[i] > w[j])
 
 
 @lru_cache(maxsize=None)

@@ -16,13 +16,18 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from typing import Sequence
 
 from qtransfer.algebra import as_composition
 from qtransfer.finitegl import ClassFunction, GLGroup
-from qtransfer.finitegl.fqmat import Mat, in_rowspace, mat_vec, rref_subspaces
+from qtransfer.finitegl.fqmat import Mat, in_rowspace, rref_subspaces
 
 # (d, q, class representative, dim) -> indices of the stable subspaces
 STABLE_CACHE: dict[tuple[int, int, Mat, int], frozenset[int]] = {}
+
+
+def mat_vec(a: Mat, v: Sequence[int], d: int, q: int) -> tuple[int, ...]:
+    return tuple(sum(a[i * d + j] * v[j] for j in range(d)) % q for i in range(d))
 
 
 @lru_cache(maxsize=None)

@@ -2,7 +2,8 @@
 and ``image_schur``.
 
 s_mu is the sum of z**weight(T) over the semistandard tableaux T of shape
-mu with entries in 1..n.  The image of s_mu under the transfer is the sum
+mu with entries in 1..n, which ``ssyt_tableaux`` lists and ``ssyt_weight``
+weighs; the package has no tableau walk of its own.  The image of s_mu under the transfer is the sum
 of the images of those monomials: z**a maps to v**(a . x) t**b, with x the
 shift vector and b the block sums of a.  Both walks touch every tableau,
 so they are limited to small shapes; the production paths build s_mu from
@@ -12,10 +13,49 @@ names of the package are used.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
+from operator import lt
+from typing import Iterator, Sequence
 
-from qtransfer.algebra import QScalar, SymPoly, as_partition, ssyt_tableaux, ssyt_weight
+from qtransfer.algebra import QScalar, SymPoly, as_partition
 from qtransfer.transfer import TransferParams, shift_vector
+
+
+def ssyt_tableaux(shape: Sequence[int], max_entry: int
+                  ) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Semistandard Young tableaux of the given shape, entries in 1..max_entry,
+    generated lazily, in lexicographic order of their rows.
+
+    Rows weakly increase: each row is drawn from
+    ``itertools.combinations_with_replacement`` of the entries.  Columns
+    strictly increase: a row is kept when each entry exceeds the one above.
+    """
+    shape = as_partition(shape) if shape else ()
+    if len(shape) > max_entry:
+        return  # first column cannot strictly increase
+    entries = range(1, max_entry + 1)
+
+    def rows_from(r: int, above: tuple[int, ...]
+                  ) -> Iterator[tuple[tuple[int, ...], ...]]:
+        if r == len(shape):
+            yield ()
+            return
+        for row in itertools.combinations_with_replacement(entries, shape[r]):
+            if all(map(lt, above, row)):
+                for rest in rows_from(r + 1, row):
+                    yield (row, *rest)
+
+    yield from rows_from(0, ())
+
+
+def ssyt_weight(tab: Sequence[Sequence[int]], max_entry: int) -> tuple[int, ...]:
+    """Weight vector of a tableau: entry i-count at position i-1."""
+    w = [0] * max_entry
+    for row in tab:
+        for x in row:
+            w[x - 1] += 1
+    return tuple(w)
 
 
 def schur_by_tableaux(n: int, mu) -> SymPoly:

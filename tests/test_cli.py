@@ -1,13 +1,17 @@
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import qtransfer
-from qtransfer.algebra import SymPoly
+from qtransfer import cli, weylcomb
+from qtransfer.algebra import SymPoly, sympoly
 from qtransfer.cli import main
+from qtransfer.finitegl import ParabolicSubgroup
 
 
 def run(capsys, *argv):
@@ -131,6 +135,80 @@ def test_verify_transfer_checks_e_against_substitution(capsys, monkeypatch):
     assert all("e_1" in c["failures"] for c in cases)
 
 
+def _negate_one_ep_weight(monkeypatch):
+    ep_weights = weylcomb.ep_weights
+
+    def faulty(d):
+        weights = dict(ep_weights(d))
+        lam = min(weights)  # (1^d)
+        weights[lam] = -weights[lam]
+        return weights
+
+    monkeypatch.setattr(weylcomb, "ep_weights", faulty)
+
+
+def _raise_one_class_count(monkeypatch):
+    counts = weylcomb.composition_class_counts
+
+    def faulty(comp):
+        row = dict(counts(comp))
+        row[next(iter(row))] += 1
+        return row
+
+    monkeypatch.setattr(weylcomb, "composition_class_counts", faulty)
+
+
+def _scale_image_e_at_2(monkeypatch):
+    # cli's name only: the cached Jacobi-Trudi entries read transfer.image_e
+    image_e = cli.image_e
+    monkeypatch.setattr(cli, "image_e",
+                        lambda p, k: image_e(p, k).scale(2) if k == 2 else image_e(p, k))
+
+
+def _raise_kostka_at_21(monkeypatch):
+    # sympoly's name only: partitions.kostka is memoised and recursive
+    kostka = sympoly.kostka
+    monkeypatch.setattr(sympoly, "kostka",
+                        lambda mu, lam: kostka(mu, lam) + (mu == (2, 1)))
+
+
+def _nonzero_levi_sum(monkeypatch):
+    monkeypatch.setattr(cli, "proper_levi_vanishing",
+                        lambda d, M: {frozenset(): Fraction(1)})
+
+
+def _drop_one_conjugate(monkeypatch):
+    coset_conjugator = ParabolicSubgroup.coset_conjugator
+
+    def faulty(self):
+        conjugates = coset_conjugator(self)
+        if len(self.composition) == 1:
+            return conjugates
+        return lambda x: conjugates(x)[1:]
+
+    monkeypatch.setattr(ParabolicSubgroup, "coset_conjugator", faulty)
+
+
+@pytest.mark.parametrize("plant,argv", [
+    (_negate_one_ep_weight, ["--suite", "comb-prop", "--dmax", "4"]),
+    (_raise_one_class_count, ["--suite", "comb-prop", "--dmax", "4"]),
+    (_scale_image_e_at_2, ["--suite", "transfer-consistency", "--nmax", "4",
+                           "--degmax", "3"]),
+    (_raise_kostka_at_21, ["--suite", "transfer-consistency", "--nmax", "4",
+                           "--degmax", "3"]),
+    (_nonzero_levi_sum, ["--suite", "weyl-vanishing", "--dmax", "3"]),
+    (_drop_one_conjugate, ["--suite", "finite-gl", "--dmax", "2"]),
+], ids=lambda v: v.__name__.strip("_") if callable(v) else v[1])
+def test_verify_fails_on_a_planted_fault(capsys, monkeypatch, plant, argv):
+    # one fault per row, planted where no memoised result can keep it for
+    # a later test; the suite must evaluate and fail, not pass or raise
+    plant(monkeypatch)
+    code, report = run_json(capsys, "verify", *argv)
+    assert code == 1
+    assert report["status"] == "fail"
+    assert not report["payload"][argv[1]]["ok"]
+
+
 def test_verify_ep_shadow_small(capsys):
     code, report = run_json(capsys, "verify", "--suite", "ep-shadow",
                             "--n", "3", "--q", "2")
@@ -236,6 +314,17 @@ def test_verify_refuses_a_suite_that_checks_nothing(capsys, argv, suite):
     assert code == 2
     assert report["status"] == "error"
     assert f"suite {suite} " in report["error"]
+
+
+def test_verify_refuses_a_non_prime_q_before_any_suite(capsys, monkeypatch):
+    def refuse(case):
+        raise AssertionError(f"a suite ran case {case}")
+
+    for name, suite in cli.SUITES.items():
+        monkeypatch.setitem(cli.SUITES, name, dataclasses.replace(suite, check=refuse))
+    code, report = run_json(capsys, "verify", "--suite", "all", "--q", "4")
+    assert code == 2
+    assert report == {"schema": "1", "status": "error", "error": "--q 4 is not a prime"}
 
 
 def test_transfer_payload_schema(capsys):

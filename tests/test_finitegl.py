@@ -7,7 +7,15 @@ from fractions import Fraction
 import pytest
 
 import flag_scan_oracle
-from coset_sum_oracle import generator_pairs, ind_identity_report
+from coset_sum_oracle import (
+    _left_coset_reps,
+    coset_reps,
+    generator_pairs,
+    ind_identity_report,
+    induce_class_function,
+    induced_values_averaged,
+    mat_inv,
+)
 from qtransfer.algebra import compositions, parahoric_index, partitions, subsets
 from qtransfer.finitegl import (
     BudgetError,
@@ -19,21 +27,18 @@ from qtransfer.finitegl import (
     comb_prop_check,
     dl_character,
     ind_conjugate_identity_exhaustive,
-    induce_class_function,
-    induced_values_averaged,
     parabolic_trivial_ind,
     trivial_character,
 )
-from qtransfer.finitegl.classfun import _conjugation_counts_grouped, _left_coset_reps
+from qtransfer.finitegl.classfun import _conjugation_counts_grouped
 from qtransfer.finitegl.fqmat import (
     char_poly,
     companion_matrix,
     conjugate_elementary,
     factor_monic,
     mat_det,
-    mat_inv,
+    mat_identity,
     mat_mul,
-    mat_vec,
     monic_irreducibles,
     poly_mul,
     rref_subspaces,
@@ -179,7 +184,7 @@ def test_induce_identity_and_trivial_subgroup():
     all_f = {m: Fraction(1) for m in group.elements()}
     assert induce_class_function(group, group.elements(), all_f) == \
         trivial_character(group)
-    ident = group.identity()
+    ident = mat_identity(group.d)
     ind = induce_class_function(group, [ident], {ident: Fraction(1)})
     assert ind.degree() == group.order
     assert all(v == 0 for c, v in zip(group.classes, ind.values)
@@ -297,7 +302,7 @@ def test_ind_conjugate_identity_single_case():
     group = cached_group(2, 2)
     P = ParabolicSubgroup(group, (1, 1))
     # C = {identity}: both sides are [G:P] at the identity, 0 elsewhere
-    ident_idx = P.class_index_of(group.identity())
+    ident_idx = P.class_index_of(mat_identity(group.d))
     case = ind_conjugate_identity_exhaustive(group, (1, 1))["cases"][ident_idx]
     assert case["class_index"] == ident_idx
     assert case["equal"]
@@ -342,7 +347,7 @@ def test_stable_subspace_memo_matches_fresh_scan(d, q):
             span = {tuple(sum(c * row[j] for c, row in zip(coeffs, basis)) % q
                           for j in range(d))
                     for coeffs in itertools.product(range(q), repeat=dim)}
-            if all(mat_vec(rep, row, d, q) in span for row in basis):
+            if all(flag_scan_oracle.mat_vec(rep, row, d, q) in span for row in basis):
                 fresh.add(idx)
         assert stable == fresh
 
@@ -414,7 +419,7 @@ def test_generator_orbits_match_conjugation_oracle(d, q):
     for comp in compositions(d):
         P = ParabolicSubgroup(group, comp)
         gens = generator_pairs(P)
-        assert all(P.contains(g) and mat_mul(g, g_inv, d, q) == group.identity()
+        assert all(P.contains(g) and mat_mul(g, g_inv, d, q) == mat_identity(d)
                    for g, g_inv in gens)
         if len(comp) == 1:
             continue  # P = G takes the classes of the group
@@ -443,8 +448,8 @@ def test_generators_generate_the_parabolic(d, q):
     for comp in compositions(d):
         P = ParabolicSubgroup(group, comp)
         gens = [g for g, _ in generator_pairs(P)]
-        reached = {group.identity()}
-        frontier = [group.identity()]
+        reached = {mat_identity(d)}
+        frontier = [mat_identity(d)]
         while frontier:
             y = frontier.pop()
             for g in gens:
@@ -506,7 +511,7 @@ def test_bruhat_coset_reps_against_tiling(d, q):
         elems = P.elements()
         tiling = _left_coset_reps(group, elems)
         coset_of = {mat_mul(g, h, d, q): idx for idx, g in enumerate(tiling) for h in elems}
-        hits = sorted(coset_of[s] for s in P.coset_reps())
+        hits = sorted(coset_of[s] for s in coset_reps(P))
         assert hits == list(range(len(tiling)))
 
 
@@ -514,9 +519,9 @@ def test_coset_reps_refuse_on_index():
     started = time.monotonic()
     # [GL_5(F_3) : B] = [5]_3! is just past the limit
     with pytest.raises(BudgetError, match="has 251680 cosets, beyond the scan limit 200000"):
-        ParabolicSubgroup(GLGroup(5, 3), (1,) * 5).coset_reps()
+        ParabolicSubgroup(GLGroup(5, 3), (1,) * 5).coset_conjugator()
     with pytest.raises(BudgetError, match="has 19923090075 cosets"):
-        ParabolicSubgroup(GLGroup(8, 2), (1,) * 8).coset_reps()
+        ParabolicSubgroup(GLGroup(8, 2), (1,) * 8).coset_conjugator()
     assert time.monotonic() - started < 1
 
 
@@ -543,11 +548,11 @@ def test_induction_identity_against_coset_sum_oracle(d, q):
 @pytest.mark.parametrize("d,q", [(3, 3), (4, 2)])
 def test_coset_conjugator_against_matrix_products(d, q):
     # the walked conjugates of each class representative are the multiset
-    # {s^-1 x s : s in coset_reps()}, for every parabolic
+    # {s^-1 x s : s in coset_reps(P)}, for every parabolic
     group = cached_group(d, q)
     for comp in compositions(d):
         P = ParabolicSubgroup(group, comp)
-        reps = [(s, mat_inv(s, d, q)) for s in P.coset_reps()]
+        reps = [(s, mat_inv(s, d, q)) for s in coset_reps(P)]
         conjugates = P.coset_conjugator()
         for cls in group.classes:
             x = cls.rep
@@ -566,7 +571,6 @@ def test_induction_identity_without_matrix_products(monkeypatch):
         calls += 1
         return mat_mul(*args)
 
-    monkeypatch.setattr("qtransfer.finitegl.classfun.mat_mul", counted)
     monkeypatch.setattr("qtransfer.finitegl.group.mat_mul", counted)
     for d, q in [(3, 3), (4, 2)]:
         group = GLGroup(d, q)

