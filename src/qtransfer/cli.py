@@ -231,8 +231,17 @@ def _weyl_vanishing_case(case: tuple[int, tuple[int, ...]]) -> dict:
             "nonzero_sums": bad}
 
 
+def _flag_characters_transitive(group) -> bool:
+    """<Ind_{P_lam}(1), 1> = 1 for every partition lam of d: G acts
+    transitively on the flags of each type.  R_rho inverts these values, so
+    this is what the comb_prop rows and ep-shadow see of them."""
+    return all(parabolic_trivial_ind(group, lam).inner_with_trivial() == 1
+               for lam in partitions(group.d))
+
+
 _GL_IDENTITIES = {
-    "comb_prop": lambda group: comb_prop_check(group)["equal"],
+    "comb_prop": lambda group: (comb_prop_check(group)["equal"]
+                                and _flag_characters_transitive(group)),
     "ind_identity": lambda group: ind_conjugate_identity_exhaustive(group)["ok"],
 }
 
@@ -247,8 +256,10 @@ def _finite_gl_case(case: tuple[str, int, int]) -> dict:
 
 def _ep_shadow_case(case: tuple[int, tuple[int, ...], int]) -> dict:
     d, parts, q = case
-    rep = fj_shadow_report(DParahoricType(d, parts), q)
-    return {"d": d, "parts": list(parts), "q": q, "ok": rep["equal"]}
+    t = DParahoricType(d, parts)
+    ok = (fj_shadow_report(t, q)["equal"]
+          and _flag_characters_transitive(cached_group(t.n, q)))
+    return {"d": d, "parts": list(parts), "q": q, "ok": ok}
 
 
 SUITES = {

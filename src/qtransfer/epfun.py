@@ -269,11 +269,10 @@ def fj_shadow_report(t: DParahoricType, q: int) -> dict:
     ``test_composition_class_counts_against_enumeration`` checks against
     W_L enumerated; past it, one side induces from parabolics and the
     other inverts to DL characters.  So it checks the S_d combinatorics
-    carried through the class data and holds for any Ind_{P_lam}(1) values:
-    ``_flag_count`` + 1 on 2-part compositions of types with more than one
-    primary part passes ``ep-shadow --n 4 --q 2 3``, and the tests
-    ``test_flag_counts_match_subspace_scan`` and
-    ``test_dl_characters_orthogonality_and_degree`` catch it."""
+    carried through the class data and holds for any Ind_{P_lam}(1) values.
+    So ``verify --suite ep-shadow`` also checks <Ind_{P_lam}(1), 1> = 1 on
+    GL_n(F_q), which fails under ``_flag_count`` + 1 on 2-part compositions
+    of types with more than one primary part."""
     lhs = shadow(f_J(t), q)
     rhs = weyl_averaged_dl(t, q)
     return {

@@ -232,10 +232,10 @@ def comb_prop_check(group: GLGroup) -> dict:
     d * sum over lam of ep_weights(d)[lam] Ind_{P_lam}(1).  R_rho inverts
     the Ind values, so this checks the S_d combinatorics (``ep_weights``,
     ``composition_class_counts``) carried through the class data and holds
-    for any Ind values: ``_flag_count`` + 1 on 2-part compositions of types
-    with more than one primary part passes ``verify --suite finite-gl``, and
-    ``test_flag_counts_match_subspace_scan`` and
-    ``test_dl_characters_orthogonality_and_degree`` catch it."""
+    for any Ind values.  So the comb_prop rows of ``verify --suite
+    finite-gl`` also check <Ind_{P_lam}(1), 1> = 1, which fails under
+    ``_flag_count`` + 1 on 2-part compositions of types with more than one
+    primary part."""
     d = group.d
     lhs = dl_character(group, (d,))
     rhs = sum((parabolic_trivial_ind(group, lam).scale(d * weight)

@@ -3,7 +3,8 @@
 Matrices are flat row-major tuples of ints in range(q), so they hash and
 compare cheaply; all helpers take (mat, d, q) explicitly.  Polynomials are
 coefficient tuples, constant term first, trimmed; monic throughout where
-stated.
+stated.  One forward elimination gives ``mat_rank`` and ``mat_det``; the
+class labels are read from ranks, not from a factorisation.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ __all__ = [
     "poly_divmod",
     "poly_eval_matrix",
     "monic_irreducibles",
-    "factor_monic",
     "companion_matrix",
     "block_diag",
     "rref_subspaces",
@@ -75,47 +75,36 @@ def conjugate_elementary(y: Mat, i: int, j: int, c: int, d: int, q: int) -> Mat:
     return tuple(out)
 
 
-def _row_reduce(rows: list[list[int]], q: int) -> int:
-    """In-place row echelon; returns the rank."""
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+def _eliminate(a: Mat, d: int, q: int) -> tuple[int, int]:
+    """(rank, det) of a d x d matrix by one forward elimination: each pivot
+    row clears the rows below it, nothing above; det is 0 below full rank."""
+    rows = [list(a[i * d:(i + 1) * d]) for i in range(d)]
+    rank, det = 0, 1
+    for col in range(d):
+        pivot = next((r for r in range(rank, d) if rows[r][col]), None)
         if pivot is None:
+            det = 0
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], q - 2, q)
-        rows[rank] = [(x * inv) % q for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                c = rows[r][col]
-                rows[r] = [(x - c * y) % q for x, y in zip(rows[r], rows[rank])]
+        if pivot != rank:
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            det = -det
+        top = rows[rank]
+        det = det * top[col] % q
+        inv = pow(top[col], q - 2, q)
+        for r in range(rank + 1, d):
+            if rows[r][col]:
+                c = rows[r][col] * inv % q
+                rows[r] = [(x - c * y) % q for x, y in zip(rows[r], top)]
         rank += 1
-    return rank
+    return rank, det % q
 
 
 def mat_rank(a: Mat, d: int, q: int) -> int:
-    rows = [list(a[i * d:(i + 1) * d]) for i in range(d)]
-    return _row_reduce(rows, q)
+    return _eliminate(a, d, q)[0]
 
 
 def mat_det(a: Mat, d: int, q: int) -> int:
-    rows = [list(a[i * d:(i + 1) * d]) for i in range(d)]
-    det = 1
-    for col in range(d):
-        pivot = next((r for r in range(col, d) if rows[r][col]), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det = (det * rows[col][col]) % q
-        inv = pow(rows[col][col], q - 2, q)
-        for r in range(col + 1, d):
-            if rows[r][col]:
-                c = (rows[r][col] * inv) % q
-                rows[r] = [(x - c * y) % q for x, y in zip(rows[r], rows[col])]
-    return det % q
+    return _eliminate(a, d, q)[1]
 
 
 def _principal_minor_sum(a: Mat, d: int, q: int, k: int) -> int:
@@ -184,10 +173,10 @@ def poly_divmod(f: Poly, g: Poly, q: int) -> tuple[Poly, Poly]:
 
 
 def poly_eval_matrix(f: Poly, a: Mat, d: int, q: int) -> Mat:
-    """f(a) by Horner's rule."""
-    out = tuple(0 for _ in range(d * d))
+    """f(a) by Horner's rule, from the leading coefficient of f times I."""
     ident = mat_identity(d)
-    for c in reversed(f):
+    out = tuple(f[-1] * x for x in ident)
+    for c in reversed(f[:-1]):
         out = mat_mul(out, a, d, q)
         if c:
             out = tuple((x + c * y) % q for x, y in zip(out, ident))
@@ -196,9 +185,9 @@ def poly_eval_matrix(f: Poly, a: Mat, d: int, q: int) -> Mat:
 
 @lru_cache(maxsize=None)
 def monic_irreducibles(q: int, maxdeg: int) -> tuple[Poly, ...]:
-    """All monic irreducible polynomials over F_q of degree 1..maxdeg,
-    by sieve: a polynomial is irreducible iff no irreducible of at most
-    half its degree divides it."""
+    """All monic irreducible polynomials over F_q of degree 1..maxdeg, in
+    (degree, coefficients) order, by sieve: a polynomial is irreducible iff
+    no irreducible of at most half its degree divides it."""
     irreducibles: list[Poly] = []
     for deg in range(1, maxdeg + 1):
         for tail in itertools.product(range(q), repeat=deg):
@@ -207,27 +196,6 @@ def monic_irreducibles(q: int, maxdeg: int) -> tuple[Poly, ...]:
                    for g in irreducibles if 2 * (len(g) - 1) <= deg):
                 irreducibles.append(f)
     return tuple(irreducibles)
-
-
-def factor_monic(f: Poly, q: int) -> list[tuple[Poly, int]]:
-    """Factor a monic polynomial into (irreducible, multiplicity) pairs,
-    ordered by (degree, coefficients)."""
-    deg = len(f) - 1
-    out = []
-    for g in monic_irreducibles(q, deg):
-        mult = 0
-        quo, rem = poly_divmod(f, g, q)
-        while not rem:
-            mult += 1
-            f = quo
-            quo, rem = poly_divmod(f, g, q)
-        if mult:
-            out.append((g, mult))
-        if len(f) == 1:
-            break
-    if len(f) != 1:
-        raise AssertionError("factorization did not terminate on a unit")
-    return sorted(out, key=lambda p: (len(p[0]), p[0]))
 
 
 def companion_matrix(f: Poly, q: int) -> Mat:

@@ -3,10 +3,9 @@ subgroups.
 
 Conjugacy classes are parametrized by their primary rational canonical
 form: an assignment of a partition to each monic irreducible polynomial
-(other than x), with total degree d.  For a matrix the partition attached
-to an irreducible factor f is read off the kernel-dimension profile of
-f(A)^j, which together with the characteristic polynomial is a complete
-conjugacy invariant.  Class sizes come from the classical centralizer
+(other than x), with total degree d.  A matrix is labelled by the kernel
+profiles of f(A)^j for the irreducibles f dividing its characteristic
+polynomial, read in one pass; they are a complete conjugacy invariant.  Class sizes come from the classical centralizer
 order formula; representatives are block-diagonal companion matrices.
 The test suite re-derives the classes of every enumerable group by brute
 force and checks them against this construction.
@@ -42,12 +41,12 @@ from .fqmat import (
     char_poly,
     companion_matrix,
     conjugate_elementary,
-    factor_monic,
     mat_det,
     mat_identity,
     mat_mul,
     mat_rank,
     monic_irreducibles,
+    poly_divmod,
     poly_eval_matrix,
     poly_mul,
     poly_pow,
@@ -185,7 +184,6 @@ class GLGroup:
 
     def _all_labels(self) -> Iterator[Label]:
         irrs = [f for f in monic_irreducibles(self.q, self.d) if f != (0, 1)]
-        irrs.sort(key=lambda f: (len(f), f))
 
         # each level takes one more irreducible, of degree at most what
         # remains, so the recursion is at most d deep
@@ -207,36 +205,40 @@ class GLGroup:
             yield tuple(sorted(label))
 
     def label_of(self, mat: Mat) -> Label:
-        """Complete conjugacy invariant of an invertible matrix."""
-        cp = char_poly(mat, self.d, self.q)
+        """Complete conjugacy invariant of an invertible matrix: for each
+        irreducible f dividing the characteristic polynomial, the partition
+        whose conjugate is the growth of the kernels of f(A)^j over deg f,
+        read until they stop growing or fill F_q^d."""
+        d, q = self.d, self.q
+        cp = char_poly(mat, d, q)
         label = []
-        for f, mult in factor_monic(cp, self.q):
+        filled = 0
+        for f in monic_irreducibles(q, d):
+            if poly_divmod(cp, f, q)[1]:
+                continue
             deg = len(f) - 1
-            B = poly_eval_matrix(f, mat, self.d, self.q)
-            power = mat_identity(self.d)
-            prev_k = 0
-            profile = []
-            assigned = 0
-            while assigned < mult:
-                power = mat_mul(power, B, self.d, self.q)
-                k = self.d - mat_rank(power, self.d, self.q)
-                parts_ge = (k - prev_k) // deg
-                if parts_ge <= 0:
-                    raise AssertionError("kernel profile stalled before filling")
-                profile.append(parts_ge)
-                assigned += parts_ge
-                prev_k = k
-            lam = conjugate(tuple(profile))
-            label.append((f, lam))
-        return tuple(sorted(label))
+            B = poly_eval_matrix(f, mat, d, q)
+            power, kernel, profile = B, 0, []
+            while True:
+                k = d - mat_rank(power, d, q)
+                if k == kernel:
+                    break
+                profile.append((k - kernel) // deg)
+                kernel = k
+                if filled + kernel == d:
+                    break
+                power = mat_mul(power, B, d, q)
+            label.append((f, conjugate(tuple(profile))))
+            filled += kernel
+            if filled == d:
+                return tuple(sorted(label))
+        raise AssertionError(f"the primary parts of {mat} fill {filled} of {d} dimensions")
 
     def class_index_of(self, mat: Mat) -> int:
         return self._class_lookup[self.label_of(mat)]
 
     def identity_class_index(self) -> int:
-        f_x_minus_1 = ((self.q - 1) % self.q, 1)
-        label: Label = ((f_x_minus_1, (1,) * self.d),)
-        return self._class_lookup[label]
+        return self.class_index_of(mat_identity(self.d))
 
     # -- elements ------------------------------------------------------------
 

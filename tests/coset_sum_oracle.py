@@ -28,18 +28,22 @@ from typing import Mapping, Sequence
 
 from qtransfer.algebra import compositions
 from qtransfer.finitegl import ClassFunction, GLGroup, ParabolicSubgroup
-from qtransfer.finitegl.fqmat import Mat, _row_reduce, mat_identity, mat_mul
+from qtransfer.finitegl.fqmat import Mat, char_poly, mat_identity, mat_mul
 
 
 def mat_inv(a: Mat, d: int, q: int) -> Mat:
-    aug = [list(a[i * d:(i + 1) * d]) + [1 if i == j else 0 for j in range(d)]
-           for i in range(d)]
-    _row_reduce(aug, q)
-    # the left block must have come out as the identity; a full-rank
-    # augmented matrix alone does not certify invertibility
-    if any(aug[i][j] != (1 if i == j else 0) for i in range(d) for j in range(d)):
+    """a^-1 by Cayley-Hamilton, not by row reduction: with char_poly(a) =
+    x^d + c_(d-1) x^(d-1) + .. + c_0, a^-1 = -(a^(d-1) + c_(d-1) a^(d-2) +
+    .. + c_1) / c_0, the sum by Horner's rule; c_0 = 0 means singular."""
+    coeffs = char_poly(a, d, q)
+    if not coeffs[0]:
         raise ZeroDivisionError("matrix is singular")
-    return tuple(aug[i][d + j] for i in range(d) for j in range(d))
+    ident = mat_identity(d)
+    out = ident
+    for c in reversed(coeffs[1:-1]):
+        out = tuple((x + c * y) % q for x, y in zip(mat_mul(out, a, d, q), ident))
+    scale = -pow(coeffs[0], -1, q)
+    return tuple(x * scale % q for x in out)
 
 
 def coset_reps(parabolic: ParabolicSubgroup) -> tuple[Mat, ...]:

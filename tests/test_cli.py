@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import qtransfer
 from qtransfer import cli, weylcomb
 from qtransfer.algebra import SymPoly, sympoly
 from qtransfer.cli import main
-from qtransfer.finitegl import ParabolicSubgroup
+from qtransfer.finitegl import ParabolicSubgroup, classfun
 
 
 def run(capsys, *argv):
@@ -189,6 +190,19 @@ def _drop_one_conjugate(monkeypatch):
     monkeypatch.setattr(ParabolicSubgroup, "coset_conjugator", faulty)
 
 
+def _raise_two_part_flag_counts(monkeypatch):
+    # one more flag on each 2-part composition of a module type with more
+    # than one primary part; _flag_count, _trivial_ind and _dl_characters
+    # memoise, so each runs on a fresh cache that the undo drops
+    fresh = {name: functools.lru_cache(maxsize=None)(getattr(classfun, name).__wrapped__)
+             for name in ("_flag_count", "_trivial_ind", "_dl_characters")}
+    flag_count = fresh["_flag_count"]
+    fresh["_flag_count"] = lambda mtype, comp, q: (
+        flag_count(mtype, comp, q) + (len(comp) == 2 and len(mtype) > 1))
+    for name, fn in fresh.items():
+        monkeypatch.setattr(classfun, name, fn)
+
+
 @pytest.mark.parametrize("plant,argv", [
     (_negate_one_ep_weight, ["--suite", "comb-prop", "--dmax", "4"]),
     (_raise_one_class_count, ["--suite", "comb-prop", "--dmax", "4"]),
@@ -198,6 +212,8 @@ def _drop_one_conjugate(monkeypatch):
                            "--degmax", "3"]),
     (_nonzero_levi_sum, ["--suite", "weyl-vanishing", "--dmax", "3"]),
     (_drop_one_conjugate, ["--suite", "finite-gl", "--dmax", "2"]),
+    (_raise_two_part_flag_counts, ["--suite", "finite-gl"]),
+    (_raise_two_part_flag_counts, ["--suite", "ep-shadow", "--n", "4", "--q", "2", "3"]),
 ], ids=lambda v: v.__name__.strip("_") if callable(v) else v[1])
 def test_verify_fails_on_a_planted_fault(capsys, monkeypatch, plant, argv):
     # one fault per row, planted where no memoised result can keep it for

@@ -35,12 +35,11 @@ from qtransfer.finitegl.fqmat import (
     char_poly,
     companion_matrix,
     conjugate_elementary,
-    factor_monic,
     mat_det,
     mat_identity,
     mat_mul,
+    mat_rank,
     monic_irreducibles,
-    poly_mul,
     rref_subspaces,
 )
 from qtransfer.weylcomb import block_composition
@@ -71,18 +70,36 @@ def test_char_poly_of_companion():
             assert char_poly(mat, len(f) - 1, q) == f
 
 
-def test_factor_monic_roundtrip():
-    q = 3
-    # (x+1)^2 * (x^2+1); x^2+1 is irreducible over F_3
-    f = poly_mul(poly_mul((1, 1), (1, 1), q), (1, 0, 1), q)
-    factors = factor_monic(f, q)
-    assert factors == [((1, 1), 2), ((1, 0, 1), 1)]
+def _leibniz_det(a, d, q):
+    total = 0
+    for perm in itertools.permutations(range(d)):
+        inversions = sum(perm[i] > perm[j] for i in range(d) for j in range(i + 1, d))
+        total += (-1) ** inversions * math.prod(a[i * d + perm[i]] for i in range(d))
+    return total % q
+
+
+def _largest_nonzero_minor(a, d, q):
+    return max((k for k in range(1, d + 1)
+                for rows in itertools.combinations(range(d), k)
+                for cols in itertools.combinations(range(d), k)
+                if _leibniz_det(tuple(a[i * d + j] for i in rows for j in cols), k, q)),
+               default=0)
+
+
+@pytest.mark.parametrize("d,q", [(2, 2), (2, 3), (2, 5), (3, 2)])
+def test_rank_and_det_match_leibniz_and_minors(d, q):
+    # every matrix: the one elimination against the Leibniz sum, and the
+    # rank against the size of the largest nonzero minor
+    for a in itertools.product(range(q), repeat=d * d):
+        assert mat_det(a, d, q) == _leibniz_det(a, d, q)
+        assert mat_rank(a, d, q) == _largest_nonzero_minor(a, d, q)
 
 
 def test_irreducible_counts():
     # necklace counts: (q^2 - q)/2 quadratics, (q^3 - q)/3 cubics
     for q in (2, 3, 5):
         irrs = monic_irreducibles(q, 3)
+        assert list(irrs) == sorted(irrs, key=lambda f: (len(f), f))
         by_deg = Counter(len(f) - 1 for f in irrs)
         assert by_deg[1] == q
         assert by_deg[2] == (q * q - q) // 2
