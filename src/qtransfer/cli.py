@@ -23,6 +23,7 @@ from typing import Callable, Sequence
 
 from .algebra.partitions import (
     as_composition,
+    as_partition_of,
     parse_partition,
     partitions,
     render_partition,
@@ -362,9 +363,7 @@ def cmd_ep(args) -> tuple[dict, str, dict]:
     if args.d is None or args.r is None:
         raise UsageError(f"ep {args.action} requires --d and --r")
     parts = parse_partition(args.type) if args.type else (1,) * args.r
-    if sum(parts) != args.r:
-        raise UsageError(f"--type {args.type} is not a partition of r = {args.r}")
-    t = DParahoricType(args.d, parts)
+    t = DParahoricType(args.d, as_partition_of(parts, args.r))
     params = {"action": args.action, "d": args.d, "r": args.r,
               "type": render_partition(parts)}
     if args.action == "fj":

@@ -26,8 +26,8 @@ from .algebra.partitions import (as_composition, as_partition, as_partition_of, 
                                  render_partition)
 from .algebra.qcount import parahoric_index
 from .algebra.scalars import ZERO, Coeffish, QScalar, as_qscalar
-from .finitegl import ClassFunction, cached_group, dl_character, parabolic_trivial_ind
-from .finitegl.classfun import zero_class_function
+from .finitegl import (ClassFunction, cached_group, dl_character, linear_combination,
+                       parabolic_trivial_ind)
 from .weylcomb import composition_class_counts, ep_weights
 
 __all__ = [
@@ -245,21 +245,16 @@ def shadow(x: ParahoricCombo, q: int) -> ClassFunction:
     if x.basis == "one":
         x = to_e_basis(x)
     group = cached_group(x.n, q)
-    total = zero_class_function(group)
-    for lam, coeff in x.sorted_terms():
-        c = coeff.specialize_q(q)
-        total = total + parabolic_trivial_ind(group, lam).scale(c)
-    return total
+    return linear_combination(group, ((c.specialize_q(q), parabolic_trivial_ind(group, lam))
+                                      for lam, c in x.sorted_terms()))
 
 
 def weyl_averaged_dl(t: DParahoricType, q: int) -> ClassFunction:
     """(1/|W_L|) sum over w in W_L of the Deligne-Lusztig character of
     GL_n(F_q) whose torus type concatenates the parts d*m of w."""
     group = cached_group(t.n, q)
-    total = zero_class_function(group)
-    for torus, weight in _torus_weights(t):
-        total = total + dl_character(group, torus).scale(weight)
-    return total
+    return linear_combination(group, ((weight, dl_character(group, torus))
+                                      for torus, weight in _torus_weights(t)))
 
 
 def fj_shadow_report(t: DParahoricType, q: int) -> dict:

@@ -5,9 +5,9 @@ from .classfun import (
     comb_prop_check,
     dl_character,
     ind_conjugate_identity_exhaustive,
+    linear_combination,
     parabolic_trivial_ind,
     trivial_character,
-    zero_class_function,
 )
 from .group import (
     CLASS_LIMIT,
@@ -23,7 +23,7 @@ from .group import (
 __all__ = [
     "GLGroup", "GLClass", "ParabolicSubgroup", "BudgetError",
     "CLASS_LIMIT", "SCAN_LIMIT", "cached_group", "class_count",
-    "ClassFunction", "trivial_character", "zero_class_function",
+    "ClassFunction", "trivial_character", "linear_combination",
     "parabolic_trivial_ind", "dl_character", "comb_prop_check",
     "ind_conjugate_identity_exhaustive",
 ]

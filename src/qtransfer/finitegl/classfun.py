@@ -14,7 +14,8 @@ enumerates G, and it conjugates by row and column operations, not general
 products, which are the oracle in the tests, as is coset-sum induction
 over an enumerated group (``tests/coset_sum_oracle.py``).
 Induced characters and the R_rho are memoised in this module, per group
-object and validated key.
+object and validated key.  ``linear_combination`` is the one place
+ClassFunctions are combined: the operators and every weighted sum call it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from ..algebra.partitions import (
     as_composition_of,
@@ -42,7 +43,7 @@ from .group import GLGroup, ParabolicSubgroup
 __all__ = [
     "ClassFunction",
     "trivial_character",
-    "zero_class_function",
+    "linear_combination",
     "parabolic_trivial_ind",
     "dl_character",
     "comb_prop_check",
@@ -61,24 +62,17 @@ class ClassFunction:
         if len(self.values) != len(self.group.classes):
             raise ValueError("value count does not match class count")
 
-    def _same_group(self, other: "ClassFunction") -> None:
-        if (self.group.d, self.group.q) != (other.group.d, other.group.q):
-            raise ValueError("class functions live on different groups")
-
     def __add__(self, other: "ClassFunction") -> "ClassFunction":
-        self._same_group(other)
-        return ClassFunction(self.group,
-                             tuple(a + b for a, b in zip(self.values, other.values)))
+        return linear_combination(self.group, ((1, self), (1, other)))
 
     def __sub__(self, other: "ClassFunction") -> "ClassFunction":
-        return self + (-other)
+        return linear_combination(self.group, ((1, self), (-1, other)))
 
     def __neg__(self) -> "ClassFunction":
-        return ClassFunction(self.group, tuple(-a for a in self.values))
+        return linear_combination(self.group, ((-1, self),))
 
     def scale(self, c) -> "ClassFunction":
-        c = Fraction(c)
-        return ClassFunction(self.group, tuple(c * a for a in self.values))
+        return linear_combination(self.group, ((c, self),))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ClassFunction):
@@ -100,8 +94,18 @@ def trivial_character(group: GLGroup) -> ClassFunction:
     return ClassFunction(group, (Fraction(1),) * len(group.classes))
 
 
-def zero_class_function(group: GLGroup) -> ClassFunction:
-    return ClassFunction(group, (Fraction(0),) * len(group.classes))
+def linear_combination(group: GLGroup,
+                       terms: Iterable[tuple[Fraction | int, ClassFunction]]) -> ClassFunction:
+    """The sum of c * f over the (c, f) pairs, added term by term into one
+    list of class values (zero for no terms), with no ClassFunction per
+    term; the one refusal of an f on another (d, q) than the group."""
+    total = [Fraction(0)] * len(group.classes)
+    for c, f in terms:
+        if (f.group.d, f.group.q) != (group.d, group.q):
+            raise ValueError("class functions live on different groups")
+        c = Fraction(c)
+        total = [t + c * v for t, v in zip(total, f.values)]
+    return ClassFunction(group, tuple(total))
 
 
 # -- stable-flag induction of the trivial character --------------------------
@@ -238,8 +242,8 @@ def comb_prop_check(group: GLGroup) -> dict:
     primary part."""
     d = group.d
     lhs = dl_character(group, (d,))
-    rhs = sum((parabolic_trivial_ind(group, lam).scale(d * weight)
-               for lam, weight in ep_weights(d).items()), zero_class_function(group))
+    rhs = linear_combination(group, ((d * weight, parabolic_trivial_ind(group, lam))
+                                     for lam, weight in ep_weights(d).items()))
     return {
         "d": group.d,
         "q": group.q,

@@ -21,6 +21,7 @@ from qtransfer.finitegl import (
     BudgetError,
     cached_group,
     dl_character,
+    linear_combination,
     parabolic_trivial_ind,
 )
 from qtransfer.weylcomb import block_composition
@@ -173,6 +174,13 @@ def test_shadow_of_full_type_is_trivial_character():
     for n, q in [(2, 2), (3, 2), (2, 3)]:
         combo = ParahoricCombo(n, "e", {(n,): 1})
         assert shadow(combo, q) == parabolic_trivial_ind(cached_group(n, q), (n,))
+
+
+def test_shadow_of_empty_combination_is_zero():
+    for n, q in [(1, 2), (3, 2), (2, 3)]:
+        zero = shadow(ParahoricCombo(n), q)
+        assert zero == linear_combination(cached_group(n, q), [])
+        assert zero.values == (0,) * len(cached_group(n, q).classes)
 
 
 def test_shadow_accepts_one_basis():

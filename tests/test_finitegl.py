@@ -16,6 +16,7 @@ from coset_sum_oracle import (
     induced_values_averaged,
     mat_inv,
 )
+from test_cli import _raise_two_part_flag_counts
 from qtransfer.algebra import compositions, parahoric_index, partitions, subsets
 from qtransfer.finitegl import (
     BudgetError,
@@ -27,6 +28,7 @@ from qtransfer.finitegl import (
     comb_prop_check,
     dl_character,
     ind_conjugate_identity_exhaustive,
+    linear_combination,
     parabolic_trivial_ind,
     trivial_character,
 )
@@ -265,6 +267,20 @@ def test_dl_borel_case_and_gl2_values():
         two_triv = trivial_character(group).scale(2)
         assert r2 == two_triv - parabolic_trivial_ind(group, (1, 1))
         assert r2.degree() == 1 - q
+
+
+def test_linear_combination_edges():
+    g2, g3 = cached_group(2, 2), cached_group(2, 3)
+    for terms in ([(1, trivial_character(g2)), (2, trivial_character(g3))],
+                  [(0, trivial_character(g3))]):
+        with pytest.raises(ValueError, match="^class functions live on different groups$"):
+            linear_combination(g2, terms)
+    with pytest.raises(ValueError, match="^class functions live on different groups$"):
+        trivial_character(g2) - trivial_character(g3)
+    # no terms: the zero function, with Fraction values like every other
+    zero = linear_combination(g3, [])
+    assert zero.values == (Fraction(0),) * len(g3.classes)
+    assert all(type(v) is Fraction for v in zero.values)
 
 
 def test_dl_averaging_roundtrip():
@@ -680,6 +696,45 @@ def test_dl_characters_orthogonality_and_degree(d, q):
             inner = sum(n * a * b for n, a, b in zip(sizes, chars[rho], chars[sigma]))
             expected = _centralizer_in_s_d(rho) if rho == sigma else 0
             assert Fraction(inner, group.order) == expected, (rho, sigma)
+
+
+def _regular_semisimple_mismatches(d, q):
+    """Check R_rho on the regular semisimple classes (every lambda_f = (1)),
+    a fact of the class data that does not pass through the inversion
+    defining dl_character: if the degrees of the irreducible factors sort
+    to tau, R_rho = z_rho when rho = tau and 0 otherwise (the character
+    formula of Deligne-Lusztig 1976, Thm 4.2, with theta = 1).  Returns the
+    number of values checked and the mismatching (class index, rho)."""
+    group = cached_group(d, q)
+    chars = {rho: dl_character(group, rho).values for rho in partitions(d)}
+    checked, mismatches = 0, []
+    for idx, cls in enumerate(group.classes):
+        if any(lam != (1,) for _, lam in cls.label):
+            continue
+        tau = tuple(sorted((len(f) - 1 for f, _ in cls.label), reverse=True))
+        for rho, values in chars.items():
+            checked += 1
+            if values[idx] != (_centralizer_in_s_d(rho) if rho == tau else 0):
+                mismatches.append((idx, rho))
+    return checked, mismatches
+
+
+def test_dl_characters_on_regular_semisimple_classes():
+    groups = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3), (3, 5), (5, 2), (6, 2)]
+    results = [_regular_semisimple_mismatches(d, q) for d, q in groups]
+    assert [mismatches for _, mismatches in results] == [[]] * len(groups)
+    assert sum(checked for checked, _ in results) == 846
+
+
+def test_regular_semisimple_fact_sees_a_wrong_flag_count(monkeypatch):
+    # one more flag on each 2-part composition of a module type with more
+    # than one primary part, on fresh caches: R_rho, defined from the flag
+    # counts, then breaks the fact on every group with such a type, which
+    # GL_2(F_2) lacks (t + 1 is its one degree-1 irreducible other than t)
+    _raise_two_part_flag_counts(monkeypatch)
+    broken = {(d, q): bool(_regular_semisimple_mismatches(d, q)[1])
+              for d, q in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]}
+    assert broken == {(2, 2): False, (2, 3): True, (3, 2): True, (3, 3): True, (4, 2): True}
 
 
 @pytest.mark.parametrize("d,q", [(6, 2), (4, 5), (5, 3), (8, 2)])

@@ -129,15 +129,16 @@ def test_every_all_entry_resolves():
 
 def test_type_check_messages_come_from_partitions():
     # "is not a partition of n" and "is not a composition of n" are raised by
-    # as_partition_of and as_composition_of only; other modules call them
+    # as_partition_of and as_composition_of only, in any exception type;
+    # other modules call them
     phrases = ("is not a partition of", "is not a composition of")
 
     def messages(path):
         return [node.lineno for node in ast.walk(ast.parse(path.read_text()))
-                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ValueError"
+                if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
                 and any(isinstance(c, ast.Constant) and isinstance(c.value, str)
                         and any(p in c.value for p in phrases)
-                        for arg in node.args for c in ast.walk(arg))]
+                        for arg in node.exc.args for c in ast.walk(arg))]
 
     owner = SRC / "algebra" / "partitions.py"
     assert len(messages(owner)) == 2
