@@ -146,8 +146,9 @@ def orbit(key: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     order: a next-permutation walk over the sorted multiset emits each one
     once.
 
-    Memoized: SymPoly products and transfer_sym walk the orbits of the same
-    dominant keys again and again.
+    Memoized: SymPoly products walk the orbits of the same dominant keys
+    again and again.  transfer_sym walks each orbit once per (r, d), when
+    it first builds the image of that key's monomial function.
     """
     perm = sorted(key)
     out = [tuple(perm)]

@@ -71,7 +71,9 @@ class SymPoly:
 
         Asserts S_n-invariance: within each orbit every monomial must be
         present with the same coefficient.  This is the invariance check
-        that transfer images rely on.
+        that transfer images rely on: transfer_sym runs it once per cached
+        image of a monomial function m_lambda, and the substitution oracle
+        once per call.
         """
         groups: dict[tuple[int, ...], dict[tuple[int, ...], QScalar]] = {}
         for key, coeff in expansion.items():

@@ -68,9 +68,6 @@ class ClassFunction:
     def __sub__(self, other: "ClassFunction") -> "ClassFunction":
         return linear_combination(self.group, ((1, self), (-1, other)))
 
-    def __neg__(self) -> "ClassFunction":
-        return linear_combination(self.group, ((-1, self),))
-
     def scale(self, c) -> "ClassFunction":
         return linear_combination(self.group, ((c, self),))
 

@@ -10,10 +10,12 @@ stored in v-units, i.e. doubled q-exponents).  Equivalently it is the
 substitution z_{(k-1)d+j} <- v**(d+1-2j) * t_k.  Both realizations are
 implemented -- the monomial map as the main path, the substitution as an
 independent oracle -- together with the closed forms of the images of
-elementary, complete homogeneous and power-sum polynomials.  The map is a
-ring homomorphism, so the image of a Schur polynomial is the Jacobi-Trudi
-determinant of the images of the h_k (or its dual in the e_k); no tableau
-is walked.
+elementary, complete homogeneous and power-sum polynomials.  The map is
+linear, so it is computed as a sum of the images of the monomial
+functions m_lambda, each built once per (r, d, lambda) from the orbit of
+lambda and memoized.  It is also a ring homomorphism, so the image of a
+Schur polynomial is the Jacobi-Trudi determinant of the images of the h_k
+(or its dual in the e_k); no tableau is walked.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .algebra.partitions import as_partition, conjugate, orbit, partitions
 from .algebra.qcount import qbinom, qint_balanced
@@ -91,36 +93,47 @@ def _block_sums(p: TransferParams, a: Sequence[int]) -> tuple[int, ...]:
     return tuple(sum(a[k * p.d:(k + 1) * p.d]) for k in range(p.r))
 
 
-def _v_exponent_counts(p: TransferParams, monomials: Iterable[Sequence[int]]
+def _v_exponent_counts(p: TransferParams, dom: tuple[int, ...]
                        ) -> dict[tuple[int, ...], dict[int, int]]:
     """Hits of the monomial map, per target key b and v-exponent a.x, over
-    the exponent vectors a of the given monomials z**a."""
+    the exponent vectors a in the orbit of the dominant key dom."""
     x = shift_vector(p)
     counts: dict[tuple[int, ...], dict[int, int]] = {}
-    for a in monomials:
+    for a in orbit(dom):
         hits = counts.setdefault(_block_sums(p, a), {})
         e = sum(ai * xi for ai, xi in zip(a, x))
         hits[e] = hits.get(e, 0) + 1
     return counts
 
 
-def transfer_sym(p: TransferParams, f: SymPoly) -> SymPoly:
-    """Linear extension of the monomial map over the full orbit expansion.
+@lru_cache(maxsize=None)
+def _monomial_image(p: TransferParams, dom: tuple[int, ...]) -> SymPoly:
+    """The image of m_dom, memoized per (p, dom): each target key b of the
+    orbit costs one Laurent polynomial, and SymPoly.from_expansion folds
+    them into dominant keys, checking S_r-invariance once per image.  The
+    cached SymPoly is shared; callers read its terms and never mutate them."""
+    return SymPoly.from_expansion(p.r, {b: QScalar.from_v_terms(hits)
+                                        for b, hits in _v_exponent_counts(p, dom).items()})
 
-    The orbit of each dominant key of f is counted per target key b and
-    v-exponent, so each (b, key) pair costs one Laurent polynomial times
-    the key's coefficient.  The result is S_r-invariant;
-    SymPoly.from_expansion checks it.
+
+def transfer_sym(p: TransferParams, f: SymPoly) -> SymPoly:
+    """Linear extension of the monomial map: the sum of c * image(m_dom)
+    over the terms c m_dom of f, on dominant target keys only.
+
+    Each image(m_dom) comes from ``_monomial_image``, which checked its
+    S_r-invariance when it was built; a sum of invariant images is
+    invariant, so the result is assembled with the plain constructor, which
+    still checks that every key is dominant.
     """
     if f.nvars != p.n:
         raise ValueError(f"input has {f.nvars} variables, expected n = {p.n}")
     image: dict[tuple[int, ...], QScalar] = {}
     for dom, c in f.terms.items():
-        for b, hits in _v_exponent_counts(p, orbit(dom)).items():
-            term = QScalar.from_v_terms(hits) * c
+        for b, cb in _monomial_image(p, dom).terms.items():
+            term = cb * c
             acc = image.get(b)
             image[b] = term if acc is None else acc + term
-    return SymPoly.from_expansion(p.r, image)
+    return SymPoly(p.r, image)
 
 
 def substitution_image(p: TransferParams, f: SymPoly) -> SymPoly:

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import qtransfer
-from qtransfer import cli, weylcomb
+from qtransfer import cli, transfer, weylcomb
 from qtransfer.algebra import SymPoly, sympoly
 from qtransfer.cli import main
 from qtransfer.finitegl import ParabolicSubgroup, classfun
@@ -203,6 +203,27 @@ def _raise_two_part_flag_counts(monkeypatch):
         monkeypatch.setattr(classfun, name, fn)
 
 
+def _shift_one_monomial_hit(monkeypatch):
+    # one hit of the monomial map on the orbit of (1, 0, ..) under r = 1
+    # moved up by v^2; the image stays S_1-invariant, so it is a wrong value
+    # and not a refusal.  _monomial_image memoises, so it runs on a fresh
+    # cache that the undo drops
+    counts = transfer._v_exponent_counts
+
+    def faulty(p, dom):
+        out = counts(p, dom)
+        if p.r == 1 and p.d > 1 and dom == (1,) + (0,) * (p.n - 1):
+            hits = dict(out[(1,)])
+            top = max(hits)
+            hits[top + 2] = hits.pop(top)
+            out[(1,)] = hits
+        return out
+
+    monkeypatch.setattr(transfer, "_v_exponent_counts", faulty)
+    monkeypatch.setattr(transfer, "_monomial_image",
+                        functools.lru_cache(maxsize=None)(transfer._monomial_image.__wrapped__))
+
+
 @pytest.mark.parametrize("plant,argv", [
     (_negate_one_ep_weight, ["--suite", "comb-prop", "--dmax", "4"]),
     (_raise_one_class_count, ["--suite", "comb-prop", "--dmax", "4"]),
@@ -210,6 +231,8 @@ def _raise_two_part_flag_counts(monkeypatch):
                            "--degmax", "3"]),
     (_raise_kostka_at_21, ["--suite", "transfer-consistency", "--nmax", "4",
                            "--degmax", "3"]),
+    (_shift_one_monomial_hit, ["--suite", "transfer-consistency", "--nmax", "4",
+                               "--degmax", "3"]),
     (_nonzero_levi_sum, ["--suite", "weyl-vanishing", "--dmax", "3"]),
     (_drop_one_conjugate, ["--suite", "finite-gl", "--dmax", "2"]),
     (_raise_two_part_flag_counts, ["--suite", "finite-gl"]),

@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from qtransfer.algebra import (
     qint_balanced,
     schur,
 )
+from qtransfer import transfer
 from qtransfer.transfer import (
     GeneralMapParams,
     TransferParams,
@@ -108,6 +110,64 @@ def test_no_production_path_expands_orbits(monkeypatch):
     for mu in ((2, 1), (1, 1, 1), (3, 1), (2, 2, 1)):
         assert image_schur(p, mu) == transfer_sym(p, schur(p.n, mu))
     assert surjectivity_witness(p, 4)["ok"]
+
+
+def test_monomial_images_are_keyed_on_r_and_d():
+    # (2, 2), (4, 1) and (1, 4) share n = 4 and so every source key
+    key = (2, 1, 0, -1)
+    params = [TransferParams(r=2, d=2), TransferParams(r=4, d=1),
+              TransferParams(r=1, d=4)]
+    for order in (params, params[::-1]):
+        transfer._monomial_image.cache_clear()
+        for p in order:
+            m = monomial_sym(p.n, key)
+            assert transfer_sym(p, m) == substitution_image(p, m)
+        assert transfer._monomial_image.cache_info().currsize == len(params)
+
+
+def test_warm_monomial_images_give_the_cold_results():
+    cases = [(p, f) for p in all_params(6)[1:]
+             for f in (elementary(p.n, 2), schur(p.n, (2, 1)),
+                       monomial_sym(p.n, (1, -1)).scale(V) + powersum(p.n, 2))]
+    transfer._monomial_image.cache_clear()
+    cold = [transfer_sym(p, f) for p, f in cases]
+    warm = [transfer_sym(p, f) for p, f in cases[::-1]][::-1]
+    assert warm == cold
+    assert all(image == substitution_image(p, f)
+               for (p, f), image in zip(cases, cold))
+
+
+def test_mutating_an_image_leaves_the_cache_alone():
+    # a single key with coefficient 1 is where handing out the cached image
+    # would be tempting
+    p = TransferParams(r=2, d=2)
+    for f in (monomial_sym(p.n, (1, 0)), elementary(p.n, 2) + powersum(p.n, 1)):
+        expected = substitution_image(p, f)
+        image = transfer_sym(p, f)
+        assert image == expected
+        image.terms.clear()
+        assert transfer_sym(p, f) == expected
+
+
+def test_a_non_invariant_orbit_count_is_refused(monkeypatch):
+    # one hit moved on the target key (1, 0) only: its S_2-image (0, 1)
+    # keeps its count, so from_expansion must refuse the image
+    counts = transfer._v_exponent_counts
+
+    def faulty(p, dom):
+        out = counts(p, dom)
+        hits = dict(out[(1, 0)])
+        top = max(hits)
+        hits[top + 2] = hits.pop(top)
+        out[(1, 0)] = hits
+        return out
+
+    monkeypatch.setattr(transfer, "_v_exponent_counts", faulty)
+    monkeypatch.setattr(transfer, "_monomial_image",
+                        functools.lru_cache(maxsize=None)(transfer._monomial_image.__wrapped__))
+    p = TransferParams(r=2, d=2)
+    with pytest.raises(ValueError, match="orbit of"):
+        transfer_sym(p, monomial_sym(p.n, (1,)))
 
 
 def test_oracle_equivalence_moderate():
