@@ -28,6 +28,7 @@ from .algebra.partitions import (
     partitions,
     render_partition,
     subsets,
+    z_order,
 )
 from .algebra.qcount import is_prime
 from .algebra.sympoly import SymPoly, elementary, monomial_sym, powersum, schur
@@ -240,9 +241,26 @@ def _flag_characters_transitive(group) -> bool:
                for lam in partitions(group.d))
 
 
+def _dl_characters_on_regular_semisimple(group) -> bool:
+    """R_rho = z_rho if rho = tau and 0 otherwise on every regular
+    semisimple class (every primary part (1)), tau the sorted degrees of its
+    irreducible factors: the Deligne-Lusztig character formula with theta =
+    1, a fact of the class data that does not pass through the inversion
+    defining R_rho."""
+    chars = [(rho, dl_character(group, rho).values) for rho in partitions(group.d)]
+    for idx, cls in enumerate(group.classes):
+        if any(lam != (1,) for _, lam in cls.label):
+            continue
+        tau = tuple(sorted((len(f) - 1 for f, _ in cls.label), reverse=True))
+        if any(values[idx] != (z_order(rho) if rho == tau else 0) for rho, values in chars):
+            return False
+    return True
+
+
 _GL_IDENTITIES = {
     "comb_prop": lambda group: (comb_prop_check(group)["equal"]
-                                and _flag_characters_transitive(group)),
+                                and _flag_characters_transitive(group)
+                                and _dl_characters_on_regular_semisimple(group)),
     "ind_identity": lambda group: ind_conjugate_identity_exhaustive(group)["ok"],
 }
 
@@ -276,9 +294,11 @@ SUITES = {
                       for k in range(d)
                       for M in itertools.combinations(range(1, d), k)],
         _weyl_vanishing_case),
-    # the induction identity enumerates each proper parabolic (never G);
-    # the suite keeps its case set at d <= 3.  comb_prop, like ep-shadow,
-    # holds for any Ind_{P_lam}(1) values (see comb_prop_check)
+    # the induction identity walks the classes of each proper parabolic
+    # (never G); the suite keeps its case set at d <= 3.  comb_prop, like
+    # ep-shadow, holds for any Ind_{P_lam}(1) values (see comb_prop_check),
+    # so its rows also check <Ind_{P_lam}(1), 1> = 1 and R_rho on the
+    # regular semisimple classes
     "finite-gl": Suite(
         lambda args: [("comb_prop", d, q)
                       for d, q in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]

@@ -234,7 +234,8 @@ def comb_prop_check(group: GLGroup) -> dict:
     the Ind values, so this checks the S_d combinatorics (``ep_weights``,
     ``composition_class_counts``) carried through the class data and holds
     for any Ind values.  So the comb_prop rows of ``verify --suite
-    finite-gl`` also check <Ind_{P_lam}(1), 1> = 1, which fails under
+    finite-gl`` also check <Ind_{P_lam}(1), 1> = 1 and the values of every
+    R_rho on the regular semisimple classes; each fails on its own under
     ``_flag_count`` + 1 on 2-part compositions of types with more than one
     primary part."""
     d = group.d

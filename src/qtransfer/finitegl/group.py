@@ -5,21 +5,27 @@ Conjugacy classes are parametrized by their primary rational canonical
 form: an assignment of a partition to each monic irreducible polynomial
 (other than x), with total degree d.  A matrix is labelled by the kernel
 profiles of f(A)^j for the irreducibles f dividing its characteristic
-polynomial, read in one pass; they are a complete conjugacy invariant.  Class sizes come from the classical centralizer
+polynomial, each read up to the multiplicity of f; they are a complete
+conjugacy invariant.  Class sizes come from the classical centralizer
 order formula; representatives are block-diagonal companion matrices.
 The test suite re-derives the classes of every enumerable group by brute
-force and checks them against this construction.
+force (``tests/element_scan_oracle.py``) and checks them against this
+construction.
 
-A parabolic P_c is generated by transvections and diagonal matrices; its
-classes are orbits under conjugation by them, each step one row and one
-column operation, and conjugation by all of P is the oracle in the tests.
-Its left cosets are walked through the Bruhat cells, and conjugation by a
-representative u w is row and column operations for u and a relabel for w.
+A parabolic P_c is generated by transvections and diagonal matrices.  Its
+left cosets are walked through the Bruhat cells, and conjugation by a
+representative s = u w is row and column operations for u and a relabel
+for w.  Every element of P is P-conjugate to some s^-1 x s in P, x a class
+representative of G, so these conjugates seed the P-classes, which are
+orbits under conjugation by the generators, each step one row and one
+column operation; no element of G or of P is listed, and conjugation by
+all of P is the oracle in the tests.
 
 Each derived value has one builder, run on first use: ``conjugacy_classes``
-for the class data (the label lookup derives from it), ``elements`` for the
-element scan, ``ParabolicSubgroup._class_data`` for P-classes and their
-lookup, and ``ParabolicSubgroup._bruhat_cells`` for the cells.
+for the class data (the label lookup derives from it),
+``ParabolicSubgroup._bruhat_cells`` for the cells, ``_conjugates`` for the
+walk of the class representatives through them, and ``_class_data`` for
+P-classes and their lookup.
 """
 
 from __future__ import annotations
@@ -41,7 +47,6 @@ from .fqmat import (
     char_poly,
     companion_matrix,
     conjugate_elementary,
-    mat_det,
     mat_identity,
     mat_mul,
     mat_rank,
@@ -64,7 +69,7 @@ __all__ = [
 ]
 
 CLASS_LIMIT = 5_000  # largest number of conjugacy classes whose data is built
-SCAN_LIMIT = 200_000  # largest number of matrices one element scan visits
+SCAN_LIMIT = 200_000  # largest |P| whose classes are walked, and largest [G:P]
 
 # label: sorted tuple of (irreducible poly, partition) pairs
 Label = tuple[tuple[Poly, tuple[int, ...]], ...]
@@ -133,7 +138,8 @@ def _label_rep(label: Label, q: int) -> Mat:
 
 
 class GLGroup:
-    """GL_d(F_q) with exact conjugacy-class data and on-demand elements."""
+    """GL_d(F_q) with exact conjugacy-class data and class labels; no
+    element of the group is listed."""
 
     def __init__(self, d: int, q: int):
         if d < 1:
@@ -206,15 +212,19 @@ class GLGroup:
 
     def label_of(self, mat: Mat) -> Label:
         """Complete conjugacy invariant of an invertible matrix: for each
-        irreducible f dividing the characteristic polynomial, the partition
-        whose conjugate is the growth of the kernels of f(A)^j over deg f,
-        read until they stop growing or fill F_q^d."""
+        irreducible f that divides the characteristic polynomial m times,
+        the partition whose conjugate is the growth of the kernels of
+        f(A)^j over deg f, read until they reach m deg f, where they stop."""
         d, q = self.d, self.q
         cp = char_poly(mat, d, q)
         label = []
-        filled = 0
         for f in monic_irreducibles(q, d):
-            if poly_divmod(cp, f, q)[1]:
+            mult = 0
+            quo, rem = poly_divmod(cp, f, q)
+            while not rem:
+                cp, mult = quo, mult + 1
+                quo, rem = poly_divmod(cp, f, q)
+            if not mult:
                 continue
             deg = len(f) - 1
             B = poly_eval_matrix(f, mat, d, q)
@@ -222,43 +232,24 @@ class GLGroup:
             while True:
                 k = d - mat_rank(power, d, q)
                 if k == kernel:
-                    break
+                    raise AssertionError(f"the kernels of f(A)^j for f = {f} and A = {mat} "
+                                         f"stop at {kernel} of {mult * deg} dimensions")
                 profile.append((k - kernel) // deg)
                 kernel = k
-                if filled + kernel == d:
+                if kernel == mult * deg:
                     break
                 power = mat_mul(power, B, d, q)
             label.append((f, conjugate(tuple(profile))))
-            filled += kernel
-            if filled == d:
+            if cp == (1,):
                 return tuple(sorted(label))
-        raise AssertionError(f"the primary parts of {mat} fill {filled} of {d} dimensions")
+        raise AssertionError(f"the characteristic polynomial of {mat} has a factor "
+                             f"{cp} of no irreducible of degree <= {d}")
 
     def class_index_of(self, mat: Mat) -> int:
         return self._class_lookup[self.label_of(mat)]
 
     def identity_class_index(self) -> int:
         return self.class_index_of(mat_identity(self.d))
-
-    # -- elements ------------------------------------------------------------
-
-    def elements(self) -> tuple[Mat, ...]:
-        """All invertible matrices, scanned from q^(d^2) candidates on the
-        first call; refuses before the scan when that exceeds SCAN_LIMIT."""
-        return self._elements
-
-    @cached_property
-    def _elements(self) -> tuple[Mat, ...]:
-        scan = self.q ** (self.d * self.d)
-        if scan > SCAN_LIMIT:
-            raise BudgetError(
-                f"GL_{self.d}(F_{self.q}) element scan space {scan} "
-                f"exceeds the scan limit {SCAN_LIMIT}")
-        elems = tuple(flat for flat in itertools.product(range(self.q), repeat=self.d * self.d)
-                      if mat_det(flat, self.d, self.q))
-        if len(elems) != self.order:
-            raise AssertionError("element count does not match group order")
-        return elems
 
 
 def _primitive_root(q: int) -> int:
@@ -301,45 +292,10 @@ class ParabolicSubgroup:
         """Block upper-triangular pattern test (input assumed invertible)."""
         return not any(map(mat.__getitem__, self._below))
 
-    def elements(self) -> tuple[Mat, ...]:
-        """Direct construction, on the first call: invertible diagonal
-        blocks, each the element list of its GL_part(F_q), and free entries
-        above.  Refuses when |P| or a block's scan exceeds SCAN_LIMIT."""
-        return self._elements
-
-    @cached_property
-    def _elements(self) -> tuple[Mat, ...]:
-        d, q = self.group.d, self.group.q
-        if self.order > SCAN_LIMIT:
-            raise BudgetError(
-                f"P_{self.composition} in GL_{d}(F_{q}) has {self.order} elements, "
-                f"beyond the scan limit {SCAN_LIMIT}")
-        block_gls = [cached_group(part, q).elements() for part in self.composition]
-        free = [(i, j) for i in range(d) for j in range(d)
-                if self._block[j] > self._block[i]]
-        out = []
-        for blocks in itertools.product(*block_gls):
-            base = [0] * (d * d)
-            for b, flat in enumerate(blocks):
-                part = self.composition[b]
-                s = self._starts[b]
-                for i in range(part):
-                    for j in range(part):
-                        base[(s + i) * d + (s + j)] = flat[i * part + j]
-            for values in itertools.product(range(q), repeat=len(free)):
-                mat = base[:]
-                for (i, j), val in zip(free, values):
-                    mat[i * d + j] = val
-                out.append(tuple(mat))
-        if len(out) != self.order:
-            raise AssertionError("parabolic element count mismatch")
-        out.sort()
-        return tuple(out)
-
     @cached_property
     def _bruhat_cells(self) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, int], ...]], ...]:
         """The Bruhat cells U_w w P of G (Carter, Finite Groups of Lie Type,
-        2.5-2.8) as (w, free) pairs, read by ``coset_conjugator`` and, in
+        2.5-2.8) as (w, free) pairs, read by ``_conjugates`` and, in
         the tests, by ``coset_reps`` of ``coset_sum_oracle.py``.  w runs
         through the minimal representatives of the cosets w W_c of S_d,
         which increase on each block of positions, in one-line form from 0;
@@ -368,22 +324,24 @@ class ParabolicSubgroup:
                 f"do not hold [G:P] = {index} cosets")
         return tuple(cells)
 
-    def coset_conjugator(self) -> Callable[[Mat], list[Mat]]:
-        """The map x -> [s^-1 x s for s = u w], u in U_w for each cell
-        (w, free) of ``_bruhat_cells``, one s per coset g P, without a
-        general matrix product; refuses at once, before any x, when [G:P]
-        exceeds SCAN_LIMIT.  In each cell u runs over the products of the
-        transvections I + c E_ij over the free positions in order, which
-        for a closed set of positive roots reach each element of U_w
-        exactly once.  So u^-1 x u is x conjugated by one transvection after
-        another, one row and one column operation each
+    @cached_property
+    def _conjugates(self) -> dict[Mat, tuple[Mat, ...]]:
+        """For each class representative x of G, in class order, the
+        conjugates s^-1 x s for s = u w, u in U_w for each cell (w, free) of
+        ``_bruhat_cells``: one s per coset g P, walked once and read by both
+        ``coset_conjugator`` and ``_class_data``.  In each cell u runs over
+        the products of the transvections I + c E_ij over the free positions
+        in order, which for a closed set of positive roots reach each element
+        of U_w exactly once.  So u^-1 x u is x conjugated by one transvection
+        after another, one row and one column operation each
         (``conjugate_elementary`` with -c), along a tree whose prefixes are
-        shared; w^-1 y w is the relabel (w^-1 y w)[a][b] = y[w(a)][w(b)]."""
+        shared; w^-1 y w is the relabel (w^-1 y w)[a][b] = y[w(a)][w(b)].
+        No general matrix product is formed."""
         d, q = self.group.d, self.group.q
         cells = [(free, tuple(w[a] * d + w[b] for a in range(d) for b in range(d)))
                  for w, free in self._bruhat_cells]
 
-        def conjugates(x: Mat) -> list[Mat]:
+        def walk(x: Mat) -> tuple[Mat, ...]:
             out = []
             for free, relabel in cells:
                 level = [x]
@@ -391,9 +349,17 @@ class ParabolicSubgroup:
                     level = [conjugate_elementary(y, i, j, -c % q, d, q) if c else y
                              for y in level for c in range(q)]
                 out.extend(tuple(map(y.__getitem__, relabel)) for y in level)
-            return out
+            return tuple(out)
 
-        return conjugates
+        return {cls.rep: walk(cls.rep) for cls in self.group.classes}
+
+    def coset_conjugator(self) -> Callable[[Mat], tuple[Mat, ...]]:
+        """The map x -> (s^-1 x s for each Bruhat coset representative s),
+        on the class representatives x of G, read from ``_conjugates``;
+        refuses at once, before any walk or class data, when [G:P] exceeds
+        SCAN_LIMIT."""
+        self._bruhat_cells  # the [G:P] refusal
+        return lambda x: self._conjugates[x]
 
     @property
     def classes(self) -> tuple[tuple[Mat, int, int], ...]:
@@ -408,38 +374,45 @@ class ParabolicSubgroup:
     def _class_data(self) -> tuple[tuple[tuple[Mat, int, int], ...], Callable[[Mat], int]]:
         """The P-classes and the lookup of an element's class index, built
         together on first use.  P = G takes both from the group's class
-        data.  A proper P walks its elements in order; each element not yet
-        placed represents a new class, whose orbit is closed under
-        conjugation by the ``elementary`` generators, each one row and one
-        column operation (``conjugate_elementary``), and whose
-        representative is labelled once, as P-conjugate elements are
-        G-conjugate.  The sizes must sum to |P|."""
+        data.  A proper P refuses, before any walk, when |P| exceeds
+        SCAN_LIMIT, as the orbits visit every element.  Its classes are
+        seeded by the conjugates s^-1 x s in P of ``_conjugates``: an
+        element y = g^-1 x g of P with g = s p is P-conjugate to s^-1 x s =
+        p y p^-1.  Each seed not yet placed is closed under conjugation by
+        the ``elementary`` generators, each one row and one column operation
+        (``conjugate_elementary``), and lies in the G-class of its x, so
+        nothing is labelled.  A class is represented by its least element,
+        and the classes are ordered by it.  The sizes must sum to |P|."""
         group = self.group
         if len(self.composition) == 1:
             return (tuple((cls.rep, cls.size, gidx) for gidx, cls in enumerate(group.classes)),
                     group.class_index_of)
         d, q = group.d, group.q
+        if self.order > SCAN_LIMIT:
+            raise BudgetError(
+                f"P_{self.composition} in GL_{d}(F_{q}) has {self.order} elements, "
+                f"beyond the scan limit {SCAN_LIMIT}")
         gens = self.elementary
-        assigned: dict[Mat, int] = {}
-        classes = []
-        for x in self.elements():
-            if x in assigned:
-                continue
-            idx = len(classes)
-            assigned[x] = idx
-            frontier = [x]
-            size = 1
-            while frontier:
-                y = frontier.pop()
-                for i, j, c in gens:
-                    z = conjugate_elementary(y, i, j, c, d, q)
-                    if z not in assigned:
-                        assigned[z] = idx
-                        frontier.append(z)
-                        size += 1
-            classes.append((x, size, group.class_index_of(x)))
-        if sum(size for _, size, _ in classes) != self.order:
+        placed: set[Mat] = set()
+        orbits = []  # (least element, G-class index, members)
+        for gidx, cls in enumerate(group.classes):
+            for x in self._conjugates[cls.rep]:
+                if not self.contains(x) or x in placed:
+                    continue
+                placed.add(x)
+                members = [x]
+                for y in members:  # members grows while it is read
+                    for i, j, c in gens:
+                        z = conjugate_elementary(y, i, j, c, d, q)
+                        if z not in placed:
+                            placed.add(z)
+                            members.append(z)
+                orbits.append((min(members), gidx, members))
+        if sum(len(members) for _, _, members in orbits) != self.order:
             raise AssertionError(
                 f"P-classes of P_{self.composition} in GL_{d}(F_{q}) do not sum "
                 f"to |P| = {self.order}")
-        return tuple(classes), assigned.__getitem__
+        orbits.sort(key=lambda orbit: orbit[0])
+        lookup = {y: idx for idx, (_, _, members) in enumerate(orbits) for y in members}
+        return (tuple((least, len(members), gidx) for least, gidx, members in orbits),
+                lookup.__getitem__)

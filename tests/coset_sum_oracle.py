@@ -26,6 +26,7 @@ import itertools
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from element_scan_oracle import group_elements
 from qtransfer.algebra import compositions
 from qtransfer.finitegl import ClassFunction, GLGroup, ParabolicSubgroup
 from qtransfer.finitegl.fqmat import Mat, char_poly, mat_identity, mat_mul
@@ -69,7 +70,7 @@ def _left_coset_reps(group: GLGroup, subgroup_elements: Sequence[Mat]) -> list[M
     d, q = group.d, group.q
     reps: list[Mat] = []
     assigned: set[Mat] = set()
-    for g in group.elements():
+    for g in group_elements(group):
         if g in assigned:
             continue
         reps.append(g)
@@ -108,7 +109,7 @@ def induced_values_averaged(group: GLGroup, sub_order: int,
     """The representative-free form (1/|H|) sum over t in G of f(t^-1 x t)."""
     d, q = group.d, group.q
     total = Fraction(0)
-    for t in group.elements():
+    for t in group_elements(group):
         y = mat_mul(mat_mul(mat_inv(t, d, q), x, d, q), t, d, q)
         if y in f:
             total += f[y]

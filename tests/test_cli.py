@@ -203,6 +203,13 @@ def _raise_two_part_flag_counts(monkeypatch):
         monkeypatch.setattr(classfun, name, fn)
 
 
+def _raise_two_part_flag_counts_keeping_transitivity(monkeypatch):
+    # the same fault with <Ind_{P_lam}(1), 1> = 1 taken as passed, so only
+    # the values of R_rho on the regular semisimple classes can see it
+    _raise_two_part_flag_counts(monkeypatch)
+    monkeypatch.setattr(cli, "_flag_characters_transitive", lambda group: True)
+
+
 def _shift_one_monomial_hit(monkeypatch):
     # one hit of the monomial map on the orbit of (1, 0, ..) under r = 1
     # moved up by v^2; the image stays S_1-invariant, so it is a wrong value
@@ -236,6 +243,7 @@ def _shift_one_monomial_hit(monkeypatch):
     (_nonzero_levi_sum, ["--suite", "weyl-vanishing", "--dmax", "3"]),
     (_drop_one_conjugate, ["--suite", "finite-gl", "--dmax", "2"]),
     (_raise_two_part_flag_counts, ["--suite", "finite-gl"]),
+    (_raise_two_part_flag_counts_keeping_transitivity, ["--suite", "finite-gl"]),
     (_raise_two_part_flag_counts, ["--suite", "ep-shadow", "--n", "4", "--q", "2", "3"]),
 ], ids=lambda v: v.__name__.strip("_") if callable(v) else v[1])
 def test_verify_fails_on_a_planted_fault(capsys, monkeypatch, plant, argv):

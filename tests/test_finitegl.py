@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import flag_scan_oracle
+from element_scan_oracle import group_elements, parabolic_elements
 from coset_sum_oracle import (
     _left_coset_reps,
     coset_reps,
@@ -27,6 +28,7 @@ from qtransfer.finitegl import (
     classfun,
     comb_prop_check,
     dl_character,
+    fqmat,
     ind_conjugate_identity_exhaustive,
     linear_combination,
     parabolic_trivial_ind,
@@ -122,7 +124,7 @@ def test_class_counts_small_groups():
 def test_classes_partition_group_by_enumeration(d, q):
     group = cached_group(d, q)
     counts = Counter()
-    for m in group.elements():
+    for m in group_elements(group):
         counts[group.label_of(m)] += 1
     assert counts == Counter({c.label: c.size for c in group.classes})
 
@@ -131,7 +133,7 @@ def test_classes_partition_group_by_enumeration(d, q):
 def test_invariant_buckets_are_single_classes(d, q):
     # explicit conjugacy orbits agree with the canonical-form buckets
     group = cached_group(d, q)
-    elems = group.elements()
+    elems = group_elements(group)
     for cls in group.classes:
         orbit = {mat_mul(mat_mul(t, cls.rep, d, q), mat_inv(t, d, q), d, q)
                  for t in elems}
@@ -151,9 +153,9 @@ def test_class_budget_refusal():
     with pytest.raises(BudgetError, match="GL_6\\(F_5\\) has 15600 conjugacy classes, "
                                           "beyond the class limit 5000"):
         GLGroup(6, 5).conjugacy_classes()
-    # refused when called, before the scan starts
+    # the oracle's scan refuses when called, before the scan starts
     with pytest.raises(BudgetError, match="43046721 exceeds the scan limit 200000"):
-        cached_group(4, 3).elements()
+        group_elements(cached_group(4, 3))
 
 
 def test_parabolic_elements_refuse_at_once():
@@ -161,9 +163,14 @@ def test_parabolic_elements_refuse_at_once():
     # P = G needs no elements; the first proper parabolic is too large
     with pytest.raises(BudgetError, match=r"P_\(3, 1\) in GL_4\(F_3\) has 606528 elements"):
         ind_conjugate_identity_exhaustive(cached_group(4, 3))
-    # every block of the Borel is tiny, but |B| = 2^28
+    # every block of the Borel is tiny, but |B| = 2^28: the P-classes refuse
+    # before the walk (whose [G:P] would refuse with another message), and
+    # the oracle's element list before its scan
+    borel = ParabolicSubgroup(GLGroup(8, 2), (1,) * 8)
     with pytest.raises(BudgetError, match="268435456 elements"):
-        ParabolicSubgroup(GLGroup(8, 2), (1,) * 8).elements()
+        borel.classes
+    with pytest.raises(BudgetError, match="268435456 elements"):
+        parabolic_elements(borel)
     assert time.monotonic() - started < 1
 
 
@@ -171,7 +178,7 @@ def pclass_members(P):
     """The elements of P grouped by ``P.class_index_of``, one list per
     P-class in the order of ``P.classes``; P = G labels every element."""
     members = [[] for _ in P.classes]
-    for m in P.elements():
+    for m in parabolic_elements(P):
         members[P.class_index_of(m)].append(m)
     return members
 
@@ -180,7 +187,7 @@ def test_parabolic_construction():
     group = cached_group(3, 2)
     for comp in compositions(3):
         P = ParabolicSubgroup(group, comp)
-        elems = P.elements()
+        elems = parabolic_elements(P)
         assert len(elems) == P.order
         assert all(P.contains(m) for m in elems)
         sizes = [len(members) for members in pclass_members(P)]
@@ -191,8 +198,8 @@ def test_induce_from_borel_gl2_f2():
     # permutation character of S_3 on three points: (3, 1, 0)
     group = cached_group(2, 2)
     P = ParabolicSubgroup(group, (1, 1))
-    f = {m: Fraction(1) for m in P.elements()}
-    ind = induce_class_function(group, P.elements(), f)
+    f = {m: Fraction(1) for m in parabolic_elements(P)}
+    ind = induce_class_function(group, parabolic_elements(P), f)
     assert ind == parabolic_trivial_ind(group, (1, 1))
     by_size = {c.size: v for c, v in zip(group.classes, ind.values)}
     assert by_size == {1: 3, 3: 1, 2: 0}
@@ -200,8 +207,8 @@ def test_induce_from_borel_gl2_f2():
 
 def test_induce_identity_and_trivial_subgroup():
     group = cached_group(2, 3)
-    all_f = {m: Fraction(1) for m in group.elements()}
-    assert induce_class_function(group, group.elements(), all_f) == \
+    all_f = {m: Fraction(1) for m in group_elements(group)}
+    assert induce_class_function(group, group_elements(group), all_f) == \
         trivial_character(group)
     ident = mat_identity(group.d)
     ind = induce_class_function(group, [ident], {ident: Fraction(1)})
@@ -218,8 +225,8 @@ def test_induction_independent_of_representatives(d, q):
         if comp == (d,):
             continue
         P = ParabolicSubgroup(group, comp)
-        f = {m: Fraction(1) for m in P.elements()}
-        ind = induce_class_function(group, P.elements(), f)
+        f = {m: Fraction(1) for m in parabolic_elements(P)}
+        ind = induce_class_function(group, parabolic_elements(P), f)
         for cls, val in zip(group.classes, ind.values):
             assert val == induced_values_averaged(group, P.order, f, cls.rep)
 
@@ -229,9 +236,9 @@ def test_flag_count_induction_agrees_with_coset_sums(d, q):
     group = cached_group(d, q)
     for comp in compositions(d):
         P = ParabolicSubgroup(group, comp)
-        f = {m: Fraction(1) for m in P.elements()}
+        f = {m: Fraction(1) for m in parabolic_elements(P)}
         assert parabolic_trivial_ind(group, comp) == induce_class_function(
-            group, P.elements(), f)
+            group, parabolic_elements(P), f)
 
 
 def test_parabolic_trivial_ind_degrees():
@@ -432,7 +439,7 @@ def pclasses_by_conjugation(P):
     index map."""
     group = P.group
     d, q = group.d, group.q
-    elems = P.elements()
+    elems = parabolic_elements(P)
     inverses = {p: mat_inv(p, d, q) for p in elems}
     assigned = {}
     classes = []
@@ -458,7 +465,7 @@ def test_generator_orbits_match_conjugation_oracle(d, q):
             continue  # P = G takes the classes of the group
         classes, assigned = pclasses_by_conjugation(P)
         assert P.classes == classes
-        assert {m: P.class_index_of(m) for m in P.elements()} == assigned
+        assert {m: P.class_index_of(m) for m in parabolic_elements(P)} == assigned
 
 
 @pytest.mark.parametrize("d,q", SMALL_GROUPS + MEDIUM_GROUPS)
@@ -469,7 +476,7 @@ def test_elementary_conjugation_matches_matrix_products(d, q):
     for comp in compositions(d):
         P = ParabolicSubgroup(group, comp)
         for (i, j, c), (g, g_inv) in zip(P.elementary, generator_pairs(P), strict=True):
-            for y in P.elements():
+            for y in parabolic_elements(P):
                 assert conjugate_elementary(y, i, j, c, d, q) == \
                     mat_mul(mat_mul(g, y, d, q), g_inv, d, q), (comp, i, j, c, y)
 
@@ -496,22 +503,31 @@ def test_generators_generate_the_parabolic(d, q):
 
 def test_parabolic_classes_conjugate_without_matrix_products(monkeypatch):
     # |P_(2,1)| = 864 in GL_3(F_3); conjugating by its 7 generators with two
-    # products each would take 12096 calls, labelling one representative
-    # per P-class takes a few per class
+    # products each would take 12096 calls.  The classes are seeded by the
+    # walked conjugates of G's class representatives, whose G-class is known,
+    # so no product is formed and nothing is labelled
     group = cached_group(3, 3)
     group.classes
-    calls = 0
+    products = labels = 0
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
+    def counted_mul(*args):
+        nonlocal products
+        products += 1
         return mat_mul(*args)
 
-    monkeypatch.setattr("qtransfer.finitegl.group.mat_mul", counted)
+    label_of = GLGroup.label_of
+
+    def counted_label(self, mat):
+        nonlocal labels
+        labels += 1
+        return label_of(self, mat)
+
+    monkeypatch.setattr("qtransfer.finitegl.group.mat_mul", counted_mul)
+    monkeypatch.setattr(GLGroup, "label_of", counted_label)
     P = ParabolicSubgroup(group, (2, 1))
     assert P.order == 864 and len(P.elementary) == 7
     assert P.classes
-    assert 0 < calls < P.order
+    assert (products, labels) == (0, 0)
 
 
 def test_dl_inversion_raises_on_a_remainder(monkeypatch):
@@ -541,7 +557,7 @@ def test_bruhat_coset_reps_against_tiling(d, q):
     group = cached_group(d, q)
     for comp in compositions(d):
         P = ParabolicSubgroup(group, comp)
-        elems = P.elements()
+        elems = parabolic_elements(P)
         tiling = _left_coset_reps(group, elems)
         coset_of = {mat_mul(g, h, d, q): idx for idx, g in enumerate(tiling) for h in elems}
         hits = sorted(coset_of[s] for s in coset_reps(P))
@@ -614,16 +630,23 @@ def test_induction_identity_without_matrix_products(monkeypatch):
 
 
 def test_induction_identity_enumerates_no_element_of_g(monkeypatch):
+    # the package keeps no element list; the scan of the oracle tests each
+    # of the q^(d^2) candidates with a determinant, and the identity takes a
+    # few per label of its P = G case, from the characteristic polynomial
+    assert not hasattr(GLGroup, "elements") and not hasattr(ParabolicSubgroup, "elements")
     group = GLGroup(3, 3)
-    original = GLGroup.elements
+    group.classes
+    calls = 0
+    mat_det = fqmat.mat_det
 
-    def guarded(self):
-        if (self.d, self.q) == (group.d, group.q):
-            raise AssertionError(f"GL_{self.d}(F_{self.q}) was enumerated")
-        return original(self)
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return mat_det(*args)
 
-    monkeypatch.setattr(GLGroup, "elements", guarded)
+    monkeypatch.setattr(fqmat, "mat_det", counted)
     assert ind_conjugate_identity_exhaustive(group)["ok"]
+    assert calls < group.order // 10
 
 
 @pytest.mark.parametrize("d,q", [(2, 5), (2, 7), (3, 5)])
