@@ -30,7 +30,6 @@ from .qcount import (
 from .scalars import ONE, Q, V, ZERO, PoleError, QScalar
 from .sympoly import (
     SymPoly,
-    complete_homogeneous,
     elementary,
     monomial_sym,
     powersum,
@@ -47,5 +46,4 @@ __all__ = [
     "qint_balanced", "qbinom", "gl_order", "parabolic_order",
     "parahoric_index", "is_prime",
     "SymPoly", "monomial_sym", "elementary", "powersum", "schur",
-    "complete_homogeneous",
 ]

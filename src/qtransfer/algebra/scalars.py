@@ -22,8 +22,8 @@ take polynomial gcds by the primitive polynomial remainder sequence
 (Knuth, TAOCP vol. 2, 4.6.1; Brown 1971), and dividing by a gcd is exact
 division in Z[v].
 
-The public views (``numerator_terms``, ``denominator_terms``,
-``as_fraction``, ``str``) show the same value over a monic denominator:
+The public views (``numerator_terms``, ``denominator_terms``, ``str``)
+show the same value over a monic denominator:
 value == v**shift * N'(v) / D'(v) with D' == D / lead(D) and
 N' == c * N / lead(D).
 """
@@ -255,14 +255,6 @@ class QScalar:
         for i, c in enumerate(self._den):
             if c:
                 yield i, Fraction(c, lead)
-
-    def as_fraction(self) -> Fraction:
-        """The value as a plain rational, if it does not involve v."""
-        if self.is_zero():
-            return Fraction(0)
-        if self._shift == 0 and self._num == self._den == (1,):
-            return self._c
-        raise ValueError(f"{self} is not constant in v")
 
     # -- arithmetic -----------------------------------------------------
 

@@ -33,7 +33,6 @@ __all__ = [
     "elementary",
     "powersum",
     "schur",
-    "complete_homogeneous",
     "multiplicative_sum",
 ]
 
@@ -152,25 +151,11 @@ class SymPoly:
         if self.nvars != other.nvars:
             raise ValueError(f"mixed variable counts: {self.nvars} vs {other.nvars}")
 
-    # -- expansion and evaluation -----------------------------------------
+    # -- expansion --------------------------------------------------------
 
     def expand(self) -> dict[tuple[int, ...], QScalar]:
         """Full monomial expansion over all orbit members, built afresh."""
         return {mono: c for key, c in self.terms.items() for mono in orbit(key)}
-
-    def evaluate(self, point: Sequence[Coeffish]) -> QScalar:
-        """Substitute QScalar values for the variables and sum."""
-        if len(point) != self.nvars:
-            raise ValueError(f"point has length {len(point)} != {self.nvars}")
-        vals = [as_qscalar(x) for x in point]
-        total = QScalar(0)
-        for mono, c in self.expand().items():
-            term = c
-            for x, e in zip(vals, mono):
-                if e:
-                    term = term * x ** e
-            total = total + term
-        return total
 
     # -- rendering ----------------------------------------------------------
 
@@ -252,13 +237,6 @@ def schur(n: int, mu: Sequence[int]) -> SymPoly:
         if count:
             terms[lam + (0,) * (n - len(lam))] = QScalar(count)
     return SymPoly(n, terms)
-
-
-def complete_homogeneous(n: int, k: int) -> SymPoly:
-    """h_k in n variables: sum of all monomials of degree k."""
-    if k < 0:
-        raise ValueError("complete_homogeneous: need k >= 0")
-    return multiplicative_sum(n, k, (1,) * (k + 1))
 
 
 def multiplicative_sum(n: int, k: int, c: Sequence[Coeffish]) -> SymPoly:

@@ -19,11 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import prod
 from typing import Mapping, Sequence
 
-from .algebra.partitions import (as_composition, as_partition, as_partition_of, dominant,
-                                 render_partition)
+from .algebra.partitions import as_partition, as_partition_of, dominant, render_partition
 from .algebra.qcount import parahoric_index
 from .algebra.scalars import ZERO, Coeffish, QScalar, as_qscalar
 from .finitegl import (ClassFunction, cached_group, dl_character, linear_combination,
@@ -36,7 +34,6 @@ __all__ = [
     "ep_function",
     "product_ep",
     "f_J",
-    "levi_scalar",
     "to_one_basis",
     "to_e_basis",
     "shadow",
@@ -188,12 +185,6 @@ def _ep_product(parts: Sequence[int]) -> ParahoricCombo:
     scaled EP function built per distinct part."""
     factors = {m: ep_function(m).scale(m) for m in parts}
     return reduce(ParahoricCombo.tensor, (factors[m] for m in parts))
-
-
-def levi_scalar(comp: Sequence[int]) -> int:
-    """|M / M^1 Z(M)| for the Levi M = prod GL_{n_i}(F): the product of the
-    block sizes.  Equals d^r on the type (d^r)."""
-    return prod(as_composition(comp))
 
 
 def _torus_weights(t: DParahoricType) -> list[tuple[tuple[int, ...], Fraction]]:

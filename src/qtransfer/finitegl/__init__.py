@@ -7,7 +7,6 @@ from .classfun import (
     ind_conjugate_identity_exhaustive,
     linear_combination,
     parabolic_trivial_ind,
-    trivial_character,
 )
 from .group import (
     CLASS_LIMIT,
@@ -23,7 +22,7 @@ from .group import (
 __all__ = [
     "GLGroup", "GLClass", "ParabolicSubgroup", "BudgetError",
     "CLASS_LIMIT", "SCAN_LIMIT", "cached_group", "class_count",
-    "ClassFunction", "trivial_character", "linear_combination",
+    "ClassFunction", "linear_combination",
     "parabolic_trivial_ind", "dl_character", "comb_prop_check",
     "ind_conjugate_identity_exhaustive",
 ]

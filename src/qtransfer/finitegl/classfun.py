@@ -42,7 +42,6 @@ from .group import GLGroup, ParabolicSubgroup
 
 __all__ = [
     "ClassFunction",
-    "trivial_character",
     "linear_combination",
     "parabolic_trivial_ind",
     "dl_character",
@@ -77,18 +76,11 @@ class ClassFunction:
         return ((self.group.d, self.group.q) == (other.group.d, other.group.q)
                 and self.values == other.values)
 
-    def degree(self) -> Fraction:
-        return self.values[self.group.identity_class_index()]
-
     def inner_with_trivial(self) -> Fraction:
         """<f, 1> = (1/|G|) sum over classes of size * value."""
         total = sum(Fraction(c.size) * v
                     for c, v in zip(self.group.classes, self.values))
         return total / self.group.order
-
-
-def trivial_character(group: GLGroup) -> ClassFunction:
-    return ClassFunction(group, (Fraction(1),) * len(group.classes))
 
 
 def linear_combination(group: GLGroup,

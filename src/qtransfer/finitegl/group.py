@@ -47,7 +47,6 @@ from .fqmat import (
     char_poly,
     companion_matrix,
     conjugate_elementary,
-    mat_identity,
     mat_mul,
     mat_rank,
     monic_irreducibles,
@@ -247,9 +246,6 @@ class GLGroup:
 
     def class_index_of(self, mat: Mat) -> int:
         return self._class_lookup[self.label_of(mat)]
-
-    def identity_class_index(self) -> int:
-        return self.class_index_of(mat_identity(self.d))
 
 
 def _primitive_root(q: int) -> int:

@@ -20,7 +20,6 @@ Schur polynomial is the Jacobi-Trudi determinant of the images of the h_k
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -32,7 +31,6 @@ from .algebra.sympoly import SymPoly, multiplicative_sum, powersum
 
 __all__ = [
     "TransferParams",
-    "GeneralMapParams",
     "shift_vector",
     "transfer_sym",
     "substitution_image",
@@ -40,8 +38,6 @@ __all__ = [
     "image_h",
     "image_p",
     "image_schur",
-    "modulus_exponent",
-    "general_powersum_map",
     "surjectivity_witness",
 ]
 
@@ -61,23 +57,6 @@ class TransferParams:
     @property
     def n(self) -> int:
         return self.r * self.d
-
-
-@dataclass(frozen=True)
-class GeneralMapParams:
-    """Parameters (k, ell, m, s) of the component-wise power-sum map:
-    k blocks, splitting length ell, with s dividing m."""
-
-    k: int
-    ell: int
-    m: int
-    s: int
-
-    def __post_init__(self):
-        if min(self.k, self.ell, self.m, self.s) < 1:
-            raise ValueError("all parameters must be >= 1")
-        if self.m % self.s:
-            raise ValueError(f"s = {self.s} must divide m = {self.m}")
 
 
 def shift_vector(p: TransferParams) -> tuple[int, ...]:
@@ -233,31 +212,6 @@ def _jacobi_trudi_entry(p: TransferParams, k: int, dual: bool) -> SymPoly | None
     if k < 0 or dual and k > p.n:
         return None
     return image_e(p, k) if dual and k else image_h(p, k)
-
-
-def modulus_exponent(p: TransferParams, a: Sequence[int], b: Sequence[int]) -> int:
-    """The modulus-character exponent in v-units (doubled q-exponents):
-
-        sum_i (n+1-2i) a_i  -  d * sum_k (r+1-2k) b_k.
-
-    Requires b to be the block-sum vector of a; equals a . x identically.
-    """
-    if len(a) != p.n or len(b) != p.r:
-        raise ValueError("wrong vector lengths")
-    if tuple(b) != _block_sums(p, a):
-        raise ValueError("b is not the block-sum vector of a")
-    first = sum((p.n + 1 - 2 * (i + 1)) * ai for i, ai in enumerate(a))
-    second = p.d * sum((p.r + 1 - 2 * (k + 1)) * bk for k, bk in enumerate(b))
-    return first - second
-
-
-def general_powersum_map(g: GeneralMapParams, i: int) -> QScalar:
-    """Coefficient (1 - q^{-i k ell m/s}) / (1 - q^{-i m/s}) on the i-th
-    power sum, expanded as the geometric sum so no denominator remains."""
-    if i < 1:
-        raise ValueError("need i >= 1")
-    step = i * (g.m // g.s)
-    return QScalar.from_v_terms(Counter(-2 * j * step for j in range(g.k * g.ell)))
 
 
 def _rank_of_rows(rows: list[list[QScalar]]) -> int:

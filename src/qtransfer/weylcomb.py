@@ -57,7 +57,6 @@ __all__ = [
     "composition_class_counts",
     "SdClassFunction",
     "ep_weights",
-    "f_g",
     "f_g_table",
     "one_adic_ep",
     "orbital_sum",
@@ -204,23 +203,17 @@ def ep_weights(d: int) -> dict[tuple[int, ...], Fraction]:
             for lam in partitions(d)}
 
 
-def f_g(d: int, rho: Sequence[int]) -> Fraction:
-    """The coefficient of the Deligne-Lusztig term R_g, g of cycle type rho:
-
-        f_g = d * sum_I (-1)^(d-1-|I|)/(d-|I|) * |W_I cap class(rho)| / |W_I|.
-
-    Evaluates to 1 when rho = (d) (a single d-cycle) and 0 otherwise.  Read
-    off ``f_g_table(d)``: one entry costs as much as the whole table.
-    """
-    rho = as_partition_of(rho, d)  # before the table is built
-    return f_g_table(d)(rho)
-
-
 def f_g_table(d: int) -> SdClassFunction:
-    """The full indicator vector rho -> f_g(d, rho).  W_I and its cycle-type
-    counts depend only on the sorted blocks lam of I, so this is d times the
-    sum over lam of ep_weights(d)[lam] * count_lam(rho) / |W_lam|.  Refuses
-    once its (lam, rho) terms exceed ENUM_LIMIT, i.e. for d >= 19."""
+    """The d-cycle indicator: rho -> the coefficient of the Deligne-Lusztig
+    term R_g, g of cycle type rho,
+
+        f_g = d * sum_I (-1)^(d-1-|I|)/(d-|I|) * |W_I cap class(rho)| / |W_I|,
+
+    which is 1 when rho = (d) (a single d-cycle) and 0 otherwise.  W_I and
+    its cycle-type counts depend only on the sorted blocks lam of I, so this
+    is d times the sum over lam of ep_weights(d)[lam] * count_lam(rho) /
+    |W_lam|.  Refuses once its (lam, rho) terms exceed ENUM_LIMIT, i.e. for
+    d >= 19."""
     totals = {rho: Fraction(0) for rho in partitions(d)}
     terms = 0
     for lam, weight in ep_weights(d).items():

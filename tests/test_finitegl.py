@@ -21,6 +21,7 @@ from test_cli import _raise_two_part_flag_counts
 from qtransfer.algebra import compositions, parahoric_index, partitions, subsets
 from qtransfer.finitegl import (
     BudgetError,
+    ClassFunction,
     GLGroup,
     ParabolicSubgroup,
     cached_group,
@@ -32,7 +33,6 @@ from qtransfer.finitegl import (
     ind_conjugate_identity_exhaustive,
     linear_combination,
     parabolic_trivial_ind,
-    trivial_character,
 )
 from qtransfer.finitegl.classfun import _conjugation_counts_grouped
 from qtransfer.finitegl.fqmat import (
@@ -50,6 +50,16 @@ from qtransfer.weylcomb import block_composition
 
 SMALL_GROUPS = [(1, 2), (1, 3), (1, 5), (2, 2), (2, 3), (3, 2)]
 MEDIUM_GROUPS = [(2, 5), (3, 3), (4, 2)]
+
+
+def trivial_character(group):
+    """The constant class function 1."""
+    return ClassFunction(group, (Fraction(1),) * len(group.classes))
+
+
+def value_at_identity(f):
+    """f at the class of the identity matrix: its degree, for a character."""
+    return f.values[f.group.class_index_of(mat_identity(f.group.d))]
 
 
 def test_matrix_helpers():
@@ -212,7 +222,7 @@ def test_induce_identity_and_trivial_subgroup():
         trivial_character(group)
     ident = mat_identity(group.d)
     ind = induce_class_function(group, [ident], {ident: Fraction(1)})
-    assert ind.degree() == group.order
+    assert value_at_identity(ind) == group.order
     assert all(v == 0 for c, v in zip(group.classes, ind.values)
                if c.rep != ident)
 
@@ -247,7 +257,7 @@ def test_parabolic_trivial_ind_degrees():
             group = cached_group(d, q)
             for comp in compositions(d):
                 ind = parabolic_trivial_ind(group, comp)
-                assert ind.degree() == parahoric_index(comp).specialize_q(q)
+                assert value_at_identity(ind) == parahoric_index(comp).specialize_q(q)
                 # Frobenius reciprocity with the trivial character
                 assert ind.inner_with_trivial() == 1
 
@@ -273,7 +283,7 @@ def test_dl_borel_case_and_gl2_values():
         r2 = dl_character(group, (2,))
         two_triv = trivial_character(group).scale(2)
         assert r2 == two_triv - parabolic_trivial_ind(group, (1, 1))
-        assert r2.degree() == 1 - q
+        assert value_at_identity(r2) == 1 - q
 
 
 def test_linear_combination_edges():
@@ -346,7 +356,7 @@ def test_ind_conjugate_identity_single_case():
     case = ind_conjugate_identity_exhaustive(group, (1, 1))["cases"][ident_idx]
     assert case["class_index"] == ident_idx
     assert case["equal"]
-    idx = group.identity_class_index()
+    idx = group.class_index_of(mat_identity(group.d))
     assert case["values"][idx] == ("3", "3", "3")
 
 
@@ -714,7 +724,7 @@ def test_dl_characters_orthogonality_and_degree(d, q):
     for rho in parts:
         expected = (-1) ** (d - len(rho)) * Fraction(
             gl_factor, math.prod(q ** part - 1 for part in rho))
-        assert dl_character(group, rho).degree() == expected, rho
+        assert value_at_identity(dl_character(group, rho)) == expected, rho
         for sigma in parts:
             inner = sum(n * a * b for n, a, b in zip(sizes, chars[rho], chars[sigma]))
             expected = _centralizer_in_s_d(rho) if rho == sigma else 0

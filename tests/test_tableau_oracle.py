@@ -5,7 +5,7 @@ import time
 
 from hypothesis import given, settings, strategies as st
 
-from qtransfer.algebra import SymPoly, complete_homogeneous, partitions, schur
+from qtransfer.algebra import SymPoly, partitions, schur
 from qtransfer.transfer import (
     TransferParams,
     image_e,
@@ -13,6 +13,7 @@ from qtransfer.transfer import (
     image_schur,
     transfer_sym,
 )
+from product_oracle import complete_homogeneous
 from tableau_oracle import (
     image_schur_by_tableaux,
     schur_by_tableaux,

@@ -127,6 +127,29 @@ def test_every_all_entry_resolves():
     assert not missing, missing
 
 
+# the package modules without an __all__: the command line and its entry point
+NO_ALL_MODULES = {"cli.py", "__main__.py"}
+
+
+def test_every_public_definition_is_in_all():
+    # the converse of test_every_all_entry_resolves: a public def or class
+    # missing from its module's __all__ is left out of `from module import *`
+    missing, without_all = [], set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        listed = [{elt.value for elt in node.value.elts} for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "__all__" for t in node.targets)]
+        if not listed:
+            without_all.add(str(path.relative_to(SRC)))
+            continue
+        missing += [f"{path.relative_to(SRC)}:{node.lineno} {node.name}" for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_") and node.name not in listed[0]]
+    assert not missing, missing
+    assert without_all == NO_ALL_MODULES, without_all
+
+
 def test_type_check_messages_come_from_partitions():
     # "is not a partition of n" and "is not a composition of n" are raised by
     # as_partition_of and as_composition_of only, in any exception type;
@@ -161,24 +184,16 @@ def test_scalar_polynomial_helpers_are_integer_only():
     assert not found, found
 
 
-# Public names with no caller inside the package, each kept on purpose.
-# Everything else that only the tests call lives in the tests.
+# Public names with no caller inside the package, each kept on purpose:
+# an acceptance criterion or the benchmark calls it.  Everything else that
+# only the tests call lives in the tests.
 UNCALLED_PUBLIC_NAMES = {
-    "QScalar.as_fraction": "declared API: a v-free value as a plain Fraction",
-    "SymPoly.evaluate": "declared API: substitution of values for the variables",
-    "complete_homogeneous": "declared API: h_k, the companion of elementary and powersum",
-    "ParahoricCombo.coefficient": "declared API: one coefficient of an EP combination",
-    "product_ep": "declared API: the scaled r-fold EP product, exported at the top level",
-    "levi_scalar": "declared API: |M / M^1 Z(M)| of a Levi, the product_ep scale",
-    "ClassFunction.degree": "declared API: the value at the identity class",
-    "trivial_character": "declared API: the unit class function",
-    "modulus_exponent": "declared API: the modulus-character exponent of the transfer",
-    "general_powersum_map": "declared API: the component-wise power-sum map coefficient",
-    "surjectivity_witness": "declared API: the triangularity check of the power-sum images",
-    "cycle_type": "declared API: the cycle type of a permutation; perfbench imports it",
-    "f_g": "declared API: one Deligne-Lusztig coefficient of the d-cycle identity",
-    "one_adic_ep": "declared API: the README's 1-adic EP function; a benchmark workload",
-    "orbital_sum": "declared API: orbital integrals of one_adic_ep; a benchmark workload",
+    "ParahoricCombo.coefficient": "acceptance criterion 08 reads the extreme coefficients",
+    "product_ep": "criterion 08, the top-level export and perfbench/bench_cases.py",
+    "surjectivity_witness": "criterion 09 and the q-quotients benchmark workload",
+    "cycle_type": "perfbench/bench_cases.py",
+    "one_adic_ep": "perfbench/bench_cases.py",
+    "orbital_sum": "perfbench/bench_cases.py",
     "rref_subspaces": "the flag-scan oracle's; perfbench looks it up in fqmat by name",
     "in_rowspace": "the flag-scan oracle's; perfbench looks it up in fqmat by name",
 }

@@ -8,7 +8,6 @@ from qtransfer.algebra import (
     QScalar,
     SymPoly,
     V,
-    complete_homogeneous,
     elementary,
     monomial_sym,
     partitions,
@@ -18,20 +17,17 @@ from qtransfer.algebra import (
 )
 from qtransfer import transfer
 from qtransfer.transfer import (
-    GeneralMapParams,
     TransferParams,
-    general_powersum_map,
     image_e,
     image_h,
     image_p,
     image_schur,
-    modulus_exponent,
     shift_vector,
     substitution_image,
     surjectivity_witness,
     transfer_sym,
 )
-from product_oracle import product_by_expansion
+from product_oracle import complete_homogeneous, product_by_expansion
 
 
 def all_params(nmax):
@@ -94,7 +90,7 @@ def test_image_schur_examples():
 
 
 def test_no_production_path_expands_orbits(monkeypatch):
-    # only evaluate and the substitution oracle may expand a SymPoly
+    # only the substitution oracle may expand a SymPoly
     p = TransferParams(r=2, d=2)
     f = monomial_sym(p.n, (2, 1, -1)) + elementary(p.n, 2).scale(V)
     cube = product_by_expansion(product_by_expansion(f, f), f)
@@ -258,36 +254,18 @@ def test_newton_consistency_of_images():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 4), st.integers(1, 4),
+@given(st.integers(1, 4).flatmap(lambda r: st.tuples(st.just(r), st.integers(1, 8 // r))),
        st.lists(st.integers(-3, 3), min_size=8, max_size=8))
-def test_modulus_exponent_equals_shift_inner_product(r, d, raw):
-    if r * d > 8:
-        return
+def test_shift_inner_product_is_the_modulus_closed_form(rd, raw):
+    # a . x against the modulus-character exponent in closed form,
+    # sum_i (n+1-2i) a_i - d * sum_k (r+1-2k) b_k with b the block sums of a
+    r, d = rd
     p = TransferParams(r=r, d=d)
-    a = tuple(raw[:p.n])
-    b = tuple(sum(a[k * d:(k + 1) * d]) for k in range(r))
-    x = shift_vector(p)
-    assert modulus_exponent(p, a, b) == sum(ai * xi for ai, xi in zip(a, x))
-
-
-def test_modulus_exponent_rejects_bad_block_sums():
-    p = TransferParams(r=2, d=2)
-    with pytest.raises(ValueError):
-        modulus_exponent(p, (1, 0, 0, 0), (0, 1))
-
-
-def test_general_powersum_map():
-    assert general_powersum_map(GeneralMapParams(1, 1, 3, 1), 5) == QScalar(1)
-    g = GeneralMapParams(k=1, ell=2, m=1, s=1)
-    assert general_powersum_map(g, 1) == 1 + QScalar.q_power(-1)
-    # geometric-sum identity: coeff * (1 - q^{-im/s}) == 1 - q^{-ik ell m/s}
-    for params in (GeneralMapParams(2, 3, 4, 2), GeneralMapParams(3, 1, 2, 1)):
-        for i in (1, 2):
-            step = i * params.m // params.s
-            lhs = general_powersum_map(params, i) * (1 - QScalar.q_power(-step))
-            assert lhs == 1 - QScalar.q_power(-step * params.k * params.ell)
-    with pytest.raises(ValueError):
-        GeneralMapParams(1, 1, 3, 2)
+    a = raw[:p.n]
+    b = [sum(a[k * d:(k + 1) * d]) for k in range(r)]
+    closed = (sum((p.n - 1 - 2 * i) * ai for i, ai in enumerate(a))
+              - d * sum((r - 1 - 2 * k) * bk for k, bk in enumerate(b)))
+    assert sum(ai * xi for ai, xi in zip(a, shift_vector(p))) == closed
 
 
 def test_surjectivity_witness():

@@ -18,7 +18,6 @@ from qtransfer.weylcomb import (
     block_composition,
     composition_class_counts,
     cycle_type,
-    f_g,
     f_g_table,
     min_double_coset_reps,
     one_adic_ep,
@@ -116,10 +115,11 @@ def test_composition_class_counts_against_enumeration():
 
 
 def test_f_g_hand_values():
-    assert f_g(2, (2,)) == 1 and f_g(2, (1, 1)) == 0
-    assert f_g(3, (3,)) == 1
-    assert f_g(3, (2, 1)) == 0
-    assert f_g(3, (1, 1, 1)) == 0
+    f2, f3 = f_g_table(2), f_g_table(3)
+    assert f2((2,)) == 1 and f2((1, 1)) == 0
+    assert f3((3,)) == 1
+    assert f3((2, 1)) == 0
+    assert f3((1, 1, 1)) == 0
 
 
 def test_f_g_indicator_to_12():
@@ -147,14 +147,12 @@ def f_g_table_by_subsets(d):
 
 
 def test_f_g_table_refuses_a_partition_of_another_size():
-    # the table answers with the ValueError of f_g, not a missing key
+    # the table answers with the ValueError of as_partition_of, not a missing key
     table = f_g_table(3)
     for rho in ((4,), (2, 2), (1,)):
         message = re.escape(f"{rho} is not a partition of 3")
         with pytest.raises(ValueError, match=message):
             table(rho)
-        with pytest.raises(ValueError, match=message):
-            f_g(3, rho)
 
 
 def test_f_g_table_against_the_subset_sum_to_14():
@@ -190,14 +188,14 @@ def test_orbital_sum_identity():
     # d * O_g(f) == |C_{S_d}(g)| * f_g, both sides computed independently
     from qtransfer.algebra import z_order
     for d in range(2, 6):
-        f = one_adic_ep(d)
+        f, f_g = one_adic_ep(d), f_g_table(d)
         seen = set()
         for g in all_perms(d):
             rho = cycle_type(g)
             if rho in seen:
                 continue
             seen.add(rho)
-            assert d * orbital_sum(f, g) == z_order(rho) * f_g(d, rho)
+            assert d * orbital_sum(f, g) == z_order(rho) * f_g(rho)
 
 
 def test_orbital_sum_against_the_literal_conjugation():
@@ -440,5 +438,5 @@ def test_enumeration_bound():
                        match=r"f_g_table\(19\) summed so far \(\d+ elements\) .* 40320"):
         f_g_table(19)
     # closed forms are not refused on a proxy: no S_11 scan happens here
-    assert f_g(11, (11,)) == 1
+    assert f_g_table(11)((11,)) == 1
     assert len(support_by_enumeration({1}, {1}, tuple(range(1, 10)))) == 2
