@@ -102,9 +102,15 @@ def parahoric_index(comp: Sequence[int]) -> QScalar:
     """Symbolic index [K : J] = |GL_n(F_q)| / |P_c(F_q)| as a polynomial in q.
 
     Equals the q-multinomial coefficient of the composition, computed as a
-    product of Gaussian binomials over partial sums.
+    product of Gaussian binomials over partial sums.  Memoised per
+    composition: the input is validated first, so a bad one raises on every
+    call, and a list and a tuple of the same parts share one entry.
     """
-    c = as_composition(comp)
+    return _parahoric_index(as_composition(comp))
+
+
+@lru_cache(maxsize=None)
+def _parahoric_index(c: tuple[int, ...]) -> QScalar:
     remaining = sum(c)
     out = QScalar(1)
     for part in c:

@@ -11,14 +11,16 @@ Built here: the Euler-Poincare function f^EP of GL_n, the d^r product
 expansion supported on refinements of (d^r), the Iwahori-biinvariant
 combination attached to an arbitrary parahoric of GL_r(D), and the finite
 shadow sending e_J to the induced trivial character of the corresponding
-parabolic of GL_n(F_q).
+parabolic of GL_n(F_q).  The e-basis coefficients of the EP products are
+rational, so each product is built once per multiset of parts in Fractions
+and memoised; a coefficient becomes a QScalar only when a combo is made.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .algebra.partitions import as_partition, as_partition_of, dominant, render_partition
@@ -115,20 +117,6 @@ class ParahoricCombo:
         return ParahoricCombo._from_checked(self.n, self.basis,
                                             {k: c * v for k, v in self.terms.items()})
 
-    def tensor(self, other: "ParahoricCombo") -> "ParahoricCombo":
-        """Concatenation product: types merge as partitions of n1 + n2,
-        coefficients multiply.  Both sides must be in the e-basis."""
-        if self.basis != "e" or other.basis != "e":
-            raise ValueError("tensor is defined on e-basis combos")
-        out: dict[tuple[int, ...], QScalar] = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                key = dominant(k1 + k2)
-                c = c1 * c2
-                acc = out.get(key)
-                out[key] = c if acc is None else acc + c
-        return ParahoricCombo._from_checked(self.n + other.n, "e", out)
-
     def coefficient(self, lam: Sequence[int]) -> QScalar:
         return self.terms.get(as_partition(lam), ZERO)
 
@@ -181,10 +169,27 @@ def product_ep(d: int, r: int) -> ParahoricCombo:
 
 
 def _ep_product(parts: Sequence[int]) -> ParahoricCombo:
-    """The concatenation product over the parts m of m * f^EP_{GL_m}, one
-    scaled EP function built per distinct part."""
-    factors = {m: ep_function(m).scale(m) for m in parts}
-    return reduce(ParahoricCombo.tensor, (factors[m] for m in parts))
+    """The concatenation product over the parts m of m * f^EP_{GL_m}, read
+    from ``_ep_terms``; the combo holds its own copy of the terms."""
+    return ParahoricCombo(sum(parts), "e", _ep_terms(dominant(parts)))
+
+
+@lru_cache(maxsize=None)
+def _ep_terms(parts: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
+    """The e-basis terms of the concatenation product over the parts m of
+    m * f^EP_{GL_m}, keyed on the parts in decreasing order: the product for
+    parts[:-1] times the last factor, so each new key costs one product.
+    Concatenation merges the types as partitions and multiplies the rational
+    coefficients.  The cached dict is shared: callers copy it, never mutate."""
+    if not parts:
+        return {(): Fraction(1)}
+    m = parts[-1]
+    out: dict[tuple[int, ...], Fraction] = {}
+    for k1, c1 in _ep_terms(parts[:-1]).items():
+        for k2, c2 in ep_weights(m).items():
+            key = dominant(k1 + k2)
+            out[key] = out.get(key, 0) + m * c1 * c2
+    return {key: c for key, c in out.items() if c}
 
 
 def _torus_weights(t: DParahoricType) -> list[tuple[tuple[int, ...], Fraction]]:
@@ -203,14 +208,17 @@ def f_J(t: DParahoricType) -> ParahoricCombo:
         (1/|W_L|) sum over w in W_L, grouped by cycle type, of the
         concatenation product over the parts m of w of
         (d*m) * f^EP_{GL_{d*m}}.
+
+    The products come from ``_ep_terms`` and are summed in Fractions; each
+    coefficient becomes a QScalar once, in the combo constructor.
     """
-    out = ParahoricCombo(t.n, "e")
+    total: dict[tuple[int, ...], Fraction] = {}
     for torus, weight in _torus_weights(t):
-        term = _ep_product(torus)
-        if term.n != t.n:
+        if sum(torus) != t.n:
             raise AssertionError(f"f_J term does not live on GL_{t.n}")
-        out = out + term.scale(weight)
-    return out
+        for key, c in _ep_terms(dominant(torus)).items():
+            total[key] = total.get(key, 0) + weight * c
+    return ParahoricCombo(t.n, "e", total)
 
 
 def to_one_basis(x: ParahoricCombo) -> ParahoricCombo:

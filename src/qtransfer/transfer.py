@@ -243,6 +243,8 @@ def surjectivity_witness(p: TransferParams, maxdeg: int) -> dict:
     nonzero over the rational-function field, so monomials in the images span
     each graded piece.  The report records the coefficients and, per degree,
     the exact rank of the products' expansion against the monomial basis.
+    Each product over a partition lam is one multiplication of the product
+    over lam[:-1], built at a lower degree, by the image of p_{lam[-1]}.
     """
     if maxdeg < 1:
         raise ValueError("need maxdeg >= 1")
@@ -253,6 +255,7 @@ def surjectivity_witness(p: TransferParams, maxdeg: int) -> dict:
             raise AssertionError(f"vanishing leading coefficient at k = {k}")
         leading[k] = c
     images = {k: image_p(p, k) for k in range(1, maxdeg + 1)}
+    products = {(): SymPoly(p.r, {(0,) * p.r: QScalar(1)})}
     degree_checks = []
     for m in range(1, maxdeg + 1):
         targets = [lam + (0,) * (p.r - len(lam))
@@ -260,9 +263,7 @@ def surjectivity_witness(p: TransferParams, maxdeg: int) -> dict:
         index = {key: i for i, key in enumerate(targets)}
         rows = []
         for lam in partitions(m):
-            prod = SymPoly(p.r, {(0,) * p.r: QScalar(1)})
-            for part in lam:
-                prod = prod * images[part]
+            prod = products[lam] = products[lam[:-1]] * images[lam[-1]]
             row = [QScalar(0)] * len(targets)
             for key, c in prod.terms.items():
                 row[index[key]] = c

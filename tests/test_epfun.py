@@ -3,6 +3,9 @@ from functools import reduce
 
 import pytest
 
+from product_oracle import tensor
+
+from qtransfer import epfun
 from qtransfer.algebra import QScalar, partitions, subsets
 from qtransfer.epfun import (
     DParahoricType,
@@ -42,8 +45,8 @@ def test_combo_validation_and_arithmetic():
     a = ParahoricCombo(2, "e", {(2,): 1})
     b = ParahoricCombo(2, "e", {(1, 1): Fraction(1, 2)})
     assert (a + b).coefficient((2,)) == QScalar(1)
-    assert (a.tensor(b)).n == 4
-    assert a.tensor(b).coefficient((2, 1, 1)) == QScalar(Fraction(1, 2))
+    assert tensor(a, b).n == 4
+    assert tensor(a, b).coefficient((2, 1, 1)) == QScalar(Fraction(1, 2))
 
 
 def test_ep_function_hand_values():
@@ -96,7 +99,7 @@ def test_product_ep_r1():
         expected = factor
         for r in range(1, 8 // d + 1):
             if r > 1:
-                expected = expected.tensor(factor)
+                expected = tensor(expected, factor)
             assert product_ep(d, r) == expected, (d, r)
             assert f_J(DParahoricType(d, (1,) * r)) == expected, (d, r)
 
@@ -108,8 +111,47 @@ def test_f_J_factorizes_over_the_parts():
         for r in range(1, 8 // d + 1):
             for parts in partitions(r):
                 blocks = [f_J(DParahoricType(d, (part,))) for part in parts]
-                assert f_J(DParahoricType(d, parts)) == reduce(
-                    ParahoricCombo.tensor, blocks), (d, parts)
+                assert f_J(DParahoricType(d, parts)) == reduce(tensor, blocks), (d, parts)
+
+
+def _oracle_product(parts):
+    # the QScalar tensor of the scaled EP functions, one factor at a time
+    return reduce(tensor, [ep_function(m).scale(m) for m in parts])
+
+
+def test_ep_product_matches_the_tensor_oracle_in_any_order():
+    # every multiset of parts with sum <= 10, in decreasing, increasing and
+    # one rotated order: the memoised core keys on the sorted parts, so it
+    # holds one entry per partition of 0, 1, .., 10
+    epfun._ep_terms.cache_clear()
+    for n in range(1, 11):
+        for lam in partitions(n):
+            expected = _oracle_product(lam)
+            for parts in {lam, lam[::-1], lam[1:] + lam[:1]}:
+                assert epfun._ep_product(parts) == expected, parts
+    keys = sum(1 for n in range(11) for _ in partitions(n))
+    assert epfun._ep_terms.cache_info().currsize == keys
+
+
+def test_f_J_matches_the_weighted_sum_of_oracle_products():
+    # the definition before the Fraction core: a QScalar sum over the Weyl
+    # average of the oracle products, each scaled by its weight
+    for t in all_types(9):
+        expected = ParahoricCombo(t.n, "e")
+        for torus, weight in epfun._torus_weights(t):
+            expected = expected + _oracle_product(torus).scale(weight)
+        assert f_J(t) == expected, t
+
+
+def test_ep_products_do_not_share_their_terms():
+    # the core is memoised; a caller that mutates its combo must not reach it
+    first = product_ep(2, 3)
+    first.terms[(2, 2, 2)] = QScalar(0)
+    assert product_ep(2, 3).coefficient((2, 2, 2)) == QScalar(8)
+    assert product_ep(2, 3) == _oracle_product((2, 2, 2))
+    fj = f_J(DParahoricType(2, (1, 1, 1)))
+    fj.terms.clear()
+    assert f_J(DParahoricType(2, (1, 1, 1))) == _oracle_product((2, 2, 2))
 
 
 def test_basis_conversion():

@@ -107,6 +107,19 @@ def test_parahoric_index_examples():
     assert parahoric_index((2, 1)) == 1 + q(1) + q(2)
 
 
+def test_parahoric_index_cache_validates_every_call():
+    # the memo is keyed on the validated tuple: a bad composition is never
+    # cached, and a list reads the entry of the equal tuple
+    for bad in [(0, 2), (), [2, -1]]:
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not a composition"):
+                parahoric_index(bad)
+    for comp in [(2, 1), (1, 2, 1), (3,)]:
+        first = parahoric_index(list(comp))
+        assert parahoric_index(comp) == first
+        assert parahoric_index(list(comp)) == first
+
+
 def test_parahoric_index_equals_order_ratio():
     for n in range(1, 6):
         for comp in compositions(n):

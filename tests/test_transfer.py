@@ -275,3 +275,31 @@ def test_surjectivity_witness():
             assert report["ok"], report
     report = surjectivity_witness(TransferParams(r=1, d=1), 4)
     assert all(c == "1" for c in report["leading_coefficients"].values())
+
+
+def test_surjectivity_witness_sees_a_dependent_image(monkeypatch):
+    # planted fault: the image of p_2 is the square of the image of p_1, so
+    # the rows of p_2 and p_1^2 coincide and degree 2 loses a rank
+    image_p = transfer.image_p
+
+    def faulty(p, k):
+        return image_p(p, 1) * image_p(p, 1) if k == 2 else image_p(p, k)
+
+    monkeypatch.setattr(transfer, "image_p", faulty)
+    for r, d in [(2, 1), (2, 2), (3, 2)]:
+        report = surjectivity_witness(TransferParams(r=r, d=d), 3)
+        check = report["degree_checks"][1]
+        assert check["degree"] == 2
+        assert check["rank"] < check["target_dimension"], report
+        assert not check["ok"] and not report["ok"], report
+
+
+def test_rank_of_rows_over_rational_functions():
+    # row 1 is (1+v)/(1-v) times row 0 and the last column is zero: rank 2
+    row = [1 + V, V ** 2, QScalar(0)]
+    ratio = (1 + V) / (1 - V)
+    rows = [row, [ratio * x for x in row], [V, 1 - V ** -1, QScalar(0)]]
+    assert transfer._rank_of_rows(rows) == 2
+    assert transfer._rank_of_rows(rows[:1] + rows[2:]) == 2
+    assert transfer._rank_of_rows(rows[:2]) == 1
+    assert transfer._rank_of_rows([r[:2] for r in rows]) == 2
