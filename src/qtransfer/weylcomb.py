@@ -15,9 +15,10 @@ Finite Coxeter Groups and Iwahori-Hecke Algebras, 2.1-2.2); double-coset
 representatives are built one per integer matrix with the block sizes as
 margins, never by scanning S_d, from column steps kept in one table for
 the current composition of M and shared by every I against it; each
-Young subgroup is built once per (I, d); the Euler-Poincare sum over the
-subsets I collapses onto partitions (``ep_weights``).  The brute-force
-enumerations these replace stay as oracles (``YoungSubgroup.elements``,
+Young subgroup is built once per (I, d), and each support J(w) once per
+build, which keeps their tally; the Euler-Poincare sum over the subsets I
+collapses onto partitions (``ep_weights``).  The brute-force enumerations
+these replace stay as oracles (``YoungSubgroup.elements``,
 ``support_by_enumeration``, and in the tests the descent-rule scan of S_d
 and the subset sums) that the tests and ``verify`` compare against.
 
@@ -38,7 +39,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, prod
 from operator import add, mul, sub
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .algebra.partitions import (as_partition_of, block_composition, composition_count,
                                  dominant, partitions, sn_class_size, subsets)
@@ -60,6 +61,7 @@ __all__ = [
     "f_g_table",
     "one_adic_ep",
     "orbital_sum",
+    "DoubleCosetReps",
     "min_double_coset_reps",
     "restriction_support",
     "support_by_enumeration",
@@ -263,14 +265,16 @@ def orbital_sum(f: Mapping[Perm, Fraction], g: Perm) -> Fraction:
 # -- double cosets ---------------------------------------------------------
 
 
-def _right_descent_free(w: Perm, I: frozenset) -> bool:
-    # w minimal in w W_I  <=>  w increases at every position of I
-    return all(w[i - 1] < w[i] for i in I)
+class DoubleCosetReps(tuple):
+    """Double-coset representatives with ``supports``, the pairs (J, #{w : J(w) = J})."""
+
+    supports: tuple[tuple[frozenset, int], ...]
 
 
-def min_double_coset_reps(M: Iterable[int], I: Iterable[int], d: int) -> list[Perm]:
+def min_double_coset_reps(M: Iterable[int], I: Iterable[int], d: int) -> DoubleCosetReps:
     """Length-minimal representatives of the double cosets W_M \\ S_d / W_I,
-    sorted by (length, one-line form).
+    sorted by (length, one-line form): the cached immutable tuple, shared by
+    every caller, with the tally of their support sets as ``supports``.
 
     Matrices compute: with alpha and beta the compositions of M and I, the
     double cosets correspond one-to-one with the non-negative integer
@@ -283,15 +287,15 @@ def min_double_coset_reps(M: Iterable[int], I: Iterable[int], d: int) -> list[Pe
     at every position of I and w^-1 at every position of M, and the tests
     scan S_d with it as the oracle.  By Kilmoyer's lemma
     |W_M w W_I| = |W_M| |W_I| / |W_J(w)| with J(w) the support set of
-    ``restriction_support``, and these sizes must sum to d!; a failure of
-    that invariant raises.  Results are cached per (M, I, d).  A column
-    block's steps depend only on alpha, the row sums still to fill and the
-    block's size, so the I against one M share them through one step table
-    for the current alpha (``_step_table``), which the next M's alpha
-    replaces.  Refuses, before building any, when the number of double
-    cosets (of matrices) exceeds ENUM_LIMIT; d! itself is not a bound.
+    ``restriction_support``, and these sizes must sum to d! (a failure
+    raises); the tally of the J(w) is kept.  Results are cached per (M, I,
+    d).  A column block's steps depend only on alpha, the row sums still to
+    fill and the block's size, so the I against one M share them through
+    one step table for the current alpha (``_step_table``), which the next
+    M's alpha replaces.  Refuses, before building any, when the number of
+    double cosets (of matrices) exceeds ENUM_LIMIT; d! is not a bound.
     """
-    return list(_min_double_coset_reps_cached(frozenset(M), frozenset(I), d))
+    return _min_double_coset_reps_cached(frozenset(M), frozenset(I), d)
 
 
 def _splits(left: tuple[int, ...], size: int) -> Iterator[tuple[int, ...]]:
@@ -333,7 +337,7 @@ def _step_table(alpha: tuple[int, ...]) -> dict[tuple[tuple[int, ...], int], lis
     return {}
 
 
-def _column_steps(what: str, alpha: tuple[int, ...], beta: tuple[int, ...]
+def _column_steps(what: Callable[[], str], alpha: tuple[int, ...], beta: tuple[int, ...]
                   ) -> list[dict[tuple[int, ...], list]]:
     """Per column block of the matrices with row sums alpha and column sums
     beta, the steps from each vector of row sums left that a walk reaches,
@@ -361,7 +365,7 @@ def _column_steps(what: str, alpha: tuple[int, ...], beta: tuple[int, ...]
                     total += len(steps)
                 if total > ENUM_LIMIT:
                     raise EnumerationBudgetError(
-                        f"enumerating {what} (more than {ENUM_LIMIT} elements) "
+                        f"enumerating {what()} (more than {ENUM_LIMIT} elements) "
                         f"exceeds the enumeration limit {ENUM_LIMIT}")
                 layer[left] = steps
             walked: dict[tuple[int, ...], int] = {}
@@ -370,7 +374,8 @@ def _column_steps(what: str, alpha: tuple[int, ...], beta: tuple[int, ...]
                     walked[rest] = walked.get(rest, 0) + n
             layers.append(layer)
             counts = walked
-        _refuse_beyond_limit(what, sum(counts.values()))
+        if sum(counts.values()) > ENUM_LIMIT:
+            _refuse_beyond_limit(what(), sum(counts.values()))
     except EnumerationBudgetError:
         _step_table.cache_clear()
         raise
@@ -378,21 +383,23 @@ def _column_steps(what: str, alpha: tuple[int, ...], beta: tuple[int, ...]
 
 
 # one shared tuple per permutation in the cached representatives of all
-# (M, I), so that the cache is no larger than S_d
+# (M, I), so that the cache is no larger than S_d; likewise one shared
+# (J, count) pair per value in their supports
 _PERMS: dict[Perm, Perm] = {}
+_SUPPORTS: dict[tuple[frozenset, int], tuple[frozenset, int]] = {}
 
 
 @lru_cache(maxsize=None)
-def _min_double_coset_reps_cached(M: frozenset, I: frozenset, d: int
-                                  ) -> tuple[Perm, ...]:
+def _min_double_coset_reps_cached(M: frozenset, I: frozenset, d: int) -> DoubleCosetReps:
     W_M, W_I = young_subgroup(M, d), young_subgroup(I, d)
-    what = f"the double cosets W_{sorted(M)} \\ S_{d} / W_{sorted(I)}"
-    layers = _column_steps(what, W_M.composition, W_I.composition)
+    layers = _column_steps(
+        lambda: f"the double cosets W_{sorted(M)} \\ S_{d} / W_{sorted(I)}",
+        W_M.composition, W_I.composition)
     walks: list[tuple[int, Perm, tuple[int, ...]]] = [(0, (), W_M.composition)]
     for steps in layers:
         walks = [(length + added, w + values, rest) for length, w, left in walks
                  for rest, added, values in steps[left]]
-    reps = [_PERMS.setdefault(w, w) for _, w, _ in sorted(walks)]
+    reps = DoubleCosetReps(_PERMS.setdefault(w, w) for _, w, _ in sorted(walks))
     product = W_M.order * W_I.order
     supports = Counter(_support(M, I, w) for w in reps)
     total = sum(n * (product // young_subgroup(J, d).order) for J, n in supports.items())
@@ -400,15 +407,21 @@ def _min_double_coset_reps_cached(M: frozenset, I: frozenset, d: int
         raise AssertionError(
             f"double cosets of W_{sorted(M)}, W_{sorted(I)} in S_{d} have "
             f"total size {total}, not {factorial(d)}")
-    return tuple(reps)
+    reps.supports = tuple(_SUPPORTS.setdefault(pair, pair) for pair in supports.items())
+    return reps
 
 
 def _support(M: frozenset, I: frozenset, w: Perm) -> frozenset:
-    # J = (simple set of M) cap w(I): w s_i w^-1 is the transposition
-    # (w(i), w(i+1)), the simple reflection s_w(i) of M exactly when
-    # w(i+1) = w(i) + 1 and w(i) is in M
-    return frozenset(w[i - 1] for i in I
-                     if w[i] == w[i - 1] + 1 and w[i - 1] in M)
+    # J = (simple set of M) cap w(I), for w increasing on I (else ValueError):
+    # w s_i w^-1 = (w(i), w(i+1)) is the simple reflection s_w(i) of M
+    # exactly when w(i+1) = w(i) + 1 and w(i) is in M
+    J = []
+    for i in I:
+        if w[i - 1] > w[i]:
+            raise ValueError("w is not the minimal double-coset representative")
+        if w[i] == w[i - 1] + 1 and w[i - 1] in M:
+            J.append(w[i - 1])
+    return frozenset(J)
 
 
 def restriction_support(M: Iterable[int], I: Iterable[int], w: Perm) -> frozenset:
@@ -416,14 +429,16 @@ def restriction_support(M: Iterable[int], I: Iterable[int], w: Perm) -> frozense
     W_M is the Young subgroup W_J with J = (simple set of M) cap w(I)
     (Kilmoyer's lemma, W_M cap w W_I w^-1 = W_J).
 
-    Returns J in closed form and rejects non-minimal w.  The oracle is
+    Returns J in closed form and rejects non-minimal w: the pass over I
+    that finds J checks that w increases there, and m must come before
+    m + 1 in w for each m in M (no w^-1 is built).  The oracle is
     ``support_by_enumeration``, which must equal the elements of W_J.
     """
     M = frozenset(M)
-    I = frozenset(I)
-    if not (_right_descent_free(w, I) and _right_descent_free(perm_inv(w), M)):
+    J = _support(M, frozenset(I), w)
+    if any(w.index(m) > w.index(m + 1) for m in M):
         raise ValueError("w is not the minimal double-coset representative")
-    return _support(M, I, w)
+    return J
 
 
 def support_by_enumeration(M: Iterable[int], I: Iterable[int], w: Perm
@@ -444,7 +459,8 @@ def proper_levi_vanishing(d: int, M: Iterable[int]) -> dict[frozenset, Fraction]
             of (-1)^(d-1-|I|)/(d-|I|)
 
     for every J inside M's simple set.  All of them vanish; the caller
-    asserts that.
+    asserts that.  The count of each J per I is the ``supports`` tally that
+    ``min_double_coset_reps`` made for its Kilmoyer check.
     """
     M = frozenset(M)
     if M == frozenset(range(1, d)):
@@ -458,7 +474,7 @@ def proper_levi_vanishing(d: int, M: Iterable[int]) -> dict[frozenset, Fraction]
     tally = Counter()
     for I in subsets(d - 1):
         blocks = d - len(I)
-        tally.update((_support(M, I, w), blocks) for w in min_double_coset_reps(M, I, d))
+        tally.update({(J, blocks): n for J, n in min_double_coset_reps(M, I, d).supports})
     for (J, blocks), count in tally.items():
         sums[J] += _ep_coefficient(blocks) * count
     return sums

@@ -4,6 +4,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from typing import Iterator
 
 import pytest
 
@@ -322,8 +323,36 @@ def test_unique_factorization_count():
 
 
 def test_restriction_support_rejects_nonminimal():
+    # a descent of w at a position of I, then one of w^-1 at a position of M
     with pytest.raises(ValueError):
         restriction_support(frozenset(), frozenset({1}), (2, 1, 3))
+    with pytest.raises(ValueError):
+        restriction_support(frozenset({1}), frozenset(), (2, 1, 3))
+
+
+def two_pass_restriction_support(M, I, w: Perm) -> frozenset:
+    """The oracle for ``restriction_support``: build w^-1, check the
+    descent rule on both sides, then take J = (simple set of M) cap w(I)."""
+    M, I = frozenset(M), frozenset(I)
+    w_inv = perm_inv(w)
+    if any(w[i - 1] > w[i] for i in I) or any(w_inv[m - 1] > w_inv[m] for m in M):
+        raise ValueError("w is not the minimal double-coset representative")
+    return frozenset(w[i - 1] for i in I if w[i] == w[i - 1] + 1 and w[i - 1] in M)
+
+
+def test_restriction_support_matches_the_two_pass_oracle_on_all_of_S_d():
+    # every w, minimal or not, against every (M, I): the same J or both refuse
+    for d in range(1, 6):
+        for M in subsets(d - 1):
+            for I in subsets(d - 1):
+                for w in all_perms(d):
+                    try:
+                        expected = two_pass_restriction_support(M, I, w)
+                    except ValueError:
+                        with pytest.raises(ValueError):
+                            restriction_support(M, I, w)
+                    else:
+                        assert restriction_support(M, I, w) == expected, (M, I, w)
 
 
 def test_restriction_support_exhaustive_d5():
@@ -376,16 +405,76 @@ def test_proper_levi_vanishing_two_block_levis_beyond_d8(d):
         assert all(v == 0 for v in sums.values()), (d, M)
 
 
-@pytest.mark.parametrize("d", [9, 10])
-def test_restriction_support_sampled_beyond_d8(d):
+def _sampled_beyond_d8(d: int) -> Iterator[tuple[frozenset, frozenset, Perm]]:
+    # three seeded (M, I, w) with M a two-block Levi small enough to scan
     rng = random.Random(d)
     levis = [M for M in _two_block_levis(d) if young_subgroup(M, d).order <= ENUM_LIMIT]
     for _ in range(3):
         M = rng.choice(levis)
         I = frozenset(i for i in range(1, d) if rng.random() < 0.5)
-        w = rng.choice(min_double_coset_reps(M, I, d))
+        yield M, I, rng.choice(min_double_coset_reps(M, I, d))
+
+
+@pytest.mark.parametrize("d", [9, 10])
+def test_restriction_support_sampled_beyond_d8(d):
+    for M, I, w in _sampled_beyond_d8(d):
         W_J = young_subgroup(restriction_support(M, I, w), d)
         assert support_by_enumeration(M, I, w) == set(W_J.elements()), (M, I, w)
+
+
+def _assert_supports_tally_the_reps(M, I, d: int) -> None:
+    reps = min_double_coset_reps(M, I, d)
+    assert reps is min_double_coset_reps(M, I, d)  # the cached tuple, no copy
+    assert isinstance(reps, tuple)
+    assert len({J for J, _ in reps.supports}) == len(reps.supports)
+    assert dict(reps.supports) == Counter(restriction_support(M, I, w) for w in reps), \
+        (d, M, I)
+
+
+def test_supports_tally_restriction_support_to_d6():
+    for d in range(1, 7):
+        for M in subsets(d - 1):
+            for I in subsets(d - 1):
+                _assert_supports_tally_the_reps(M, I, d)
+
+
+@pytest.mark.parametrize("d", [9, 10])
+def test_supports_tally_restriction_support_beyond_d8(d):
+    for M, I, _ in _sampled_beyond_d8(d):
+        _assert_supports_tally_the_reps(M, I, d)
+
+
+def test_supports_are_shared_across_pairs():
+    # one (J, count) pair per value, whichever (M, I) tallied it
+    seen = {}
+    for M in subsets(3):
+        for I in subsets(3):
+            for pair in min_double_coset_reps(M, I, 4).supports:
+                assert seen.setdefault(pair, pair) is pair
+    assert len(seen) < sum(len(min_double_coset_reps(M, I, 4).supports)
+                           for M in subsets(3) for I in subsets(3))
+
+
+def test_proper_levi_vanishing_computes_each_support_once(monkeypatch):
+    # from a cold cache, the build's Kilmoyer check is the one support pass
+    calls = Counter()
+    support = weylcomb._support
+
+    def counted(M, I, w):
+        calls[M, I] += 1
+        return support(M, I, w)
+
+    monkeypatch.setattr(weylcomb, "_support", counted)
+    d = 5
+    for M in subsets(d - 1):
+        if M == frozenset(range(1, d)):
+            continue
+        weylcomb._min_double_coset_reps_cached.cache_clear()
+        calls.clear()
+        proper_levi_vanishing(d, M)
+        reps = {I: len(min_double_coset_reps(M, I, d)) for I in subsets(d - 1)}
+        assert sum(calls.values()) == sum(reps.values()), M
+        assert calls == Counter({(M, I): n for I, n in reps.items()}), M
 
 
 def test_min_double_coset_reps_beyond_d8():
@@ -394,7 +483,7 @@ def test_min_double_coset_reps_beyond_d8():
     reps = min_double_coset_reps(M, frozenset(), 9)
     assert len(reps) == factorial(9) // factorial(4) ** 2 == 630
     assert len(set(reps)) == len(reps)
-    assert reps == sorted(reps, key=lambda w: (inversions(w), w))
+    assert list(reps) == sorted(reps, key=lambda w: (inversions(w), w))
     for w in reps:
         assert restriction_support(M, frozenset(), w) == frozenset()
     # blocks (5, 4) and (3, 6): 2x2 matrices, one per a[0][0] in 0..3
