@@ -5,19 +5,21 @@ with ``v**2 = q``.  Working in ``v`` keeps every half-integer power of
 ``q`` at an integer exponent, so no fractional exponents ever appear in
 storage.  Every value is stored fraction-free, in a canonical form:
 
-* value == c * v**shift * N(v) / D(v),
+* value == (p / r) * v**shift * N(v) / D(v),
 * N and D are integer polynomials, each primitive (its coefficients have
   gcd 1) with positive leading coefficient and nonzero constant term,
-* gcd(N, D) == 1, and c is one nonzero rational; zero is c == 0, N == (),
+* gcd(N, D) == 1, and the content p / r is a nonzero rational held as two
+  ints in lowest terms with r > 0; zero is p == 0, r == 1, N == (),
 
 so structural equality coincides with mathematical equality.  All
 operations are pure; instances are immutable and hashable.
 
-The polynomial helpers below see integers only; the one rational of a
-value is its content c.  By Gauss's lemma a product of primitive
-polynomials is primitive, so a Laurent product (D == 1) multiplies the two
-integer tuples and the two contents with no content pass and no gcd, and
-a Laurent sum takes one integer gcd over its coefficients.  Real quotients
+The arithmetic sees integers only: ``Fraction`` appears where a value
+enters (the constructor) or leaves (the views, ``specialize_q`` and the
+hash of a constant).  By Gauss's lemma a product of primitive polynomials
+is primitive, so a Laurent product (D == 1) multiplies the integer tuples
+with no polynomial gcd and the contents with two integer gcds, and a
+Laurent sum takes one integer gcd over its coefficients.  Real quotients
 take polynomial gcds by the primitive polynomial remainder sequence
 (Knuth, TAOCP vol. 2, 4.6.1; Brown 1971), and dividing by a gcd is exact
 division in Z[v].
@@ -25,7 +27,7 @@ division in Z[v].
 The public views (``numerator_terms``, ``denominator_terms``, ``str``)
 show the same value over a monic denominator:
 value == v**shift * N'(v) / D'(v) with D' == D / lead(D) and
-N' == c * N / lead(D).
+N' == (p / r) * N / lead(D).
 """
 
 from __future__ import annotations
@@ -188,11 +190,11 @@ def _isqrt_exact(n: int) -> int:
 class QScalar:
     """An exact rational function of v, where v**2 represents q."""
 
-    __slots__ = ("_c", "_shift", "_num", "_den")
+    __slots__ = ("_p", "_r", "_shift", "_num", "_den")
 
     def __init__(self, value: Rational = 0):
-        c = Fraction(value)
-        self._c = c
+        c = value if isinstance(value, int) else Fraction(value)
+        self._p, self._r = c.numerator, c.denominator
         self._shift = 0
         self._num = (1,) if c else ()
         self._den = (1,)
@@ -200,10 +202,10 @@ class QScalar:
     # -- construction -------------------------------------------------
 
     @classmethod
-    def _make(cls, c: Fraction, shift: int, num: tuple, den: tuple) -> "QScalar":
+    def _make(cls, p: int, r: int, shift: int, num: tuple, den: tuple) -> "QScalar":
         """Wrap data already in canonical form."""
         self = cls.__new__(cls)
-        self._c = c
+        self._p, self._r = p, r
         self._shift = shift
         self._num = num
         self._den = den
@@ -212,7 +214,7 @@ class QScalar:
     @classmethod
     def v_power(cls, e: int) -> "QScalar":
         """v**e for any integer e."""
-        return cls._make(Fraction(1), e, (1,), (1,))
+        return cls._make(1, 1, e, (1,), (1,))
 
     @classmethod
     def q_power(cls, e: int) -> "QScalar":
@@ -230,7 +232,8 @@ class QScalar:
         coeffs = [nonzero.get(e, 0) for e in range(lo, max(nonzero) + 1)]
         scale = math.lcm(*(c.denominator for c in coeffs))
         k, g, num = _primitive([c.numerator * (scale // c.denominator) for c in coeffs])
-        return cls._make(Fraction(g, scale), lo + k, num, (1,))
+        d = math.gcd(g, scale)
+        return cls._make(g // d, scale // d, lo + k, num, (1,))
 
     # -- predicates and views ------------------------------------------
 
@@ -244,7 +247,7 @@ class QScalar:
     def numerator_terms(self) -> Iterator[tuple[int, Fraction]]:
         """(v-exponent, coefficient) pairs of the numerator over the monic
         denominator, ascending."""
-        scale = self._c / self._den[-1]
+        scale = Fraction(self._p, self._r * self._den[-1])
         for i, c in enumerate(self._num):
             if c:
                 yield self._shift + i, scale * c
@@ -275,8 +278,8 @@ class QScalar:
         if not self._num:
             return o
         # both contents over one integer denominator: x/scale and y/scale
-        x, qx = self._c.numerator, self._c.denominator
-        y, qy = o._c.numerator, o._c.denominator
+        x, qx = self._p, self._r
+        y, qy = o._p, o._r
         if qx == qy:
             scale = qx
         else:
@@ -302,12 +305,13 @@ class QScalar:
             h = _pgcd(num, g)
             if len(h) > 1:
                 num, den = _pdiv_exact(num, h), _pdiv_exact(den, h)
-        return QScalar._make(Fraction(content, scale), s + k, num, den)
+        d = math.gcd(content, scale)
+        return QScalar._make(content // d, scale // d, s + k, num, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QScalar":
-        return QScalar._make(-self._c, self._shift, self._num, self._den)
+        return QScalar._make(-self._p, self._r, self._shift, self._num, self._den)
 
     def __sub__(self, other) -> "QScalar":
         o = self._coerce(other)
@@ -337,15 +341,19 @@ class QScalar:
             g = _pgcd(n2, d1)
             if len(g) > 1:
                 n2, d1 = _pdiv_exact(n2, g), _pdiv_exact(d1, g)
-        return QScalar._make(self._c * o._c, self._shift + o._shift,
-                             _pmul(n1, n2), _pmul(d1, d2))
+        # p1/r1 * p2/r2 in lowest terms, as gcd(p1, r1) == gcd(p2, r2) == 1
+        p1, r1, p2, r2 = self._p, self._r, o._p, o._r
+        g1, g2 = math.gcd(p1, r2), math.gcd(p2, r1)
+        return QScalar._make((p1 // g1) * (p2 // g2), (r1 // g2) * (r2 // g1),
+                             self._shift + o._shift, _pmul(n1, n2), _pmul(d1, d2))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QScalar":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero QScalar")
-        return QScalar._make(1 / self._c, -self._shift, self._den, self._num)
+        p, r = (self._p, self._r) if self._p > 0 else (-self._p, -self._r)
+        return QScalar._make(r, p, -self._shift, self._den, self._num)
 
     def __truediv__(self, other) -> "QScalar":
         o = self._coerce(other)
@@ -369,7 +377,7 @@ class QScalar:
         if self.is_zero():
             return self
         # gcd(N, D) == 1 gives gcd(N**e, D**e) == 1
-        return QScalar._make(self._c ** e, self._shift * e,
+        return QScalar._make(self._p ** e, self._r ** e, self._shift * e,
                              _ppow(self._num, e), _ppow(self._den, e))
 
     # -- equality -------------------------------------------------------
@@ -378,13 +386,14 @@ class QScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return (self._shift, self._num, self._den, self._c) == (o._shift, o._num, o._den, o._c)
+        return ((self._shift, self._num, self._den, self._p, self._r)
+                == (o._shift, o._num, o._den, o._p, o._r))
 
     def __hash__(self) -> int:
         # a constant equals its rational, so it hashes as that rational
         if self._shift == 0 and self._den == (1,) and len(self._num) < 2:
-            return hash(self._c)
-        return hash((self._shift, self._num, self._den, self._c))
+            return hash(self._p) if self._r == 1 else hash(Fraction(self._p, self._r))
+        return hash((self._shift, self._num, self._den, self._p, self._r))
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -420,7 +429,7 @@ class QScalar:
         if a == 0 and shift < 0:
             raise PoleError(f"negative power of {var} at q = 0")
         top = _peval(num, a, b)
-        # value == self._c * (a/b)**shift * (top / b**deg N) / (bottom / b**deg D)
+        # value == p/r * (a/b)**shift * (top / b**deg N) / (bottom / b**deg D)
         eb = len(den) - len(num) - shift
         if eb >= 0:
             top *= b ** eb
@@ -430,7 +439,7 @@ class QScalar:
             top *= a ** shift
         else:
             bottom *= a ** -shift
-        return self._c * Fraction(top, bottom)
+        return Fraction(self._p * top, self._r * bottom)
 
     # -- rendering --------------------------------------------------------
 

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import fraction_oracle as oracle
 from qtransfer.algebra import ONE, Q, V, ZERO, PoleError, QScalar
@@ -40,7 +40,9 @@ def test_canonical_equality():
     assert (Q * Q - 1) / (Q - 1) == Q + 1
 
 
-@pytest.mark.parametrize("value", [3, -7, Fraction(1, 2), Fraction(-5, 3), 0])
+@pytest.mark.parametrize("value", [3, -7, Fraction(1, 2), Fraction(-5, 3), 0,
+                                   Fraction(10**30 + 1, 3 * 10**29),
+                                   Fraction(-(10**30 - 1), 10**30 + 7)])
 def test_constants_hash_as_the_rational_they_equal(value):
     # equal values hash equal, so a constant and its rational find each other
     # in sets and as dict keys, whichever route built the constant
@@ -253,16 +255,16 @@ def test_core_matches_fraction_oracle(fa, fb, e):
 
 
 def _assert_canonical(s: QScalar):
-    c, shift, num, den = s._c, s._shift, s._num, s._den
-    assert type(c) is Fraction
-    assert c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
+    p, r, shift, num, den = s._p, s._r, s._shift, s._num, s._den
+    assert type(p) is int and type(r) is int
+    assert r > 0 and math.gcd(p, r) == 1
     if s.is_zero():
-        assert (c, shift, num, den) == (0, 0, (), (1,))
+        assert (p, r, shift, num, den) == (0, 1, 0, (), (1,))
         return
-    assert c != 0
-    for p in (num, den):
-        assert p and all(type(x) is int for x in p)
-        assert math.gcd(*p) == 1 and p[-1] > 0 and p[0] != 0
+    assert p != 0
+    for poly in (num, den):
+        assert poly and all(type(x) is int for x in poly)
+        assert math.gcd(*poly) == 1 and poly[-1] > 0 and poly[0] != 0
     assert oracle._pgcd(tuple(map(Fraction, num)), tuple(map(Fraction, den))) \
         == oracle.ONE_POLY
 
@@ -279,3 +281,61 @@ def test_inexact_division_raises():
     for a, b in (((1, 0, 1), (1, 1)), ((1, 1), (1, 0, 1)), ((1, 3), (2, 1))):
         with pytest.raises(ArithmeticError):
             _pdiv_exact(a, b)
+
+
+# -- contents: the rational p / r that scales N / D ---------------------------
+
+near_1e15 = st.integers(10**14, 10**16)
+signs = st.sampled_from((1, -1))
+
+
+@st.composite
+def big_contents(draw):
+    """Two rationals with numerators and denominators near 10**30 that share
+    factors crosswise, so their product and quotient reduce by large gcds."""
+    a, b, c, d, e, f = (draw(near_1e15) for _ in range(6))
+    return (Fraction(draw(signs) * a * b, c * d),
+            Fraction(draw(signs) * c * e, a * f))
+
+
+def _scaled(content, factors):
+    return QScalar(content) * _core(factors), oracle.mul(
+        oracle.from_terms({0: content}), _oracle(factors))
+
+
+@settings(max_examples=60, deadline=None)
+@given(big_contents(), quotient_factors(), quotient_factors(), st.integers(-3, -1))
+def test_big_signed_contents_match_fraction_oracle(contents, fa, fb, e):
+    # negative and fractional contents through inverse and negative powers,
+    # with crosswise gcds near 10**30 for the product to cancel
+    (a, x), (b, y) = _scaled(contents[0], fa), _scaled(contents[1], fb)
+    assume(a and b)
+    got = _operations(a, b, e) + [a.inverse() * b.inverse(), b ** e / a]
+    want = _oracle_operations(x, y, e) + [
+        oracle.mul(oracle.inverse(x), oracle.inverse(y)),
+        oracle.mul(oracle.power(y, e), oracle.inverse(x))]
+    for g, w in zip(got, want, strict=True):
+        _assert_canonical(g)
+        assert (list(g.numerator_terms()), list(g.denominator_terms())) == oracle.view(w)
+
+
+MIXED = [3, -7, Fraction(-5, 3), Fraction(10**30 + 1, 3 * 10**29), QScalar(Fraction(-2, 9))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(MIXED), quotient_factors())
+def test_mixed_operands_match_fraction_oracle(c, fs):
+    # an int, a Fraction or a constant QScalar on either side of a QScalar
+    a, x = _scaled(Fraction(-3, 4), fs)
+    assume(a)
+    y = oracle.from_terms({0: c.specialize_q(1) if isinstance(c, QScalar) else c})
+    pairs = [(a + c, oracle.add(x, y)), (c + a, oracle.add(y, x)),
+             (a - c, oracle.add(x, oracle.neg(y))), (c - a, oracle.add(y, oracle.neg(x))),
+             (a * c, oracle.mul(x, y)), (c * a, oracle.mul(y, x)),
+             (a / c, oracle.mul(x, oracle.inverse(y))),
+             (c / a, oracle.mul(y, oracle.inverse(x)))]
+    for g, w in pairs:
+        assert type(g) is QScalar
+        _assert_canonical(g)
+        assert (list(g.numerator_terms()), list(g.denominator_terms())) == oracle.view(w)
+

@@ -171,12 +171,22 @@ def test_type_check_messages_come_from_partitions():
     assert not found, found
 
 
+INTEGER_ONLY_QSCALAR_METHODS = {"_make", "__add__", "__neg__", "__mul__", "inverse",
+                                "__pow__", "__eq__"}
+
+
 def test_scalar_polynomial_helpers_are_integer_only():
-    # the fraction-free core: a value's one rational is its content, so no
-    # module-level helper of algebra/scalars.py may name Fraction
+    # the fraction-free core: a value's content is a pair of ints, so no
+    # module-level helper of algebra/scalars.py, and none of QScalar's
+    # arithmetic methods, may name Fraction
     tree = ast.parse((SRC / "algebra" / "scalars.py").read_text())
     helpers = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
-    assert helpers
+    qscalar, = (node for node in tree.body
+                if isinstance(node, ast.ClassDef) and node.name == "QScalar")
+    methods = [node for node in qscalar.body if isinstance(node, ast.FunctionDef)
+               and node.name in INTEGER_ONLY_QSCALAR_METHODS]
+    assert helpers and {node.name for node in methods} == INTEGER_ONLY_QSCALAR_METHODS
+    helpers += methods
     found = [f"{node.name}:{node.lineno}" for node in helpers
              if "Fraction" in {name.id for name in ast.walk(node)
                                if isinstance(name, ast.Name)}
