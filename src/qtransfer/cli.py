@@ -1,5 +1,6 @@
 """Command-line harness: every computation and verification suite, with
 machine-readable JSON output (schema "1") and an optional table mode.
+``SUITES`` holds the case set of every acceptance criterion.
 
 Exit codes: 0 all checks passed, 1 a mathematical identity evaluated and
 differed, 2 usage, precondition or budget error, 3 internal fault (any other
@@ -19,24 +20,34 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Sequence
 
 from .algebra.partitions import (
     as_composition,
     as_partition_of,
+    compositions,
     parse_partition,
     partitions,
     render_partition,
     subsets,
     z_order,
 )
-from .algebra.qcount import is_prime
+from .algebra.qcount import (
+    gl_order,
+    is_prime,
+    parabolic_order,
+    parahoric_index,
+    qint_balanced,
+)
 from .algebra.sympoly import SymPoly, elementary, monomial_sym, powersum, schur
 from .epfun import (
     DParahoricType,
+    ParahoricCombo,
     ep_function,
     f_J,
     fj_shadow_report,
+    product_ep,
     shadow,
     to_one_basis,
 )
@@ -54,6 +65,7 @@ from .transfer import (
     image_p,
     image_schur,
     substitution_image,
+    surjectivity_witness,
     transfer_sym,
 )
 from .weylcomb import (
@@ -185,8 +197,8 @@ def _pmap(fn: Callable, cases: Sequence, workers: int) -> list:
 class Suite:
     """A verification suite: the case set its budgets select, and the exact
     check of one case, which returns a JSON-ready dict with an "ok" verdict.
-    This is the one definition of each case set; the acceptance tests run
-    it too."""
+    This is the one definition of each case set; every acceptance test runs
+    the cases of a suite and checks nothing besides."""
 
     cases: Callable[[argparse.Namespace], list]
     check: Callable[[object], dict]
@@ -274,11 +286,45 @@ def _finite_gl_case(case: tuple[str, int, int]) -> dict:
 
 
 def _ep_shadow_case(case: tuple[int, tuple[int, ...], int]) -> dict:
+    # f_J of GL_1(D) is d * f^EP_{GL_d}, and f_J of the Iwahori of GL_r(F)
+    # is the unit e_(1^r); with the shadow identity these give
+    # shadow(d * f^EP_{GL_d}, q) = R_(d)
     d, parts, q = case
     t = DParahoricType(d, parts)
     ok = (fj_shadow_report(t, q)["equal"]
           and _flag_characters_transitive(cached_group(t.n, q)))
+    if parts == (1,):
+        ok = ok and f_J(t) == ep_function(d).scale(d)
+    if d == 1 and parts == (1,) * t.r:
+        ok = ok and f_J(t) == ParahoricCombo(t.r, "e", {parts: 1})
     return {"d": d, "parts": list(parts), "q": q, "ok": ok}
+
+
+def _product_ep_extremes(d: int, r: int) -> bool:
+    combo = product_ep(d, r)
+    return ([combo.coefficient((1,) * (d * r)), combo.coefficient((d,) * r)]
+            == [(-1) ** (r * (d - 1)), d ** r])
+
+
+# the checks of the closed-forms cases, each an (identity, params) pair
+_CLOSED_FORMS = {
+    # at q = 1 the image of p_k under r = 2 is d * p_k
+    "q1_degeneration": lambda d, k: dict.fromkeys(powersum(2, k).terms, d) == {
+        key: c.specialize_q(1) for key, c in image_p(TransferParams(r=2, d=d), k).terms.items()},
+    "product_ep": _product_ep_extremes,
+    "qint_nonzero": lambda d, k: not qint_balanced(d, k).is_zero(),
+    "surjectivity": lambda r, d, maxdeg: surjectivity_witness(
+        TransferParams(r=r, d=d), maxdeg)["ok"],
+    "index_formula": lambda composition, q: all(
+        parahoric_index(composition).specialize_q(c)
+        == Fraction(gl_order(sum(composition), c), parabolic_order(composition, c))
+        for c in q),
+}
+
+
+def _closed_form_case(case: tuple[str, dict]) -> dict:
+    identity, params = case
+    return {"identity": identity, **params, "ok": _CLOSED_FORMS[identity](**params)}
 
 
 SUITES = {
@@ -312,6 +358,19 @@ SUITES = {
                       for d in range(1, n + 1) if n % d == 0
                       for parts in partitions(n // d)],
         _ep_shadow_case),
+    # the q = 1 degeneration, the product-EP coefficients, the surjectivity
+    # witness and the parahoric index: one fixed case per parameter tuple,
+    # which no budget selects
+    "closed-forms": Suite(
+        lambda args: [("q1_degeneration", {"d": d, "k": k})
+                      for d in range(1, 9) for k in range(1, 7)]
+        + [("product_ep", {"d": d, "r": r}) for d in range(1, 6) for r in range(1, 6)]
+        + [("qint_nonzero", {"d": d, "k": k}) for d in range(1, 7) for k in range(1, 7)]
+        + [("surjectivity", {"r": r, "d": d, "maxdeg": 3})
+           for r in range(1, 5) for d in range(1, 4)]
+        + [("index_formula", {"composition": comp, "q": (2, 3, 5)})
+           for n in range(1, 6) for comp in compositions(n)],
+        _closed_form_case),
 }
 
 

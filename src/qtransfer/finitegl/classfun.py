@@ -15,7 +15,7 @@ products, which are the oracle in the tests, as is coset-sum induction
 over an enumerated group (``tests/coset_sum_oracle.py``).
 Induced characters and the R_rho are memoised in this module, per group
 object and validated key.  ``linear_combination`` is the one place
-ClassFunctions are combined: the operators and every weighted sum call it.
+ClassFunctions are combined: every weighted sum calls it.
 """
 
 from __future__ import annotations
@@ -60,15 +60,6 @@ class ClassFunction:
     def __post_init__(self):
         if len(self.values) != len(self.group.classes):
             raise ValueError("value count does not match class count")
-
-    def __add__(self, other: "ClassFunction") -> "ClassFunction":
-        return linear_combination(self.group, ((1, self), (1, other)))
-
-    def __sub__(self, other: "ClassFunction") -> "ClassFunction":
-        return linear_combination(self.group, ((1, self), (-1, other)))
-
-    def scale(self, c) -> "ClassFunction":
-        return linear_combination(self.group, ((c, self),))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ClassFunction):

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import qtransfer
-from qtransfer import cli, transfer, weylcomb
+from qtransfer import cli, epfun, transfer, weylcomb
 from qtransfer.algebra import SymPoly, sympoly
 from qtransfer.cli import main
 from qtransfer.finitegl import ParabolicSubgroup, classfun
@@ -231,6 +231,25 @@ def _shift_one_monomial_hit(monkeypatch):
                         functools.lru_cache(maxsize=None)(transfer._monomial_image.__wrapped__))
 
 
+def _drop_one_rank_of_many_rows(monkeypatch):
+    # the rank of the power-sum products read one short whenever there is
+    # more than one row; only the surjectivity cases of closed-forms reach it
+    rank_of_rows = transfer._rank_of_rows
+    monkeypatch.setattr(transfer, "_rank_of_rows",
+                        lambda rows: rank_of_rows(rows) - (len(rows) > 1))
+
+
+def _repeat_each_torus_d_times(monkeypatch):
+    # d copies of each torus type rho of W_L in place of the parts d*m of rho
+    # (at r = 1 the split torus, not the Coxeter one); both sides of the
+    # shadow identity read _torus_weights, so only the r = 1 check sees it
+    torus_weights = epfun._torus_weights
+    monkeypatch.setattr(epfun, "_torus_weights", lambda t: [
+        (tuple(sorted((part // t.d for part in torus for _ in range(t.d)), reverse=True)),
+         weight)
+        for torus, weight in torus_weights(t)])
+
+
 @pytest.mark.parametrize("plant,argv", [
     (_negate_one_ep_weight, ["--suite", "comb-prop", "--dmax", "4"]),
     (_raise_one_class_count, ["--suite", "comb-prop", "--dmax", "4"]),
@@ -245,6 +264,8 @@ def _shift_one_monomial_hit(monkeypatch):
     (_raise_two_part_flag_counts, ["--suite", "finite-gl"]),
     (_raise_two_part_flag_counts_keeping_transitivity, ["--suite", "finite-gl"]),
     (_raise_two_part_flag_counts, ["--suite", "ep-shadow", "--n", "4", "--q", "2", "3"]),
+    (_repeat_each_torus_d_times, ["--suite", "ep-shadow", "--n", "4", "--q", "2", "3"]),
+    (_drop_one_rank_of_many_rows, ["--suite", "closed-forms"]),
 ], ids=lambda v: v.__name__.strip("_") if callable(v) else v[1])
 def test_verify_fails_on_a_planted_fault(capsys, monkeypatch, plant, argv):
     # one fault per row, planted where no memoised result can keep it for
@@ -264,9 +285,13 @@ def test_verify_ep_shadow_small(capsys):
 
 
 def test_verify_workers_flag(capsys):
-    code, report = run_json(capsys, "verify", "--suite", "comb-prop",
-                            "--dmax", "4", "--workers", "2")
-    assert code == 0
+    # the closed-forms case tuples pickle, and no budget selects them
+    _, serial = run_json(capsys, "verify", "--suite", "closed-forms")
+    assert len(serial["payload"]["closed-forms"]["cases"]) == 152
+    for argv in (["--workers", "2"], ["--nmax", "0", "--degmax", "0", "--dmax", "0", "--n", "0"]):
+        code, report = run_json(capsys, "verify", "--suite", "closed-forms", *argv)
+        assert code == 0
+        assert report["payload"] == serial["payload"]
 
 
 def test_finite_gl_dl(capsys):

@@ -1,12 +1,9 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qtransfer.algebra import (
     QScalar,
     V,
-    compositions,
     gl_order,
     parabolic_order,
     parahoric_index,
@@ -119,11 +116,3 @@ def test_parahoric_index_cache_validates_every_call():
         assert parahoric_index(comp) == first
         assert parahoric_index(list(comp)) == first
 
-
-def test_parahoric_index_equals_order_ratio():
-    for n in range(1, 6):
-        for comp in compositions(n):
-            symbolic = parahoric_index(comp)
-            for q in (2, 3, 5):
-                assert symbolic.specialize_q(q) == Fraction(
-                    gl_order(n, q), parabolic_order(comp, q))

