@@ -128,14 +128,6 @@ class SymPoly:
             return self.scale(other)
         return NotImplemented
 
-    def __pow__(self, e: int) -> "SymPoly":
-        if e < 0:
-            raise ValueError("negative powers of SymPoly are not defined")
-        out = SymPoly(self.nvars, {(0,) * self.nvars: QScalar(1)})
-        for _ in range(e):
-            out = out * self
-        return out
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymPoly):
             return NotImplemented
@@ -143,9 +135,6 @@ class SymPoly:
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def _check_compatible(self, other: "SymPoly") -> None:
         if self.nvars != other.nvars:

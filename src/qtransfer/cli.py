@@ -306,6 +306,15 @@ def _product_ep_extremes(d: int, r: int) -> bool:
             == [(-1) ** (r * (d - 1)), d ** r])
 
 
+def _surjectivity(r: int, d: int, maxdeg: int) -> bool:
+    # full rank in every degree, and one rank check and one leading
+    # coefficient for each degree 1..maxdeg
+    report = surjectivity_witness(TransferParams(r=r, d=d), maxdeg)
+    degrees = list(range(1, maxdeg + 1))
+    return (report["ok"] and [row["degree"] for row in report["degree_checks"]] == degrees
+            and list(report["leading_coefficients"]) == degrees)
+
+
 # the checks of the closed-forms cases, each an (identity, params) pair
 _CLOSED_FORMS = {
     # at q = 1 the image of p_k under r = 2 is d * p_k
@@ -313,8 +322,7 @@ _CLOSED_FORMS = {
         key: c.specialize_q(1) for key, c in image_p(TransferParams(r=2, d=d), k).terms.items()},
     "product_ep": _product_ep_extremes,
     "qint_nonzero": lambda d, k: not qint_balanced(d, k).is_zero(),
-    "surjectivity": lambda r, d, maxdeg: surjectivity_witness(
-        TransferParams(r=r, d=d), maxdeg)["ok"],
+    "surjectivity": _surjectivity,
     "index_formula": lambda composition, q: all(
         parahoric_index(composition).specialize_q(c)
         == Fraction(gl_order(sum(composition), c), parabolic_order(composition, c))

@@ -109,9 +109,6 @@ class ParahoricCombo:
             out[key] = out.get(key, ZERO) + c
         return ParahoricCombo._from_checked(self.n, self.basis, out)
 
-    def __sub__(self, other: "ParahoricCombo") -> "ParahoricCombo":
-        return self + other.scale(-1)
-
     def scale(self, c: Coeffish) -> "ParahoricCombo":
         c = as_qscalar(c)
         return ParahoricCombo._from_checked(self.n, self.basis,
@@ -263,10 +260,7 @@ def fj_shadow_report(t: DParahoricType, q: int) -> dict:
     ``test_composition_class_counts_against_enumeration`` checks against
     W_L enumerated; past it, one side induces from parabolics and the
     other inverts to DL characters.  So it checks the S_d combinatorics
-    carried through the class data and holds for any Ind_{P_lam}(1) values.
-    So ``verify --suite ep-shadow`` also checks <Ind_{P_lam}(1), 1> = 1 on
-    GL_n(F_q), which fails under ``_flag_count`` + 1 on 2-part compositions
-    of types with more than one primary part."""
+    carried through the class data and holds for any Ind_{P_lam}(1) values."""
     lhs = shadow(f_J(t), q)
     rhs = weyl_averaged_dl(t, q)
     return {

@@ -216,11 +216,7 @@ def comb_prop_check(group: GLGroup) -> dict:
     d * sum over lam of ep_weights(d)[lam] Ind_{P_lam}(1).  R_rho inverts
     the Ind values, so this checks the S_d combinatorics (``ep_weights``,
     ``composition_class_counts``) carried through the class data and holds
-    for any Ind values.  So the comb_prop rows of ``verify --suite
-    finite-gl`` also check <Ind_{P_lam}(1), 1> = 1 and the values of every
-    R_rho on the regular semisimple classes; each fails on its own under
-    ``_flag_count`` + 1 on 2-part compositions of types with more than one
-    primary part."""
+    for any Ind values."""
     d = group.d
     lhs = dl_character(group, (d,))
     rhs = linear_combination(group, ((d * weight, parabolic_trivial_ind(group, lam))

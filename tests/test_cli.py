@@ -78,14 +78,6 @@ def test_bad_flag_exit_2(capsys):
     assert exc.value.code == 2
 
 
-def test_verify_comb_prop(capsys):
-    code, report = run_json(capsys, "verify", "--suite", "comb-prop",
-                            "--dmax", "5")
-    assert code == 0
-    assert report["status"] == "pass"
-    assert report["payload"]["comb-prop"]["ok"]
-
-
 def test_verify_comb_prop_beyond_s8(capsys):
     # f_g_table is a closed form: d = 12 sums one term per (partition,
     # cycle type) pair, no subset walk and no S_d scan
@@ -239,6 +231,18 @@ def _drop_one_rank_of_many_rows(monkeypatch):
                         lambda rows: rank_of_rows(rows) - (len(rows) > 1))
 
 
+def _drop_the_top_degree_row(monkeypatch):
+    # the witness report one degree short, as a loop bound of maxdeg would
+    # leave it, with every row it keeps at full rank
+    witness = cli.surjectivity_witness
+
+    def faulty(p, maxdeg):
+        report = witness(p, maxdeg)
+        return {**report, "degree_checks": report["degree_checks"][:-1]}
+
+    monkeypatch.setattr(cli, "surjectivity_witness", faulty)
+
+
 def _repeat_each_torus_d_times(monkeypatch):
     # d copies of each torus type rho of W_L in place of the parts d*m of rho
     # (at r = 1 the split torus, not the Coxeter one); both sides of the
@@ -266,6 +270,7 @@ def _repeat_each_torus_d_times(monkeypatch):
     (_raise_two_part_flag_counts, ["--suite", "ep-shadow", "--n", "4", "--q", "2", "3"]),
     (_repeat_each_torus_d_times, ["--suite", "ep-shadow", "--n", "4", "--q", "2", "3"]),
     (_drop_one_rank_of_many_rows, ["--suite", "closed-forms"]),
+    (_drop_the_top_degree_row, ["--suite", "closed-forms"]),
 ], ids=lambda v: v.__name__.strip("_") if callable(v) else v[1])
 def test_verify_fails_on_a_planted_fault(capsys, monkeypatch, plant, argv):
     # one fault per row, planted where no memoised result can keep it for

@@ -219,13 +219,6 @@ def test_shadow_accepts_one_basis():
     assert shadow(to_one_basis(combo), 3) == shadow(combo, 3)
 
 
-@pytest.mark.parametrize("q", [2, 3])
-def test_fj_shadow_identity_everywhere(q):
-    for t in all_types(4):
-        report = fj_shadow_report(t, q)
-        assert report["equal"], report
-
-
 @pytest.mark.parametrize("q,nmax", [(2, 6), (3, 6), (5, 5)])
 def test_fj_shadow_identity_beyond_the_old_class_budget(q, nmax):
     for t in all_types(nmax):

@@ -19,6 +19,7 @@ from coset_sum_oracle import (
 )
 from test_cli import _raise_two_part_flag_counts
 from qtransfer.algebra import compositions, parahoric_index, partitions, subsets
+from qtransfer.cli import _dl_characters_on_regular_semisimple
 from qtransfer.finitegl import (
     BudgetError,
     ClassFunction,
@@ -313,12 +314,6 @@ def test_dl_averaging_roundtrip():
                 assert acc == trivial_character(group)
 
 
-@pytest.mark.parametrize("d,q", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
-def test_comb_prop(d, q):
-    report = comb_prop_check(cached_group(d, q))
-    assert report["equal"], report
-
-
 def comb_prop_rhs_by_subsets(group):
     """Oracle for the right side of ``comb_prop_check``: one induced
     character per subset I, of the composition I cuts, not of its sorted
@@ -336,12 +331,6 @@ def comb_prop_rhs_by_subsets(group):
 def test_comb_prop_rhs_against_the_subset_sum(d, q):
     group = cached_group(d, q)
     assert comb_prop_check(group)["rhs"] == comb_prop_rhs_by_subsets(group)
-
-
-@pytest.mark.parametrize("d,q", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3)])
-def test_ind_conjugate_identity_exhaustive(d, q):
-    report = ind_conjugate_identity_exhaustive(cached_group(d, q))
-    assert report["ok"], report
 
 
 def test_ind_conjugate_identity_single_case():
@@ -425,17 +414,6 @@ def test_parabolic_class_sizes_against_members(d, q):
             assert rep in members
             assert size == len(members)
             assert {group.class_index_of(m) for m in members} == {gidx}
-
-
-@pytest.mark.parametrize("d,q", [(4, 3), (5, 2)])
-def test_comb_prop_larger_groups(d, q):
-    report = comb_prop_check(cached_group(d, q))
-    assert report["equal"], report
-
-
-def test_ind_conjugate_identity_gl4_f2():
-    report = ind_conjugate_identity_exhaustive(cached_group(4, 2))
-    assert report["ok"], report
 
 
 def pclasses_by_conjugation(P):
@@ -655,9 +633,10 @@ def test_induction_identity_enumerates_no_element_of_g(monkeypatch):
     assert calls < group.order // 10
 
 
-@pytest.mark.parametrize("d,q", [(2, 5), (2, 7), (3, 5)])
+@pytest.mark.parametrize("d,q", [(4, 2), (2, 5), (2, 7), (3, 5)])
 def test_ind_conjugate_identity_larger_fields(d, q):
-    # beyond the element scan of G: |GL_3(F_5)| = 1488000
+    # past the suite's d <= 3 and beyond the element scan of G:
+    # |GL_3(F_5)| = 1488000
     report = ind_conjugate_identity_exhaustive(cached_group(d, q))
     assert report["ok"], report
 
@@ -727,32 +706,10 @@ def test_dl_characters_orthogonality_and_degree(d, q):
             assert Fraction(inner, group.order) == expected, (rho, sigma)
 
 
-def _regular_semisimple_mismatches(d, q):
-    """Check R_rho on the regular semisimple classes (every lambda_f = (1)),
-    a fact of the class data that does not pass through the inversion
-    defining dl_character: if the degrees of the irreducible factors sort
-    to tau, R_rho = z_rho when rho = tau and 0 otherwise (the character
-    formula of Deligne-Lusztig 1976, Thm 4.2, with theta = 1).  Returns the
-    number of values checked and the mismatching (class index, rho)."""
-    group = cached_group(d, q)
-    chars = {rho: dl_character(group, rho).values for rho in partitions(d)}
-    checked, mismatches = 0, []
-    for idx, cls in enumerate(group.classes):
-        if any(lam != (1,) for _, lam in cls.label):
-            continue
-        tau = tuple(sorted((len(f) - 1 for f, _ in cls.label), reverse=True))
-        for rho, values in chars.items():
-            checked += 1
-            if values[idx] != (_centralizer_in_s_d(rho) if rho == tau else 0):
-                mismatches.append((idx, rho))
-    return checked, mismatches
-
-
 def test_dl_characters_on_regular_semisimple_classes():
+    # the check the finite-gl suite runs on its five comb_prop groups, on more
     groups = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3), (3, 5), (5, 2), (6, 2)]
-    results = [_regular_semisimple_mismatches(d, q) for d, q in groups]
-    assert [mismatches for _, mismatches in results] == [[]] * len(groups)
-    assert sum(checked for checked, _ in results) == 846
+    assert all(_dl_characters_on_regular_semisimple(cached_group(d, q)) for d, q in groups)
 
 
 def test_regular_semisimple_fact_sees_a_wrong_flag_count(monkeypatch):
@@ -761,12 +718,12 @@ def test_regular_semisimple_fact_sees_a_wrong_flag_count(monkeypatch):
     # counts, then breaks the fact on every group with such a type, which
     # GL_2(F_2) lacks (t + 1 is its one degree-1 irreducible other than t)
     _raise_two_part_flag_counts(monkeypatch)
-    broken = {(d, q): bool(_regular_semisimple_mismatches(d, q)[1])
+    broken = {(d, q): not _dl_characters_on_regular_semisimple(cached_group(d, q))
               for d, q in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]}
     assert broken == {(2, 2): False, (2, 3): True, (3, 2): True, (3, 3): True, (4, 2): True}
 
 
-@pytest.mark.parametrize("d,q", [(6, 2), (4, 5), (5, 3), (8, 2)])
+@pytest.mark.parametrize("d,q", [(4, 3), (5, 2), (6, 2), (4, 5), (5, 3), (8, 2)])
 def test_comb_prop_beyond_the_old_class_budget(d, q):
     report = comb_prop_check(cached_group(d, q))
     assert report["equal"], report

@@ -96,7 +96,7 @@ def test_image_h_is_the_transfer_of_h():
     for p in all_params(8):
         for k in range(7):
             assert image_h(p, k) == transfer_sym(p, complete_homogeneous(p.n, k)), (p, k)
-        assert image_h(p, -1).is_zero()
+        assert not image_h(p, -1)
     assert image_h(TransferParams(r=2, d=3), 0) == one(2)
 
 
@@ -108,8 +108,8 @@ def test_image_schur_edge_cases():
     assert image_schur(p, (2, 2)) == transfer_sym(p, schur(2, (2, 2)))
     assert image_schur(p, (2, 2)) == image_schur_by_tableaux(p, (2, 2))
     # more parts than n: zero
-    assert image_schur(p, (1, 1, 1)).is_zero()
-    assert schur(2, (2, 1, 1)).is_zero()
+    assert not image_schur(p, (1, 1, 1))
+    assert not schur(2, (2, 1, 1))
     # the empty shape: 1
     for p in all_params(4):
         assert image_schur(p, ()) == one(p.r)

@@ -1,8 +1,10 @@
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import qtransfer
+from qtransfer.cli import SUITES
 
 SRC = Path(qtransfer.__file__).parent
 
@@ -194,6 +196,14 @@ def test_scalar_polynomial_helpers_are_integer_only():
     assert not found, found
 
 
+def test_every_suite_has_an_acceptance_test():
+    # unit tests that repeat a suite's case set are deleted in its favour, so
+    # an acceptance test must run every suite
+    text = (Path(__file__).parent / "test_acceptance.py").read_text()
+    missing = [name for name in SUITES if f"--suite {name}" not in text]
+    assert not missing, missing
+
+
 def test_acceptance_tests_import_only_the_cli():
     # one definition per acceptance criterion: the acceptance tests run the
     # suites of qtransfer.cli and import no other package code
@@ -247,6 +257,54 @@ def _references(tree: ast.Module) -> set[str]:
     return found
 
 
+# The methods a bare-name search cannot pin to a caller: an arithmetic or
+# truth operator (a def or an assignment) runs from an operator, and a public
+# method whose name another package class defines shares its references.
+# Each names its package caller or the reason it stays.
+OPERATORS = {"__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+             "__truediv__", "__rtruediv__", "__pow__", "__neg__", "__bool__"}
+NAMED_CALLERS = {
+    **dict.fromkeys(["QScalar.__radd__", "QScalar.__rsub__", "QScalar.__rtruediv__",
+                     "SymPoly.__rmul__"], "perfbench's tracer wraps it by name"),
+    **dict.fromkeys(["QScalar.__bool__", "SymPoly.__bool__"], "truth protocol: a zero is falsy"),
+    **dict.fromkeys(["SymPoly.__add__", "SymPoly.__sub__"],
+                    "the Laplace expansion of transfer.image_schur"),
+    "QScalar.__add__": "SymPoly.__add__ and SymPoly.__mul__",
+    "QScalar.__neg__": "SymPoly.__neg__ and QScalar.__sub__",
+    "QScalar.__sub__": "transfer._rank_of_rows",
+    "QScalar.__mul__": "SymPoly.scale and transfer.substitution_image",
+    "QScalar.__rmul__": "math.prod from the int 1 in sympoly.multiplicative_sum",
+    "QScalar.__truediv__": "epfun.to_e_basis",
+    "QScalar.__pow__": "transfer.substitution_image",
+    "SymPoly.__neg__": "SymPoly.__sub__",
+    "SymPoly.__mul__": "transfer.surjectivity_witness",
+    "ParahoricCombo.__add__": "perfbench/bench_cases.py",
+    "SymPoly.scale": "transfer.image_p",
+    "ParahoricCombo.scale": "cli's ep-shadow case",
+    "SymPoly.sorted_terms": "SymPoly.__str__ and cli's JSON output",
+    "ParahoricCombo.sorted_terms": "epfun.shadow and ParahoricCombo.to_json",
+    "DParahoricType.n": "epfun.f_J",
+    "TransferParams.n": "transfer.transfer_sym",
+    "GLGroup.classes": "finitegl.linear_combination",
+    "ParabolicSubgroup.classes": "the induction identity of finitegl.classfun",
+    "GLGroup.class_index_of": "ParabolicSubgroup's class lookup when P = G",
+    "ParabolicSubgroup.class_index_of": "the induction identity of finitegl.classfun",
+}
+
+
+def _methods(tree: ast.Module):
+    # (class name, method name, whether a def) of each def or assignment in
+    # a class body
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield node.name, item.name, True
+                elif isinstance(item, ast.Assign):
+                    yield from ((node.name, target.id, False) for target in item.targets
+                                if isinstance(target, ast.Name))
+
+
 def test_every_public_name_has_a_package_caller():
     # a function only the tests call is an oracle and belongs in the tests
     trees = [ast.parse(path.read_text()) for path in sorted(SRC.rglob("*.py"))]
@@ -257,4 +315,14 @@ def test_every_public_name_has_a_package_caller():
     assert not found, found
     # an exception that gained a caller leaves the list
     stale = sorted(UNCALLED_PUBLIC_NAMES.keys() - uncalled)
+    assert not stale, stale
+    methods = [method for tree in trees for method in _methods(tree)]
+    owners = Counter(name for _, name, is_def in methods
+                     if is_def and not name.startswith("_"))
+    named = {f"{cls}.{name}" for cls, name, is_def in methods
+             if name in OPERATORS or (is_def and owners[name] > 1)}
+    missing = sorted(named - NAMED_CALLERS.keys())
+    assert not missing, missing
+    # an entry whose method is gone, or no longer shares its name, leaves
+    stale = sorted(NAMED_CALLERS.keys() - named)
     assert not stale, stale

@@ -99,7 +99,7 @@ def test_no_production_path_expands_orbits(monkeypatch):
         raise AssertionError("SymPoly.expand called")
 
     monkeypatch.setattr(SymPoly, "expand", refuse)
-    assert f ** 3 == cube
+    assert f * f * f == cube
     for k in range(1, p.n + 1):
         assert image_e(p, k) == transfer_sym(p, elementary(p.n, k))
         assert image_h(p, k) == transfer_sym(p, complete_homogeneous(p.n, k))
@@ -167,21 +167,12 @@ def test_a_non_invariant_orbit_count_is_refused(monkeypatch):
 
 
 def test_oracle_equivalence_moderate():
-    # full three-way equivalence at n <= 6, degree <= 4; acceptance reruns
-    # this at n <= 8, degree <= 5
+    # the one oracle the transfer-consistency suite leaves out, as it
+    # would cost the suite its reach: the substitution of s_mu
     for p in all_params(6):
-        for k in range(1, min(p.n, 4) + 1):
-            e = elementary(p.n, k)
-            assert transfer_sym(p, e) == image_e(p, k) == substitution_image(p, e)
-        for k in range(1, 5):
-            f = powersum(p.n, k)
-            assert transfer_sym(p, f) == image_p(p, k) == substitution_image(p, f)
         for size in range(1, 5):
             for mu in partitions(size):
-                s = schur(p.n, mu)
-                img = image_schur(p, mu)
-                assert transfer_sym(p, s) == img
-                assert substitution_image(p, s) == img
+                assert substitution_image(p, schur(p.n, mu)) == image_schur(p, mu)
 
 
 def test_quotient_coefficients_with_negative_exponents():

@@ -355,25 +355,6 @@ def test_restriction_support_matches_the_two_pass_oracle_on_all_of_S_d():
                         assert restriction_support(M, I, w) == expected, (M, I, w)
 
 
-def test_restriction_support_exhaustive_d5():
-    for d in (3, 4, 5):
-        for M in subsets(d - 1):
-            for I in subsets(d - 1):
-                for w in min_double_coset_reps(M, I, d):
-                    W_J = young_subgroup(restriction_support(M, I, w), d)
-                    assert support_by_enumeration(M, I, w) == set(W_J.elements())
-
-
-def test_proper_levi_vanishing_small():
-    assert all(v == 0 for v in proper_levi_vanishing(2, frozenset()).values())
-    for d in (3, 4, 5):
-        for M in subsets(d - 1):
-            if M == frozenset(range(1, d)):
-                continue
-            sums = proper_levi_vanishing(d, M)
-            assert all(v == 0 for v in sums.values()), (d, M, sums)
-
-
 def test_proper_levi_vanishing_against_the_sum_per_pair():
     # one Fraction multiply-add per (I, J), keyed by every J inside M
     for d in (3, 4, 5):
