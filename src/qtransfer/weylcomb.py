@@ -8,26 +8,25 @@ the Young subgroup preserving those blocks.  Everything is exact (Fraction
 coefficients).
 
 Closed forms compute, enumerations verify.  Cycle-type counts of a Young
-subgroup are products of S_part class sizes; the support of a restricted
-double coset is the Young subgroup W_J given by Kilmoyer's lemma
-(W_M cap w W_I w^-1 = W_J for minimal w; Geck-Pfeiffer, Characters of
-Finite Coxeter Groups and Iwahori-Hecke Algebras, 2.1-2.2); double-coset
+subgroup are products of S_part class sizes; the Euler-Poincare sum over
+the subsets I collapses onto partitions (``ep_weights``).  Double-coset
 representatives are built one per integer matrix with the block sizes as
 margins, never by scanning S_d, from column steps kept in one table for
-the current composition of M and shared by every I against it; each
-Young subgroup is built once per (I, d), and each support J(w) once per
-build, which keeps their tally; the Euler-Poincare sum over the subsets I
-collapses onto partitions (``ep_weights``).  The brute-force enumerations
-these replace stay as oracles (``YoungSubgroup.elements``,
-``support_by_enumeration``, and in the tests the descent-rule scan of S_d
-and the subset sums) that the tests and ``verify`` compare against.
+the current composition of M and shared by every I against it.  The same
+walk reads each support J(w) off the matrix: W_M cap w W_I w^-1 = W_J(w)
+for minimal w (Kilmoyer's lemma; Geck-Pfeiffer, Characters of Finite
+Coxeter Groups and Iwahori-Hecke Algebras, 2.1-2.2), and each build keeps
+the tally of its J(w); ``restriction_support`` is their per-permutation
+check.  The brute-force enumerations these replace stay as oracles
+(``YoungSubgroup.elements``, ``support_by_enumeration``, and in the tests
+the descent-rule scan of S_d and the subset sums).
 
 Each enumeration refuses, before it starts, when its own size exceeds
 ENUM_LIMIT = 8! elements: ``all_perms`` on d!, ``YoungSubgroup.elements`` on
-|W_I| and ``min_double_coset_reps`` on the number of double cosets and
-on the steps of one column block (a refusal drops the step table);
-``f_g_table`` refuses once the terms it has summed exceed it.  Nothing
-subsamples, and the limit has no override.
+|W_I| and ``min_double_coset_reps`` on the number of double cosets and on
+the steps of one column block, counted only when d!/max(|W_M|, |W_I|) is
+past the limit; ``f_g_table`` refuses once the terms it has summed exceed
+it.  Nothing subsamples, and the limit has no override.
 """
 
 from __future__ import annotations
@@ -283,17 +282,14 @@ def min_double_coset_reps(M: Iterable[int], I: Iterable[int], d: int) -> DoubleC
     the positions in block j of beta that w sends into block i of alpha.
     The minimal w of a matrix fills block j of positions with the next
     a[i][j] unused values of each block i of values, in increasing order of
-    i.  The descent rule verifies: w is minimal exactly when it increases
-    at every position of I and w^-1 at every position of M, and the tests
-    scan S_d with it as the oracle.  By Kilmoyer's lemma
-    |W_M w W_I| = |W_M| |W_I| / |W_J(w)| with J(w) the support set of
-    ``restriction_support``, and these sizes must sum to d! (a failure
-    raises); the tally of the J(w) is kept.  Results are cached per (M, I,
-    d).  A column block's steps depend only on alpha, the row sums still to
-    fill and the block's size, so the I against one M share them through
-    one step table for the current alpha (``_step_table``), which the next
-    M's alpha replaces.  Refuses, before building any, when the number of
-    double cosets (of matrices) exceeds ENUM_LIMIT; d! is not a bound.
+    i, and the same columns give its support J(w) (``_steps``).  The tests
+    verify w by the descent rule on a scan of S_d, and J(w) by
+    ``restriction_support``.  By Kilmoyer's lemma |W_M w W_I| =
+    |W_M| |W_I| / |W_J(w)|, and these sizes must sum to d! (a failure
+    raises).  Results are cached per (M, I, d); the I against one M share
+    one step table (``_step_table``).  There are at most d!/max(|W_M|,
+    |W_I|) double cosets; only when that bound is past ENUM_LIMIT are the
+    matrices counted first, and refused before any is built if too many.
     """
     return _min_double_coset_reps_cached(frozenset(M), frozenset(I), d)
 
@@ -311,75 +307,66 @@ def _splits(left: tuple[int, ...], size: int) -> Iterator[tuple[int, ...]]:
             yield (c, *rest)
 
 
-def _steps(alpha: tuple[int, ...], stops: tuple[int, ...], left: tuple[int, ...],
-           columns: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...], int, Perm]]:
+def _steps(alpha: tuple[int, ...], left: tuple[int, ...], columns: Iterable[tuple[int, ...]]
+           ) -> list[tuple[tuple[int, ...], int, Perm, int]]:
     """The next column block of a walk, one step per column under left:
-    the row sums left after it, the inversions it adds and its values.  The
-    unused values of block i of alpha are the last left[i] below stops[i];
-    the column takes the next ones of each block, in increasing order of i,
-    so it inverts exactly the values already placed from later blocks."""
-    low = tuple(map(sub, stops, left))
+    the row sums left after it, the inversions it adds, its values and its
+    bits of the support J.  The column takes the next unused values of each
+    block i of alpha in increasing order of i, so it inverts exactly the
+    values already placed from later blocks.  A run of c values lo, ..,
+    lo+c-1 of one block fills adjacent positions of one block of I, so it
+    adds lo, .., lo+c-2 to J; no other v has v + 1 beside it in one block."""
     placed = tuple(map(sub, alpha, left))
+    low = tuple(map(add, itertools.accumulate(alpha, initial=1), placed))
     after = [sum(placed[i + 1:]) for i in range(len(left))]
     return [(tuple(map(sub, left, column)), sum(map(mul, column, after)),
-             tuple(itertools.chain.from_iterable(map(range, low, map(add, low, column)))))
+             tuple(itertools.chain.from_iterable(map(range, low, map(add, low, column)))),
+             sum(((1 << c - 1) - 1) << lo for lo, c in zip(low, column) if c))
             for column in columns]
 
 
 @lru_cache(maxsize=1)
 def _step_table(alpha: tuple[int, ...]) -> dict[tuple[tuple[int, ...], int], list]:
-    """The steps of the walks with row sums alpha, keyed by (left, size) and
-    filled on demand by ``_column_steps``.  A step depends on alpha, left and
-    the column, not on the other column sums, so every I against one M
-    shares them; one alpha is kept at a time, since the callers take the
-    I for one M in a row and keeping every alpha would grow with all the
-    compositions seen."""
+    """The steps of the walks with row sums alpha by (left, size), filled on
+    demand.  A step depends only on alpha, left and its column, so the I
+    against one M share it; one alpha is kept, as callers take the I for one
+    M in a row and keeping every alpha would grow with the compositions."""
     return {}
 
 
 def _column_steps(what: Callable[[], str], alpha: tuple[int, ...], beta: tuple[int, ...]
-                  ) -> list[dict[tuple[int, ...], list]]:
-    """Per column block of the matrices with row sums alpha and column sums
-    beta, the steps from each vector of row sums left that a walk reaches,
-    read from ``_step_table(alpha)``.  Each step starts a distinct walk and
-    every walk ends in a matrix, so a block with more than ENUM_LIMIT steps
-    is refused before the count of matrices ends, and that count is refused
-    past ENUM_LIMIT before any walk.  A (left, size) whose columns overrun
-    the limit never enters the table, and a refusal drops the table."""
+                  ) -> None:
+    """Count the matrices with row sums alpha and column sums beta, filling
+    ``_step_table(alpha)``.  Each step starts a distinct walk that ends in a
+    matrix, so a column block with more than ENUM_LIMIT steps is refused
+    before the count ends, and the count past ENUM_LIMIT before any walk; a
+    refusal drops the table."""
     table = _step_table(alpha)
-    stops = tuple(end + 1 for end in itertools.accumulate(alpha))
     counts = {alpha: 1}
-    layers = []
     try:
         for size in beta:
-            layer = {}
+            walked: dict[tuple[int, ...], int] = {}
             total = 0
-            for left in counts:
+            for left, n in counts.items():
                 steps = table.get((left, size))
                 if steps is None:
                     columns = list(itertools.islice(_splits(left, size), ENUM_LIMIT + 1))
                     total += len(columns)
                     if total <= ENUM_LIMIT:
-                        steps = table[left, size] = _steps(alpha, stops, left, columns)
+                        steps = table[left, size] = _steps(alpha, left, columns)
                 else:
                     total += len(steps)
                 if total > ENUM_LIMIT:
                     raise EnumerationBudgetError(
                         f"enumerating {what()} (more than {ENUM_LIMIT} elements) "
                         f"exceeds the enumeration limit {ENUM_LIMIT}")
-                layer[left] = steps
-            walked: dict[tuple[int, ...], int] = {}
-            for left, n in counts.items():
-                for rest, _, _ in layer[left]:
+                for rest, _, _, _ in steps:
                     walked[rest] = walked.get(rest, 0) + n
-            layers.append(layer)
             counts = walked
-        if sum(counts.values()) > ENUM_LIMIT:
-            _refuse_beyond_limit(what(), sum(counts.values()))
+        _refuse_beyond_limit(what(), sum(counts.values()))
     except EnumerationBudgetError:
         _step_table.cache_clear()
         raise
-    return layers
 
 
 # one shared tuple per permutation in the cached representatives of all
@@ -392,16 +379,27 @@ _SUPPORTS: dict[tuple[frozenset, int], tuple[frozenset, int]] = {}
 @lru_cache(maxsize=None)
 def _min_double_coset_reps_cached(M: frozenset, I: frozenset, d: int) -> DoubleCosetReps:
     W_M, W_I = young_subgroup(M, d), young_subgroup(I, d)
-    layers = _column_steps(
-        lambda: f"the double cosets W_{sorted(M)} \\ S_{d} / W_{sorted(I)}",
-        W_M.composition, W_I.composition)
-    walks: list[tuple[int, Perm, tuple[int, ...]]] = [(0, (), W_M.composition)]
-    for steps in layers:
-        walks = [(length + added, w + values, rest) for length, w, left in walks
-                 for rest, added, values in steps[left]]
-    reps = DoubleCosetReps(_PERMS.setdefault(w, w) for _, w, _ in sorted(walks))
+    alpha = W_M.composition
     product = W_M.order * W_I.order
-    supports = Counter(_support(M, I, w) for w in reps)
+    # d!/max(|W_M|, |W_I|) bounds the double cosets and each block's steps
+    if factorial(d) // max(W_M.order, W_I.order) > ENUM_LIMIT:
+        _column_steps(lambda: f"the double cosets W_{sorted(M)} \\ S_{d} / W_{sorted(I)}",
+                      alpha, W_I.composition)
+    table = _step_table(alpha)
+    walks: list[tuple[int, Perm, tuple[int, ...], int]] = [(0, (), alpha, 0)]
+    for size in W_I.composition:
+        layer = {}  # the steps from each vector of row sums left the walks reach
+        for left in {left for _, _, left, _ in walks}:
+            layer[left] = table.get((left, size))
+            if layer[left] is None:
+                layer[left] = table[left, size] = _steps(alpha, left, _splits(left, size))
+        walks = [(length + added, w + values, rest, mask | bits)
+                 for length, w, left, mask in walks
+                 for rest, added, values, bits in layer[left]]
+    built = sorted(walks)
+    reps = DoubleCosetReps(_PERMS.setdefault(w, w) for _, w, _, _ in built)
+    supports = {frozenset(j for j in range(1, d) if mask >> j & 1): n
+                for mask, n in Counter(mask for _, _, _, mask in built).items()}
     total = sum(n * (product // young_subgroup(J, d).order) for J, n in supports.items())
     if total != factorial(d):
         raise AssertionError(
@@ -411,45 +409,47 @@ def _min_double_coset_reps_cached(M: frozenset, I: frozenset, d: int) -> DoubleC
     return reps
 
 
-def _support(M: frozenset, I: frozenset, w: Perm) -> frozenset:
-    # J = (simple set of M) cap w(I), for w increasing on I (else ValueError):
-    # w s_i w^-1 = (w(i), w(i+1)) is the simple reflection s_w(i) of M
-    # exactly when w(i+1) = w(i) + 1 and w(i) is in M
+def restriction_support(M: Iterable[int], I: Iterable[int], w: Perm) -> frozenset:
+    """For w minimal in W_M w W_I: the support of g -> 1_{W_I}(w^-1 g w) on
+    W_M is the Young subgroup W_J with J = (simple set of M) cap w(I)
+    (Kilmoyer's lemma, W_M cap w W_I w^-1 = W_J), as w s_i w^-1 =
+    (w(i), w(i+1)) is the simple reflection s_w(i) of M exactly when
+    w(i+1) = w(i) + 1 and w(i) is in M.
+
+    The per-permutation check of the supports that ``min_double_coset_reps``
+    reads off its matrices.  Rejects non-minimal w: the loop over I that
+    finds J checks that w increases there, and the loop over M that m comes
+    before m + 1 in w.  Its oracle is ``support_by_enumeration``.
+    """
+    M = frozenset(M)
     J = []
     for i in I:
         if w[i - 1] > w[i]:
             raise ValueError("w is not the minimal double-coset representative")
         if w[i] == w[i - 1] + 1 and w[i - 1] in M:
             J.append(w[i - 1])
+    for m in M:
+        if w.index(m) > w.index(m + 1):
+            raise ValueError("w is not the minimal double-coset representative")
     return frozenset(J)
-
-
-def restriction_support(M: Iterable[int], I: Iterable[int], w: Perm) -> frozenset:
-    """For w minimal in W_M w W_I: the support of g -> 1_{W_I}(w^-1 g w) on
-    W_M is the Young subgroup W_J with J = (simple set of M) cap w(I)
-    (Kilmoyer's lemma, W_M cap w W_I w^-1 = W_J).
-
-    Returns J in closed form and rejects non-minimal w: the pass over I
-    that finds J checks that w increases there, and m must come before
-    m + 1 in w for each m in M (no w^-1 is built).  The oracle is
-    ``support_by_enumeration``, which must equal the elements of W_J.
-    """
-    M = frozenset(M)
-    J = _support(M, frozenset(I), w)
-    if any(w.index(m) > w.index(m + 1) for m in M):
-        raise ValueError("w is not the minimal double-coset representative")
-    return J
 
 
 def support_by_enumeration(M: Iterable[int], I: Iterable[int], w: Perm
                            ) -> frozenset[Perm]:
     """{v in W_M : w^-1 v w in W_I}, by enumerating W_M: the oracle for
-    ``restriction_support``.  Refuses when |W_M| exceeds ENUM_LIMIT."""
+    ``restriction_support``.  w^-1 v w is in W_I exactly when v maps the
+    w-image of each block of I onto itself, i.e. keeps every value's block
+    label.  W_M is listed once per run of calls with one (M, d).  Refuses
+    when |W_M| exceeds ENUM_LIMIT."""
     d = len(w)
-    W_I = young_subgroup(I, d)
-    w_inv = perm_inv(w)
-    return frozenset(v for v in young_subgroup(M, d).elements()
-                     if perm_mul(w_inv, perm_mul(v, w)) in W_I)
+    # the block of I of each position, then of each value by its position in w
+    blocks = [k for k, part in enumerate(young_subgroup(I, d).composition) for _ in range(part)]
+    label = [blocks[i - 1] for i in perm_inv(w)]
+    return frozenset(v for v in _elements(young_subgroup(M, d))
+                     if [label[x - 1] for x in v] == label)
+
+
+_elements = lru_cache(maxsize=1)(lambda W: tuple(W.elements()))
 
 
 def proper_levi_vanishing(d: int, M: Iterable[int]) -> dict[frozenset, Fraction]:

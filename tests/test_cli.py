@@ -87,15 +87,6 @@ def test_verify_comb_prop_beyond_s8(capsys):
     assert len(report["payload"]["comb-prop"]["cases"]) == 12
 
 
-def test_verify_transfer_consistency(capsys):
-    code, report = run_json(capsys, "verify", "--suite",
-                            "transfer-consistency", "--nmax", "4",
-                            "--degmax", "3")
-    assert code == 0
-    cases = report["payload"]["transfer-consistency"]["cases"]
-    assert all(c["ok"] for c in cases)
-
-
 def test_verify_weyl_vanishing(capsys):
     code, report = run_json(capsys, "verify", "--suite", "weyl-vanishing",
                             "--dmax", "4")
@@ -168,6 +159,14 @@ def _raise_kostka_at_21(monkeypatch):
 def _nonzero_levi_sum(monkeypatch):
     monkeypatch.setattr(cli, "proper_levi_vanishing",
                         lambda d, M: {frozenset(): Fraction(1)})
+
+
+def _drop_the_M_test_from_restriction_support(monkeypatch):
+    # J = {w(i) : i in I, w(i+1) = w(i) + 1}, not cut down to M's simple set;
+    # the vanishing sums read the build's supports, so only the support
+    # check against the enumeration oracle sees it
+    monkeypatch.setattr(cli, "restriction_support", lambda M, I, w: frozenset(
+        w[i - 1] for i in I if w[i] == w[i - 1] + 1))
 
 
 def _drop_one_conjugate(monkeypatch):
@@ -264,6 +263,7 @@ def _repeat_each_torus_d_times(monkeypatch):
     (_shift_one_monomial_hit, ["--suite", "transfer-consistency", "--nmax", "4",
                                "--degmax", "3"]),
     (_nonzero_levi_sum, ["--suite", "weyl-vanishing", "--dmax", "3"]),
+    (_drop_the_M_test_from_restriction_support, ["--suite", "weyl-vanishing", "--dmax", "4"]),
     (_drop_one_conjugate, ["--suite", "finite-gl", "--dmax", "2"]),
     (_raise_two_part_flag_counts, ["--suite", "finite-gl"]),
     (_raise_two_part_flag_counts_keeping_transitivity, ["--suite", "finite-gl"]),
@@ -280,13 +280,6 @@ def test_verify_fails_on_a_planted_fault(capsys, monkeypatch, plant, argv):
     assert code == 1
     assert report["status"] == "fail"
     assert not report["payload"][argv[1]]["ok"]
-
-
-def test_verify_ep_shadow_small(capsys):
-    code, report = run_json(capsys, "verify", "--suite", "ep-shadow",
-                            "--n", "3", "--q", "2")
-    assert code == 0
-    assert report["payload"]["ep-shadow"]["ok"]
 
 
 def test_verify_workers_flag(capsys):

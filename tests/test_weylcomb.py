@@ -261,12 +261,22 @@ def descent_rule_reps(M, I, d: int) -> tuple[tuple[int, ...], ...]:
                  if not right & i and not left & m)
 
 
-def test_min_double_coset_reps_match_the_descent_rule_to_d6():
-    for d in range(1, 7):
+def test_min_double_coset_reps_match_the_descent_rule_to_d7_without_the_count(monkeypatch):
+    # d!/max(|W_M|, |W_I|) <= ENUM_LIMIT for every d <= 8, so no build here
+    # may count the matrices before it walks them
+    def refuse(what, alpha, beta):
+        raise AssertionError(f"counted the matrices for {alpha}, {beta}")
+
+    monkeypatch.setattr(weylcomb, "_column_steps", refuse)
+    weylcomb._min_double_coset_reps_cached.cache_clear()
+    for d in range(1, 8):
         for M in subsets(d - 1):
+            m = _bits(M)
+            left_minimal = [(w, right) for w, right, left in _descent_table(d) if not left & m]
             for I in subsets(d - 1):
+                i = _bits(I)
                 assert tuple(min_double_coset_reps(M, I, d)) == \
-                    descent_rule_reps(M, I, d), (d, M, I)
+                    tuple(w for w, right in left_minimal if not right & i), (d, M, I)
 
 
 @pytest.mark.parametrize("d", [7, 8])
@@ -300,7 +310,14 @@ def test_min_double_coset_reps_independent_of_table_eviction():
 
 
 def test_min_double_coset_reps_checks_the_cardinality_invariant(monkeypatch):
-    monkeypatch.setattr(weylcomb, "_support", lambda M, I, w: frozenset())
+    # a step mask one bit too long on each run of c values (c bits in place
+    # of c - 1); the steps go to a fresh step table that the undo drops
+    steps = weylcomb._steps
+    monkeypatch.setattr(weylcomb, "_steps", lambda alpha, left, columns: [
+        (rest, added, values, bits | bits << 1)
+        for rest, added, values, bits in steps(alpha, left, columns)])
+    monkeypatch.setattr(weylcomb, "_step_table",
+                        lru_cache(maxsize=1)(weylcomb._step_table.__wrapped__))
     weylcomb._min_double_coset_reps_cached.cache_clear()
     with pytest.raises(AssertionError, match="total size"):
         min_double_coset_reps(frozenset({1}), frozenset({1}), 3)
@@ -437,25 +454,19 @@ def test_supports_are_shared_across_pairs():
 
 
 def test_proper_levi_vanishing_computes_each_support_once(monkeypatch):
-    # from a cold cache, the build's Kilmoyer check is the one support pass
-    calls = Counter()
-    support = weylcomb._support
+    # from a cold cache each build reads its supports off the matrices, so
+    # no per-permutation support is computed at all
+    def refuse(M, I, w):
+        raise AssertionError(f"support of {w} computed per permutation")
 
-    def counted(M, I, w):
-        calls[M, I] += 1
-        return support(M, I, w)
-
-    monkeypatch.setattr(weylcomb, "_support", counted)
+    monkeypatch.setattr(weylcomb, "restriction_support", refuse)
+    monkeypatch.setattr(weylcomb, "support_by_enumeration", refuse)
     d = 5
+    weylcomb._min_double_coset_reps_cached.cache_clear()
     for M in subsets(d - 1):
-        if M == frozenset(range(1, d)):
-            continue
-        weylcomb._min_double_coset_reps_cached.cache_clear()
-        calls.clear()
-        proper_levi_vanishing(d, M)
-        reps = {I: len(min_double_coset_reps(M, I, d)) for I in subsets(d - 1)}
-        assert sum(calls.values()) == sum(reps.values()), M
-        assert calls == Counter({(M, I): n for I, n in reps.items()}), M
+        if M != frozenset(range(1, d)):
+            assert not any(proper_levi_vanishing(d, M).values()), M
+    assert weylcomb._min_double_coset_reps_cached.cache_info().misses == 15 * 16
 
 
 def test_min_double_coset_reps_beyond_d8():
