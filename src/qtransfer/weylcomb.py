@@ -10,23 +10,28 @@ coefficients).
 Closed forms compute, enumerations verify.  Cycle-type counts of a Young
 subgroup are products of S_part class sizes; the Euler-Poincare sum over
 the subsets I collapses onto partitions (``ep_weights``).  Double-coset
-representatives are built one per integer matrix with the block sizes as
-margins, never by scanning S_d, from column steps kept in one table for
-the current composition of M and shared by every I against it.  The same
-walk reads each support J(w) off the matrix: W_M cap w W_I w^-1 = W_J(w)
-for minimal w (Kilmoyer's lemma; Geck-Pfeiffer, Characters of Finite
-Coxeter Groups and Iwahori-Hecke Algebras, 2.1-2.2), and each build keeps
-the tally of its J(w); ``restriction_support`` is their per-permutation
-check.  The brute-force enumerations these replace stay as oracles
+representatives are a filter, never a scan of S_d: D_{M,I} is the part of
+D_{M,empty} with no right descent in I (Geck-Pfeiffer, Characters of Finite
+Coxeter Groups and Iwahori-Hecke Algebras, 2.1.7), and D_{M,empty} is built
+as one list per composition of M, shared by every I against it.  Each word
+of the list keeps the positions where two adjacent values share a block of
+M, and the support J(w) is read off those labels, not off the values:
+W_M cap w W_I w^-1 = W_J(w) for minimal w (Kilmoyer's lemma, op. cit.
+2.1-2.2).  Each build keeps the tally of its J(w) and checks it by the
+sizes of the double cosets, which must sum to d!.  The tests' descent rule
+shares only the right-descent half of the filter; ``restriction_support``
+(the per-permutation check of the supports), the d! check and the
+brute-force enumerations stay independent oracles
 (``YoungSubgroup.elements``, ``support_by_enumeration``, and in the tests
-the descent-rule scan of S_d and the subset sums).
+the tiling of S_d and the subset sums).  An orbital sum runs over one
+conjugacy class, closed from g under the simple transpositions.
 
 Each enumeration refuses, before it starts, when its own size exceeds
-ENUM_LIMIT = 8! elements: ``all_perms`` on d!, ``YoungSubgroup.elements`` on
-|W_I| and ``min_double_coset_reps`` on the number of double cosets and on
-the steps of one column block, counted only when d!/max(|W_M|, |W_I|) is
-past the limit; ``f_g_table`` refuses once the terms it has summed exceed
-it.  Nothing subsamples, and the limit has no override.
+ENUM_LIMIT = 8! elements: ``all_perms`` and ``orbital_sum`` on d!,
+``YoungSubgroup.elements`` on |W_I| and ``min_double_coset_reps`` on
+d!/max(|W_M|, |W_I|), the length of the shorter of the two lists it can
+filter; ``f_g_table`` refuses once the terms it has summed exceed it.
+Nothing subsamples, and the limit has no override.
 """
 
 from __future__ import annotations
@@ -37,8 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, prod
-from operator import add, mul, sub
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .algebra.partitions import (as_partition_of, block_composition, composition_count,
                                  dominant, partitions, sn_class_size, subsets)
@@ -86,7 +90,7 @@ def _refuse_beyond_limit(what: str, size: int) -> None:
 
 def perm_mul(a: Perm, b: Perm) -> Perm:
     """(a o b)(i) = a(b(i))."""
-    return tuple(a[b[i] - 1] for i in range(len(a)))
+    return tuple([a[i - 1] for i in b])
 
 
 def perm_inv(a: Perm) -> Perm:
@@ -247,18 +251,23 @@ def one_adic_ep(d: int) -> dict[Perm, Fraction]:
 
 def orbital_sum(f: Mapping[Perm, Fraction], g: Perm) -> Fraction:
     """O_g(f) = sum over v in S_d of f(v^-1 g v), for a mapping f on all of
-    S_d such as the 1-adic EP function.  Summed over u = v^-1 instead:
-    u g u^-1 sends u(i) to u(g(i)), so it is u o g with its positions
-    relabelled by u, one pass with no inverse.  The conjugates are tallied
-    first, so f is read and multiplied once per distinct conjugate."""
+    S_d such as the 1-adic EP function.  Each conjugate w of g is v^-1 g v
+    for |Z(g)| = d!/|class(g)| of the v, so O_g(f) = |Z(g)| times the sum of
+    f over the class of g, closed from g under w -> s_i w s_i (the simple
+    transpositions generate S_d).  Refuses when d! exceeds ENUM_LIMIT, as
+    the sum over S_d it stands for."""
     d = len(g)
-    conjugates = Counter()
-    for u in all_perms(d):
-        conj = [0] * d
-        for ui, ugi in zip(u, perm_mul(u, g)):
-            conj[ui - 1] = ugi
-        conjugates[tuple(conj)] += 1
-    return sum((f[w] * n for w, n in conjugates.items()), Fraction(0))
+    _refuse_beyond_limit(f"S_{d}", factorial(d))
+    simple = [tuple(range(1, i)) + (i + 1, i) + tuple(range(i + 2, d + 1)) for i in range(1, d)]
+    conjugates, todo = {g}, [g]
+    while todo:
+        w = todo.pop()
+        for s in simple:
+            v = perm_mul(perm_mul(s, w), s)
+            if v not in conjugates:
+                conjugates.add(v)
+                todo.append(v)
+    return factorial(d) // len(conjugates) * sum((f[w] for w in conjugates), Fraction(0))
 
 
 # -- double cosets ---------------------------------------------------------
@@ -275,98 +284,65 @@ def min_double_coset_reps(M: Iterable[int], I: Iterable[int], d: int) -> DoubleC
     sorted by (length, one-line form): the cached immutable tuple, shared by
     every caller, with the tally of their support sets as ``supports``.
 
-    Matrices compute: with alpha and beta the compositions of M and I, the
-    double cosets correspond one-to-one with the non-negative integer
-    matrices a with row sums alpha and column sums beta (James-Kerber, The
-    Representation Theory of the Symmetric Group, 1.3), a[i][j] counting
-    the positions in block j of beta that w sends into block i of alpha.
-    The minimal w of a matrix fills block j of positions with the next
-    a[i][j] unused values of each block i of values, in increasing order of
-    i, and the same columns give its support J(w) (``_steps``).  The tests
-    verify w by the descent rule on a scan of S_d, and J(w) by
-    ``restriction_support``.  By Kilmoyer's lemma |W_M w W_I| =
-    |W_M| |W_I| / |W_J(w)|, and these sizes must sum to d! (a failure
-    raises).  Results are cached per (M, I, d); the I against one M share
-    one step table (``_step_table``).  There are at most d!/max(|W_M|,
-    |W_I|) double cosets; only when that bound is past ENUM_LIMIT are the
-    matrices counted first, and refused before any is built if too many.
+    w is minimal in W_M w W_I exactly when w^-1 increases on each block of
+    M and w at each position of I, so D_{M,I} is the part of D_{M,empty}
+    (``_shuffles``, built, not scanned) with no right descent in I.  J(w)
+    is read off the positions where w keeps a block label of M, and by
+    Kilmoyer's lemma the double cosets have sizes |W_M| |W_I| / |W_J(w)|,
+    which must sum to d! (a failure raises).  When the list of M is longer
+    than ENUM_LIMIT, D_{I,M} is filtered from the list of I and inverted;
+    when both are, the build is refused on d!/max(|W_M|, |W_I|).  Results
+    are cached per (M, I, d).
+
+    The tests' descent rule shares the right-descent half of this filter;
+    its left half is built here, not scanned, and the supports come from
+    labels, not values.  ``restriction_support``, the d! check and the
+    tests' brute-force tiling of S_d (d <= 5) stay the independent oracles.
     """
     return _min_double_coset_reps_cached(frozenset(M), frozenset(I), d)
 
 
-def _splits(left: tuple[int, ...], size: int) -> Iterator[tuple[int, ...]]:
-    """Every column (c_1, .., c_r) with 0 <= c_i <= left[i] and sum size,
-    for size at most sum(left)."""
-    if size == 0 or len(left) == 1:
-        yield (0,) * (len(left) - 1) + (size,)
-        return
-    tail = left[1:]
-    room = sum(tail)
-    for c in range(max(0, size - room), min(left[0], size) + 1):
-        for rest in _splits(tail, size - c):
-            yield (c, *rest)
-
-
-def _steps(alpha: tuple[int, ...], left: tuple[int, ...], columns: Iterable[tuple[int, ...]]
-           ) -> list[tuple[tuple[int, ...], int, Perm, int]]:
-    """The next column block of a walk, one step per column under left:
-    the row sums left after it, the inversions it adds, its values and its
-    bits of the support J.  The column takes the next unused values of each
-    block i of alpha in increasing order of i, so it inverts exactly the
-    values already placed from later blocks.  A run of c values lo, ..,
-    lo+c-1 of one block fills adjacent positions of one block of I, so it
-    adds lo, .., lo+c-2 to J; no other v has v + 1 beside it in one block."""
-    placed = tuple(map(sub, alpha, left))
-    low = tuple(map(add, itertools.accumulate(alpha, initial=1), placed))
-    after = [sum(placed[i + 1:]) for i in range(len(left))]
-    return [(tuple(map(sub, left, column)), sum(map(mul, column, after)),
-             tuple(itertools.chain.from_iterable(map(range, low, map(add, low, column)))),
-             sum(((1 << c - 1) - 1) << lo for lo, c in zip(low, column) if c))
-            for column in columns]
+def _bits(S: Iterable[int]) -> int:
+    return sum(1 << i for i in S)
 
 
 @lru_cache(maxsize=1)
-def _step_table(alpha: tuple[int, ...]) -> dict[tuple[tuple[int, ...], int], list]:
-    """The steps of the walks with row sums alpha by (left, size), filled on
-    demand.  A step depends only on alpha, left and its column, so the I
-    against one M share it; one alpha is kept, as callers take the I for one
-    M in a row and keeping every alpha would grow with the compositions."""
-    return {}
-
-
-def _column_steps(what: Callable[[], str], alpha: tuple[int, ...], beta: tuple[int, ...]
-                  ) -> None:
-    """Count the matrices with row sums alpha and column sums beta, filling
-    ``_step_table(alpha)``.  Each step starts a distinct walk that ends in a
-    matrix, so a column block with more than ENUM_LIMIT steps is refused
-    before the count ends, and the count past ENUM_LIMIT before any walk; a
-    refusal drops the table."""
-    table = _step_table(alpha)
-    counts = {alpha: 1}
-    try:
-        for size in beta:
-            walked: dict[tuple[int, ...], int] = {}
-            total = 0
-            for left, n in counts.items():
-                steps = table.get((left, size))
-                if steps is None:
-                    columns = list(itertools.islice(_splits(left, size), ENUM_LIMIT + 1))
-                    total += len(columns)
-                    if total <= ENUM_LIMIT:
-                        steps = table[left, size] = _steps(alpha, left, columns)
-                else:
-                    total += len(steps)
-                if total > ENUM_LIMIT:
-                    raise EnumerationBudgetError(
-                        f"enumerating {what()} (more than {ENUM_LIMIT} elements) "
-                        f"exceeds the enumeration limit {ENUM_LIMIT}")
-                for rest, _, _, _ in steps:
-                    walked[rest] = walked.get(rest, 0) + n
-            counts = walked
-        _refuse_beyond_limit(what(), sum(counts.values()))
-    except EnumerationBudgetError:
-        _step_table.cache_clear()
-        raise
+def _shuffles(alpha: tuple[int, ...]) -> list[tuple[int, Perm, int, tuple[tuple[int, int], ...]]]:
+    """D_{M,empty} for M of composition alpha as words (length, w, the bits
+    of w's right descents, the pairs (1 << i, 1 << w(i)) for each i with
+    w(i) and w(i + 1) in one block of alpha), sorted by (length, w).  w^-1
+    is a concatenation of increasing sets of positions, one per block, each
+    chosen among the positions the earlier blocks left.  The block that
+    takes the indices c_1 < .. < c_a of those passes over c_k - (k - 1)
+    positions left to later blocks, so adds sum c - a(a - 1)/2 inversions.
+    One alpha is kept, as callers take the I for one M in a row."""
+    d = sum(alpha)
+    label = [k for k, part in enumerate(alpha) for _ in range(part)]
+    # (length, 0 then w^-1 so far, the positions left); the last block takes
+    # the positions left
+    partial, n = [(0, (0,), tuple(range(1, d + 1)))], d
+    for a in alpha[:-1]:
+        offset = a * (a - 1) // 2
+        choices = [(sum(c) - offset, c, tuple(k for k in range(n) if k not in c))
+                   for c in itertools.combinations(range(n), a)]
+        partial = [(length + added, w_inv + tuple([left[k] for k in c]),
+                    tuple([left[k] for k in rest]))
+                   for length, w_inv, left in partial for added, c, rest in choices]
+        n -= a
+    bits = [1 << i for i in range(d + 1)]
+    words, shared = [], {}
+    for length, w_inv, left in partial:
+        w = tuple(sorted(range(1, d + 1), key=(w_inv + left).__getitem__))
+        descents, pairs = 0, []
+        for i in range(1, d):
+            if w[i - 1] > w[i]:
+                descents |= bits[i]
+            elif label[w[i - 1] - 1] == label[w[i] - 1]:
+                pairs.append((bits[i], bits[w[i - 1]]))
+        pairs = tuple(pairs)
+        words.append((length, w, descents, shared.setdefault(pairs, pairs)))
+    words.sort()
+    return words
 
 
 # one shared tuple per permutation in the cached representatives of all
@@ -379,27 +355,25 @@ _SUPPORTS: dict[tuple[frozenset, int], tuple[frozenset, int]] = {}
 @lru_cache(maxsize=None)
 def _min_double_coset_reps_cached(M: frozenset, I: frozenset, d: int) -> DoubleCosetReps:
     W_M, W_I = young_subgroup(M, d), young_subgroup(I, d)
-    alpha = W_M.composition
-    product = W_M.order * W_I.order
-    # d!/max(|W_M|, |W_I|) bounds the double cosets and each block's steps
-    if factorial(d) // max(W_M.order, W_I.order) > ENUM_LIMIT:
-        _column_steps(lambda: f"the double cosets W_{sorted(M)} \\ S_{d} / W_{sorted(I)}",
-                      alpha, W_I.composition)
-    table = _step_table(alpha)
-    walks: list[tuple[int, Perm, tuple[int, ...], int]] = [(0, (), alpha, 0)]
-    for size in W_I.composition:
-        layer = {}  # the steps from each vector of row sums left the walks reach
-        for left in {left for _, _, left, _ in walks}:
-            layer[left] = table.get((left, size))
-            if layer[left] is None:
-                layer[left] = table[left, size] = _steps(alpha, left, _splits(left, size))
-        walks = [(length + added, w + values, rest, mask | bits)
-                 for length, w, left, mask in walks
-                 for rest, added, values, bits in layer[left]]
-    built = sorted(walks)
-    reps = DoubleCosetReps(_PERMS.setdefault(w, w) for _, w, _, _ in built)
+    _refuse_beyond_limit(f"the double cosets W_{sorted(M)} \\ S_{d} / W_{sorted(I)}",
+                         factorial(d) // max(W_M.order, W_I.order))
+    if factorial(d) // W_M.order <= ENUM_LIMIT:
+        # w has no descent in I; J(w) is the values of its pairs there
+        alpha, cut, side = W_M.composition, _bits(I), 1
+    else:
+        # u = w^-1 in D_{I,M} has no descent in M; J(w) is the positions of
+        # u's pairs there
+        alpha, cut, side = W_I.composition, _bits(M), 0
+    kept = [word for word in _shuffles(alpha) if not word[2] & cut]
+    built = ((w for _, w, _, _ in kept) if side else
+             (w for _, w in sorted((length, perm_inv(u)) for length, u, _, _ in kept)))
+    masks = Counter()
+    for pairs, n in Counter(word[3] for word in kept).items():
+        masks[sum(pair[side] for pair in pairs if pair[0] & cut)] += n
+    reps = DoubleCosetReps(_PERMS.setdefault(w, w) for w in built)
     supports = {frozenset(j for j in range(1, d) if mask >> j & 1): n
-                for mask, n in Counter(mask for _, _, _, mask in built).items()}
+                for mask, n in masks.items()}
+    product = W_M.order * W_I.order
     total = sum(n * (product // young_subgroup(J, d).order) for J, n in supports.items())
     if total != factorial(d):
         raise AssertionError(

@@ -261,22 +261,26 @@ def descent_rule_reps(M, I, d: int) -> tuple[tuple[int, ...], ...]:
                  if not right & i and not left & m)
 
 
-def test_min_double_coset_reps_match_the_descent_rule_to_d7_without_the_count(monkeypatch):
-    # d!/max(|W_M|, |W_I|) <= ENUM_LIMIT for every d <= 8, so no build here
-    # may count the matrices before it walks them
-    def refuse(what, alpha, beta):
-        raise AssertionError(f"counted the matrices for {alpha}, {beta}")
+def _assert_descent_rule(pairs, d: int) -> None:
+    """``descent_rule_reps`` for each (M, I), with the scan of S_d by the
+    M side made once per M."""
+    by_M = {}
+    for M, I in pairs:
+        by_M.setdefault(M, []).append(I)
+    for M, Is in by_M.items():
+        m = _bits(M)
+        left_minimal = [(w, right) for w, right, left in _descent_table(d) if not left & m]
+        for I in Is:
+            i = _bits(I)
+            assert tuple(min_double_coset_reps(M, I, d)) == \
+                tuple(w for w, right in left_minimal if not right & i), (d, M, I)
 
-    monkeypatch.setattr(weylcomb, "_column_steps", refuse)
+
+def test_min_double_coset_reps_match_the_descent_rule_to_d7_without_the_count():
+    # every (M, I) from a cold cache
     weylcomb._min_double_coset_reps_cached.cache_clear()
     for d in range(1, 8):
-        for M in subsets(d - 1):
-            m = _bits(M)
-            left_minimal = [(w, right) for w, right, left in _descent_table(d) if not left & m]
-            for I in subsets(d - 1):
-                i = _bits(I)
-                assert tuple(min_double_coset_reps(M, I, d)) == \
-                    tuple(w for w, right in left_minimal if not right & i), (d, M, I)
+        _assert_descent_rule([(M, I) for M in subsets(d - 1) for I in subsets(d - 1)], d)
 
 
 @pytest.mark.parametrize("d", [7, 8])
@@ -288,17 +292,15 @@ def test_min_double_coset_reps_match_the_descent_rule_d7_d8(d):
     pairs = [(M, I) for M in every for I in (frozenset(), M, simple - M)]
     rng = random.Random(d)
     pairs += [(rng.choice(every), rng.choice(every)) for _ in range(24)]
-    for M, I in pairs:
-        assert tuple(min_double_coset_reps(M, I, d)) == \
-            descent_rule_reps(M, I, d), (d, M, I)
+    _assert_descent_rule(pairs, d)
 
 
 def test_min_double_coset_reps_independent_of_table_eviction():
     # every (M, I) to d = 6 from empty caches, in a seeded order that
-    # interleaves the M, so the one-alpha step table is evicted and rebuilt
+    # interleaves the M, so the one-alpha shuffle list is evicted and rebuilt
     # between pairs of one M
     weylcomb._min_double_coset_reps_cached.cache_clear()
-    weylcomb._step_table.cache_clear()
+    weylcomb._shuffles.cache_clear()
     weylcomb._young_subgroup.cache_clear()
     pairs = [(M, I, d) for d in range(1, 7) for M in subsets(d - 1) for I in subsets(d - 1)]
     random.Random(18).shuffle(pairs)
@@ -306,18 +308,21 @@ def test_min_double_coset_reps_independent_of_table_eviction():
     for M, I, d in pairs:
         assert tuple(min_double_coset_reps(M, I, d)) == \
             descent_rule_reps(M, I, d), (d, M, I)
-        assert weylcomb._step_table.cache_info().currsize == 1
+        assert weylcomb._shuffles.cache_info().currsize == 1
 
 
 def test_min_double_coset_reps_checks_the_cardinality_invariant(monkeypatch):
-    # a step mask one bit too long on each run of c values (c bits in place
-    # of c - 1); the steps go to a fresh step table that the undo drops
-    steps = weylcomb._steps
-    monkeypatch.setattr(weylcomb, "_steps", lambda alpha, left, columns: [
-        (rest, added, values, bits | bits << 1)
-        for rest, added, values, bits in steps(alpha, left, columns)])
-    monkeypatch.setattr(weylcomb, "_step_table",
-                        lru_cache(maxsize=1)(weylcomb._step_table.__wrapped__))
+    # one extra value bit in the pairs of w = (1, 2, 3), so its support
+    # reads {1, 2} in place of {1}; the words go to a fresh shuffle cache
+    # that the undo drops
+    shuffles = weylcomb._shuffles.__wrapped__
+
+    def planted(alpha):
+        return [(length, w, descents,
+                 tuple((p, v | v << 1) for p, v in pairs) if w == (1, 2, 3) else pairs)
+                for length, w, descents, pairs in shuffles(alpha)]
+
+    monkeypatch.setattr(weylcomb, "_shuffles", lru_cache(maxsize=1)(planted))
     weylcomb._min_double_coset_reps_cached.cache_clear()
     with pytest.raises(AssertionError, match="total size"):
         min_double_coset_reps(frozenset({1}), frozenset({1}), 3)
@@ -454,7 +459,7 @@ def test_supports_are_shared_across_pairs():
 
 
 def test_proper_levi_vanishing_computes_each_support_once(monkeypatch):
-    # from a cold cache each build reads its supports off the matrices, so
+    # from a cold cache each build reads its supports off its words, so
     # no per-permutation support is computed at all
     def refuse(M, I, w):
         raise AssertionError(f"support of {w} computed per permutation")
@@ -480,28 +485,42 @@ def test_min_double_coset_reps_beyond_d8():
         assert restriction_support(M, frozenset(), w) == frozenset()
     # blocks (5, 4) and (3, 6): 2x2 matrices, one per a[0][0] in 0..3
     assert len(min_double_coset_reps({1, 2, 3, 4, 6, 7, 8}, {1, 2, 4, 5, 6, 7, 8}, 9)) == 4
-    # |S_9| / |W_{1}| = 181440 double cosets: refused on that count
+    # |S_9| / |W_{1}| = 181440 double cosets: refused on that bound
     with pytest.raises(EnumerationBudgetError,
                        match=r"S_9 / W_\[1\] \(181440 elements\) exceeds .* 40320"):
         min_double_coset_reps(frozenset(), frozenset({1}), 9)
-    # at d = 16 a column block has more than ENUM_LIMIT steps, so even the
-    # count is refused before it ends
+    # and at d = 16 on 16!
     with pytest.raises(EnumerationBudgetError,
-                       match=r"S_16 / W_\[\] \(more than 40320 elements\)"):
+                       match=r"S_16 / W_\[\] \(20922789888000 elements\)"):
         min_double_coset_reps(frozenset(), frozenset(), 16)
 
 
+def test_min_double_coset_reps_refusal_boundary_at_d9():
+    # |W_M| = 1 puts the list of M past ENUM_LIMIT, so blocks (4, 5) and
+    # (3, 3, 3) of I give the build through the inverses of D_{I,M}, which
+    # for (3, 3, 3) come out of order
+    for I, count in ((frozenset(range(1, 9)) - {4}, 126), (frozenset({1, 2, 4, 5, 7, 8}), 1680)):
+        reps = min_double_coset_reps(frozenset(), I, 9)
+        assert len(reps) == count
+        assert list(reps) == sorted(map(perm_inv, min_double_coset_reps(I, frozenset(), 9)),
+                                    key=lambda w: (inversions(w), w))
+        _assert_supports_tally_the_reps(frozenset(), I, 9)
+    # both lists past ENUM_LIMIT: refused on 9!/6, though only 12840 of
+    # those double cosets exist
+    with pytest.raises(EnumerationBudgetError, match=r"\(60480 elements\) exceeds"):
+        min_double_coset_reps({1, 2}, {1, 2}, 9)
+
+
 def test_refused_builds_drop_the_step_table():
-    # a refusal inside a column block and a refusal on the count of
-    # matrices both leave no step table behind, and the next build works
-    weylcomb._min_double_coset_reps_cached.cache_clear()
+    # a refused build leaves no shuffle list behind, and the next build works
     M = frozenset({1, 2, 3, 5, 6, 7})
     for refused in ((frozenset(), frozenset(), 16), (frozenset(), frozenset({1}), 9)):
+        weylcomb._min_double_coset_reps_cached.cache_clear()
+        weylcomb._shuffles.cache_clear()
         with pytest.raises(EnumerationBudgetError, match="exceeds the enumeration limit"):
             min_double_coset_reps(*refused)
-        assert weylcomb._step_table.cache_info().currsize == 0
+        assert weylcomb._shuffles.cache_info().currsize == 0
         assert len(min_double_coset_reps(M, frozenset(), 9)) == 630
-        weylcomb._min_double_coset_reps_cached.cache_clear()
 
 
 def test_enumeration_bound():
