@@ -237,9 +237,15 @@ def _weyl_vanishing_case(case: tuple[int, tuple[int, ...]]) -> dict:
     M = frozenset(simple)
     sums = proper_levi_vanishing(d, M) if len(M) < d - 1 else {}
     bad = {str(sorted(J)): str(v) for J, v in sums.items() if v != 0}
+    listed: dict[frozenset, frozenset] = {}  # each W_J listed once per case
+
+    def young(J: frozenset) -> frozenset:
+        if J not in listed:
+            listed[J] = frozenset(young_subgroup(J, d).elements())
+        return listed[J]
+
     supports_ok = all(
-        support_by_enumeration(M, I, w)
-        == frozenset(young_subgroup(restriction_support(M, I, w), d).elements())
+        support_by_enumeration(M, I, w) == young(restriction_support(M, I, w))
         for I in subsets(d - 1) for w in min_double_coset_reps(M, I, d))
     return {"d": d, "M": list(simple), "ok": supports_ok and not bad,
             "nonzero_sums": bad}

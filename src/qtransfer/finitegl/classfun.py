@@ -15,7 +15,8 @@ products, which are the oracle in the tests, as is coset-sum induction
 over an enumerated group (``tests/coset_sum_oracle.py``).
 Induced characters and the R_rho are memoised in this module, per group
 object and validated key.  ``linear_combination`` is the one place
-ClassFunctions are combined: every weighted sum calls it.
+ClassFunctions are combined: every weighted sum calls it, and it adds in
+integers over one common denominator.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from ..algebra.partitions import (
 )
 from ..algebra.qcount import qbinom_at
 from ..weylcomb import composition_class_counts, ep_weights
-from .fqmat import conjugate_elementary
+from .fqmat import conjugate_elementary, elementary_step
 from .group import GLGroup, ParabolicSubgroup
 
 __all__ = [
@@ -76,16 +77,24 @@ class ClassFunction:
 
 def linear_combination(group: GLGroup,
                        terms: Iterable[tuple[Fraction | int, ClassFunction]]) -> ClassFunction:
-    """The sum of c * f over the (c, f) pairs, added term by term into one
-    list of class values (zero for no terms), with no ClassFunction per
-    term; the one refusal of an f on another (d, q) than the group."""
-    total = [Fraction(0)] * len(group.classes)
+    """The sum of c * f over the (c, f) pairs (zero for no terms), with no
+    ClassFunction per term; the one refusal of an f on another (d, q) than
+    the group, before any arithmetic.  Every c is scaled to an integer over
+    the lcm C of the coefficient denominators and every value to one over
+    the lcm V of the value denominators, so the sum runs in integers and
+    one Fraction over C * V is built per class."""
+    terms = [(Fraction(c), f) for c, f in terms]
+    if any((f.group.d, f.group.q) != (group.d, group.q) for _, f in terms):
+        raise ValueError("class functions live on different groups")
+    c_den = math.lcm(*(c.denominator for c, _ in terms))
+    v_den = math.lcm(*(v.denominator for _, f in terms for v in f.values))
+    total = [0] * len(group.classes)
     for c, f in terms:
-        if (f.group.d, f.group.q) != (group.d, group.q):
-            raise ValueError("class functions live on different groups")
-        c = Fraction(c)
-        total = [t + c * v for t, v in zip(total, f.values)]
-    return ClassFunction(group, tuple(total))
+        coef = c.numerator * (c_den // c.denominator)
+        total = [t + coef * v.numerator * (v_den // v.denominator)
+                 for t, v in zip(total, f.values)]
+    den = c_den * v_den
+    return ClassFunction(group, tuple(Fraction(t, den) for t in total))
 
 
 # -- stable-flag induction of the trivial character --------------------------
@@ -259,22 +268,24 @@ def _ind_identity_cases(group: GLGroup, parabolic: ParabolicSubgroup) -> list[di
     s run over the Bruhat cells (``coset_conjugator``, which refuses on
     [G:P] before any class data is built), and s' = s g^-1 for the
     generators g = (i, j, c) of P taken in turn, so s'^-1 x s' is one more
-    ``conjugate_elementary``; no general product, and no pass over G.  The
+    ``conjugate_elementary`` by the generator's step, built once per
+    generator; no general product, and no pass over G.  The
     counts are scattered into the rows of the P-class they land in; every
     other row is ("0", "0", "0"), and a P-class meets only its own G-class,
     so each case has one nonzero row."""
     conjugates = parabolic.coset_conjugator()
     d, q = group.d, group.q
     # with no generator (GL_1(F_2)) the twist is the identity diag(1)
-    twists = parabolic.elementary or ((0, 0, 1),)
+    twists = [elementary_step(i, j, c, d, q)
+              for i, j, c in parabolic.elementary or ((0, 0, 1),)]
     grouped = _conjugation_counts_grouped(group, parabolic)
     rows: list[dict[int, tuple]] = [{} for _ in parabolic.classes]  # G-class -> values
     for gidx, cls in enumerate(group.classes):
         first, twisted = Counter(), Counter()
-        for y, (i, j, c) in zip(conjugates(cls.rep), itertools.cycle(twists)):
+        for y, step in zip(conjugates(cls.rep), itertools.cycle(twists)):
             if parabolic.contains(y):
                 first[parabolic.class_index_of(y)] += 1
-            z = conjugate_elementary(y, i, j, c, d, q)
+            z = conjugate_elementary(y, step, q)
             if parabolic.contains(z):
                 twisted[parabolic.class_index_of(z)] += 1
         middle = grouped[gidx]

@@ -1,7 +1,8 @@
 """Matrices and polynomials over the prime field F_q.
 
 Matrices are flat row-major tuples of ints in range(q), so they hash and
-compare cheaply; all helpers take (mat, d, q) explicitly.  Polynomials are
+compare cheaply; all helpers but ``conjugate_elementary``, whose
+precomputed step carries d, take (mat, d, q) explicitly.  Polynomials are
 coefficient tuples, constant term first, trimmed; monic throughout where
 stated.  One forward elimination gives ``mat_rank`` and ``mat_det``; the
 class labels are read from ranks, not from a factorisation.
@@ -19,6 +20,7 @@ Poly = tuple[int, ...]
 __all__ = [
     "mat_identity",
     "mat_mul",
+    "elementary_step",
     "conjugate_elementary",
     "mat_det",
     "mat_rank",
@@ -52,26 +54,37 @@ def mat_mul(a: Mat, b: Mat, d: int, q: int) -> Mat:
     return tuple(x % q for x in out)
 
 
-def conjugate_elementary(y: Mat, i: int, j: int, c: int, d: int, q: int) -> Mat:
-    """g y g^-1 for g = I + c E_ij (i != j) or g = diag(.., c, ..) with c at
-    (i, i): one row operation and one column operation, O(d) instead of two
-    products.  The transvection adds c times row j to row i, then subtracts
-    c times column i from column j; the diagonal matrix multiplies row i by
-    c, then column i by c^-1."""
-    out = list(y)
-    ri = i * d
+# A conjugation step: (a, rows, b, cols), read by ``conjugate_elementary``.
+Step = tuple[int, tuple[tuple[int, int], ...], int, tuple[tuple[int, int], ...]]
+
+
+@lru_cache(maxsize=None)
+def elementary_step(i: int, j: int, c: int, d: int, q: int) -> Step:
+    """The step of ``conjugate_elementary`` for g y g^-1 with g = I + c E_ij
+    (i != j) or g = diag(.., c, ..) with c at (i, i), built once per (i, j,
+    c, d, q): the flat (target, source) index pairs of the row step and of
+    the column step, each with its factor.  The transvection adds c times
+    row j to row i, then -c times column i to column j; the diagonal matrix
+    adds c - 1 times row i to itself, then c^-1 - 1 times column i."""
     if i != j:
-        rj = j * d
-        for k in range(d):
-            out[ri + k] = (y[ri + k] + c * y[rj + k]) % q
-        for k in range(0, d * d, d):
-            out[k + j] = (out[k + j] - c * out[k + i]) % q
-    else:
-        for k in range(ri, ri + d):
-            out[k] = out[k] * c % q
-        c_inv = pow(c, -1, q)
-        for k in range(i, d * d, d):
-            out[k] = out[k] * c_inv % q
+        return (c, tuple((i * d + k, j * d + k) for k in range(d)),
+                -c % q, tuple((k * d + j, k * d + i) for k in range(d)))
+    return ((c - 1) % q, tuple((i * d + k, i * d + k) for k in range(d)),
+            (pow(c, -1, q) - 1) % q, tuple((k * d + i, k * d + i) for k in range(d)))
+
+
+def conjugate_elementary(y: Mat, step: Step, q: int) -> Mat:
+    """g y g^-1 for the g of an ``elementary_step``: one row operation and
+    one column operation, O(d) instead of two products, each entry
+    out[t] += factor * out[s] over the step's precomputed (t, s) pairs, so
+    no index is computed per matrix.  The row step's targets and sources
+    are disjoint rows or the same entries, and so are the column step's."""
+    a, rows, b, cols = step
+    out = list(y)
+    for t, s in rows:
+        out[t] = (out[t] + a * out[s]) % q
+    for t, s in cols:
+        out[t] = (out[t] + b * out[s]) % q
     return tuple(out)
 
 

@@ -12,14 +12,26 @@ The test suite re-derives the classes of every enumerable group by brute
 force (``tests/element_scan_oracle.py``) and checks them against this
 construction.
 
-A parabolic P_c is generated by transvections and diagonal matrices.  Its
-left cosets are walked through the Bruhat cells, and conjugation by a
-representative s = u w is row and column operations for u and a relabel
-for w.  Every element of P is P-conjugate to some s^-1 x s in P, x a class
-representative of G, so these conjugates seed the P-classes, which are
-orbits under conjugation by the generators, each step one row and one
-column operation; no element of G or of P is listed, and conjugation by
-all of P is the oracle in the tests.
+A parabolic P_c with k blocks is generated by 2d - 1 elements (2d - 1 - k
+when q = 2): the transvections I + E_{i,i+1} for every i, I + E_{i+1,i}
+where i and i+1 share a block, and diag(1, .., zeta, .., 1) at the first
+index of each block, zeta a primitive root mod q.  They generate P
+(Steinberg, Lectures on Chevalley Groups, section 6): over the prime field
+I + t E_ij is the t-th power of I + E_ij, and the commutator of I + E_ij
+and I + E_jk is I + E_ik, so the adjacent transvections of a block give
+every transvection of its SL_a, and with the diagonal generator, whose
+powers take every determinant, its GL_a; commutators of the boundary
+transvections I + E_{s-1,s} with those inside the blocks reach every
+I + E_ij above the block diagonal, which generate the unipotent radical,
+and P is the Levi times the radical.  Its left cosets are walked through
+the Bruhat cells, and conjugation by a representative s = u w is row and
+column operations for u and a relabel for w.  Every element of P is
+P-conjugate to some s^-1 x s in P, x a class representative of G, so
+these conjugates seed the P-classes, which are orbits under conjugation
+by the generators.  Each conjugation by a transvection or a diagonal
+matrix is one row and one column step over index pairs precomputed per
+generator (``fqmat.elementary_step``); no element of G or of P is listed,
+and conjugation by all of P is the oracle in the tests.
 
 Each derived value has one builder, run on first use: ``conjugacy_classes``
 for the class data (the label lookup derives from it),
@@ -47,6 +59,7 @@ from .fqmat import (
     char_poly,
     companion_matrix,
     conjugate_elementary,
+    elementary_step,
     mat_mul,
     mat_rank,
     monic_irreducibles,
@@ -275,14 +288,19 @@ class ParabolicSubgroup:
                             for _ in range(part))
         self._below = tuple(i * d + j for i in range(d) for j in range(d)
                             if self._block[i] > self._block[j])
-        # generators of P as (i, j, c): the transvections I + E_ij (i != j)
-        # its block pattern allows, then diag(1, .., zeta, .., 1) at each
-        # position, zeta the least primitive root mod q (none when q = 2)
+        # generators of P as (i, j, c): the transvections I + E_{i,i+1} for
+        # every i, then I + E_{i+1,i} where i and i+1 share a block, then
+        # diag(1, .., zeta, .., 1) at the first index of each block, zeta the
+        # least primitive root mod q (none when q = 2).  The adjacent ones
+        # inside a block give its SL_a, the diagonal ones every determinant,
+        # and commutators with the boundary transvections the unipotent
+        # radical (module docstring): 2d - 1 generators, 2d - 1 - k for q = 2
         zeta = _primitive_root(group.q)
-        self.elementary = tuple((i, j, 1) for i in range(d) for j in range(d)
-                                if i != j and self._block[i] <= self._block[j])
+        self.elementary = tuple((i, i + 1, 1) for i in range(d - 1))
+        self.elementary += tuple((i + 1, i, 1) for i in range(d - 1)
+                                 if self._block[i] == self._block[i + 1])
         if zeta != 1:
-            self.elementary += tuple((i, i, zeta) for i in range(d))
+            self.elementary += tuple((s, s, zeta) for s in self._starts)
 
     def contains(self, mat: Mat) -> bool:
         """Block upper-triangular pattern test (input assumed invertible)."""
@@ -330,20 +348,25 @@ class ParabolicSubgroup:
         in order, which for a closed set of positive roots reach each element
         of U_w exactly once.  So u^-1 x u is x conjugated by one transvection
         after another, one row and one column operation each
-        (``conjugate_elementary`` with -c), along a tree whose prefixes are
-        shared; w^-1 y w is the relabel (w^-1 y w)[a][b] = y[w(a)][w(b)].
-        No general matrix product is formed."""
+        (``conjugate_elementary`` with the step of -c, built once per cell
+        position and c), along a tree whose prefixes are shared; w^-1 y w
+        is the relabel (w^-1 y w)[a][b] = y[w(a)][w(b)].  No general matrix
+        product is formed."""
         d, q = self.group.d, self.group.q
-        cells = [(free, tuple(w[a] * d + w[b] for a in range(d) for b in range(d)))
+        # per free position, None for c = 0 and then the step of -c
+        cells = [(tuple((None,) + tuple(elementary_step(i, j, -c % q, d, q)
+                                        for c in range(1, q))
+                        for i, j in free),
+                  tuple(w[a] * d + w[b] for a in range(d) for b in range(d)))
                  for w, free in self._bruhat_cells]
 
         def walk(x: Mat) -> tuple[Mat, ...]:
             out = []
-            for free, relabel in cells:
+            for free_steps, relabel in cells:
                 level = [x]
-                for i, j in free:
-                    level = [conjugate_elementary(y, i, j, -c % q, d, q) if c else y
-                             for y in level for c in range(q)]
+                for steps in free_steps:
+                    level = [conjugate_elementary(y, step, q) if step else y
+                             for y in level for step in steps]
                 out.extend(tuple(map(y.__getitem__, relabel)) for y in level)
             return tuple(out)
 
@@ -375,10 +398,14 @@ class ParabolicSubgroup:
         seeded by the conjugates s^-1 x s in P of ``_conjugates``: an
         element y = g^-1 x g of P with g = s p is P-conjugate to s^-1 x s =
         p y p^-1.  Each seed not yet placed is closed under conjugation by
-        the ``elementary`` generators, each one row and one column operation
+        the ``elementary`` generators (2d - 1, fewer when q = 2), each one
+        row and one column step over the index pairs of its
+        ``elementary_step``, built once per generator
         (``conjugate_elementary``), and lies in the G-class of its x, so
-        nothing is labelled.  A class is represented by its least element,
-        and the classes are ordered by it.  The sizes must sum to |P|."""
+        nothing is labelled.  A class is represented by its
+        least element, and the classes are ordered by it.  The sizes must
+        sum to |P|: a generating set that misses part of P leaves orbits
+        short and raises."""
         group = self.group
         if len(self.composition) == 1:
             return (tuple((cls.rep, cls.size, gidx) for gidx, cls in enumerate(group.classes)),
@@ -388,7 +415,7 @@ class ParabolicSubgroup:
             raise BudgetError(
                 f"P_{self.composition} in GL_{d}(F_{q}) has {self.order} elements, "
                 f"beyond the scan limit {SCAN_LIMIT}")
-        gens = self.elementary
+        steps = [elementary_step(i, j, c, d, q) for i, j, c in self.elementary]
         placed: set[Mat] = set()
         orbits = []  # (least element, G-class index, members)
         for gidx, cls in enumerate(group.classes):
@@ -398,8 +425,8 @@ class ParabolicSubgroup:
                 placed.add(x)
                 members = [x]
                 for y in members:  # members grows while it is read
-                    for i, j, c in gens:
-                        z = conjugate_elementary(y, i, j, c, d, q)
+                    for step in steps:
+                        z = conjugate_elementary(y, step, q)
                         if z not in placed:
                             placed.add(z)
                             members.append(z)

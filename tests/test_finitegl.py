@@ -5,6 +5,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import flag_scan_oracle
 from element_scan_oracle import group_elements, parabolic_elements
@@ -40,6 +41,7 @@ from qtransfer.finitegl.fqmat import (
     char_poly,
     companion_matrix,
     conjugate_elementary,
+    elementary_step,
     mat_det,
     mat_identity,
     mat_mul,
@@ -299,6 +301,46 @@ def test_linear_combination_edges():
     assert all(type(v) is Fraction for v in zero.values)
 
 
+def linear_combination_by_fractions(group, terms):
+    """The oracle of ``linear_combination``: c * f added term by term in
+    Fractions, one list of class values."""
+    total = [Fraction(0)] * len(group.classes)
+    for c, f in terms:
+        total = [t + Fraction(c) * v for t, v in zip(total, f.values)]
+    return tuple(total)
+
+
+def _class_functions_on(group):
+    n = len(group.classes)
+    return st.lists(st.fractions(max_denominator=12), min_size=n, max_size=n).map(
+        lambda values: ClassFunction(group, tuple(values)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_linear_combination_matches_term_by_term_fractions(data):
+    # non-integral values over mixed denominators, zero and negative
+    # coefficients, int and Fraction coefficients
+    group = cached_group(2, 3)
+    terms = data.draw(st.lists(st.tuples(
+        st.one_of(st.integers(-5, 5), st.fractions(max_denominator=9)),
+        _class_functions_on(group)), max_size=5))
+    total = linear_combination(group, terms)
+    assert total.values == linear_combination_by_fractions(group, terms)
+    assert all(type(v) is Fraction for v in total.values)
+
+
+def test_linear_combination_reduces_over_the_products_of_denominators():
+    # 1/2 * 1/2 needs the denominator 4, beyond the lcm 2 of the coefficient
+    # and value denominators; opposite terms cancel to 0
+    group = cached_group(2, 2)
+    half = ClassFunction(group, (Fraction(1, 2), Fraction(-1, 3), Fraction(5, 6)))
+    terms = [(Fraction(1, 2), half), (0, half), (Fraction(-3, 4), half), (Fraction(3, 4), half)]
+    assert linear_combination(group, terms).values == (Fraction(1, 4), Fraction(-1, 6),
+                                                       Fraction(5, 12))
+    assert linear_combination(group, terms).values == linear_combination_by_fractions(group, terms)
+
+
 def test_dl_averaging_roundtrip():
     from qtransfer.weylcomb import composition_class_counts
     for d, q in [(2, 2), (3, 2), (3, 3), (4, 2), (4, 3)]:
@@ -461,7 +503,7 @@ def test_elementary_conjugation_matches_matrix_products(d, q):
         P = ParabolicSubgroup(group, comp)
         for (i, j, c), (g, g_inv) in zip(P.elementary, generator_pairs(P), strict=True):
             for y in parabolic_elements(P):
-                assert conjugate_elementary(y, i, j, c, d, q) == \
+                assert conjugate_elementary(y, elementary_step(i, j, c, d, q), q) == \
                     mat_mul(mat_mul(g, y, d, q), g_inv, d, q), (comp, i, j, c, y)
 
 
@@ -486,8 +528,8 @@ def test_generators_generate_the_parabolic(d, q):
 
 
 def test_parabolic_classes_conjugate_without_matrix_products(monkeypatch):
-    # |P_(2,1)| = 864 in GL_3(F_3); conjugating by its 7 generators with two
-    # products each would take 12096 calls.  The classes are seeded by the
+    # |P_(2,1)| = 864 in GL_3(F_3); conjugating by its 5 generators with two
+    # products each would take 8640 calls.  The classes are seeded by the
     # walked conjugates of G's class representatives, whose G-class is known,
     # so no product is formed and nothing is labelled
     group = cached_group(3, 3)
@@ -509,7 +551,7 @@ def test_parabolic_classes_conjugate_without_matrix_products(monkeypatch):
     monkeypatch.setattr("qtransfer.finitegl.group.mat_mul", counted_mul)
     monkeypatch.setattr(GLGroup, "label_of", counted_label)
     P = ParabolicSubgroup(group, (2, 1))
-    assert P.order == 864 and len(P.elementary) == 7
+    assert P.order == 864 and len(P.elementary) == 5
     assert P.classes
     assert (products, labels) == (0, 0)
 
