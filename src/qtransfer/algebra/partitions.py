@@ -88,10 +88,11 @@ def compositions(n: int) -> Iterator[tuple[int, ...]]:
         yield block_composition(full - cut_points, n)
 
 
-def composition_count(lam: Sequence[int]) -> int:
+@lru_cache(maxsize=None)
+def composition_count(lam: tuple[int, ...]) -> int:
     """Number of distinct orderings of any multiset lam: the compositions with
     the parts of a partition, or the S_n-orbit size of an exponent vector,
-    zeros and negative entries included."""
+    zeros and negative entries included; memoized for SymPoly products."""
     return factorial(len(lam)) // prod(map(factorial, Counter(lam).values()))
 
 

@@ -5,7 +5,9 @@ vectors; the represented polynomial is the sum over each key's full
 S_n-orbit.  Multiplication stays on dominant keys too: a product of two
 monomial functions walks the orbit of one factor only, and orbit sizes are
 multinomials.  The named polynomials below are built on dominant keys
-directly, Schur polynomials from Kostka numbers.
+directly, Schur polynomials from Kostka numbers.  ``SymPoly(nvars, terms)``
+validates input from outside; the ring operations, whose keys are dominant
+by construction, build their results through ``SymPoly._from_checked``.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .scalars import ZERO, Coeffish, QScalar, as_qscalar
 
 __all__ = [
     "SymPoly",
+    "fold_orbits",
     "monomial_sym",
     "elementary",
     "powersum",
@@ -60,35 +63,24 @@ class SymPoly:
     # -- constructors ----------------------------------------------------
 
     @classmethod
+    def _from_checked(cls, nvars: int, terms: Mapping[tuple[int, ...], QScalar]) -> "SymPoly":
+        """Keys dominant of length nvars, QScalar coefficients: drops zeros only."""
+        out = cls.__new__(cls)
+        out.nvars, out.terms = nvars, {key: c for key, c in terms.items() if not c.is_zero()}
+        return out
+
+    @classmethod
     def zero(cls, nvars: int) -> "SymPoly":
         return cls(nvars)
 
     @classmethod
     def from_expansion(cls, nvars: int,
                        expansion: Mapping[tuple[int, ...], Coeffish]) -> "SymPoly":
-        """Fold a full monomial expansion into dominant keys.
-
-        Asserts S_n-invariance: within each orbit every monomial must be
-        present with the same coefficient.  This is the invariance check
-        that transfer images rely on: transfer_sym runs it once per cached
-        image of a monomial function m_lambda, and the substitution oracle
-        once per call.
-        """
-        groups: dict[tuple[int, ...], dict[tuple[int, ...], QScalar]] = {}
-        for key, coeff in expansion.items():
-            c = as_qscalar(coeff)
-            if c.is_zero():
-                continue
-            groups.setdefault(dominant(key), {})[tuple(key)] = c
-        terms = {}
-        for dom, members in groups.items():
-            if len(members) != composition_count(dom):
-                raise ValueError(f"expansion is not symmetric at orbit of {dom}")
-            vals = set(members.values())
-            if len(vals) != 1:
-                raise ValueError(f"unequal coefficients on orbit of {dom}")
-            terms[dom] = members[dom]
-        return cls(nvars, terms)
+        """Fold a full monomial expansion, less its zero coefficients, into
+        dominant keys by ``fold_orbits``, which refuses it unless it is
+        S_n-invariant: the oracles assemble their results here."""
+        coeffs = {key: as_qscalar(c) for key, c in expansion.items()}
+        return cls(nvars, fold_orbits({key: c for key, c in coeffs.items() if not c.is_zero()}))
 
     # -- ring structure ----------------------------------------------------
 
@@ -97,17 +89,17 @@ class SymPoly:
         out = dict(self.terms)
         for key, c in other.terms.items():
             out[key] = out.get(key, ZERO) + c
-        return SymPoly(self.nvars, out)
+        return SymPoly._from_checked(self.nvars, out)
 
     def __sub__(self, other: "SymPoly") -> "SymPoly":
         return self + (-other)
 
     def __neg__(self) -> "SymPoly":
-        return SymPoly(self.nvars, {k: -c for k, c in self.terms.items()})
+        return SymPoly._from_checked(self.nvars, {k: -c for k, c in self.terms.items()})
 
     def scale(self, c: Coeffish) -> "SymPoly":
         c = as_qscalar(c)
-        return SymPoly(self.nvars, {k: c * v for k, v in self.terms.items()})
+        return SymPoly._from_checked(self.nvars, {k: c * v for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, SymPoly):
@@ -118,7 +110,7 @@ class SymPoly:
                     cab = ca * cb
                     for lam, k in _monomial_product(a, b):
                         out[lam] = out.get(lam, ZERO) + (cab if k == 1 else cab * k)
-            return SymPoly(self.nvars, out)
+            return SymPoly._from_checked(self.nvars, out)
         if isinstance(other, (QScalar, int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -153,15 +145,26 @@ class SymPoly:
         return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for key, c in self.sorted_terms():
-            parts.append(f"({c})*m[{','.join(map(str, key))}]")
-        return " + ".join(parts)
+        return " + ".join(f"({c})*m[{','.join(map(str, key))}]"
+                          for key, c in self.sorted_terms()) or "0"
 
     def __repr__(self) -> str:
         return f"SymPoly({self.nvars}, {self})"
+
+
+def fold_orbits(expansion: Mapping[tuple[int, ...], object]) -> dict[tuple[int, ...], object]:
+    """The value on each S_n-orbit of keys, at its dominant vector; refused
+    unless every member is a key with that value.  This is the invariance
+    check of ``SymPoly.from_expansion`` and of the transfer's hit tables."""
+    groups: dict[tuple[int, ...], list] = {}
+    for key, value in expansion.items():
+        groups.setdefault(dominant(key), []).append(value)
+    for dom, values in groups.items():
+        if len(values) != composition_count(dom):
+            raise ValueError(f"expansion is not symmetric at orbit of {dom}")
+        if values.count(values[0]) != len(values):
+            raise ValueError(f"unequal coefficients on orbit of {dom}")
+    return {dom: values[0] for dom, values in groups.items()}
 
 
 def _monomial_product(a: tuple[int, ...], b: tuple[int, ...]

@@ -21,12 +21,14 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Callable, Sequence
 
 from .algebra.partitions import (
     as_composition,
     as_partition_of,
     compositions,
+    conjugate,
     parse_partition,
     partitions,
     render_partition,
@@ -40,6 +42,7 @@ from .algebra.qcount import (
     parahoric_index,
     qint_balanced,
 )
+from .algebra.scalars import ZERO, V
 from .algebra.sympoly import SymPoly, elementary, monomial_sym, powersum, schur
 from .epfun import (
     DParahoricType,
@@ -64,6 +67,7 @@ from .transfer import (
     image_e,
     image_p,
     image_schur,
+    rank_of_rows,
     substitution_image,
     surjectivity_witness,
     transfer_sym,
@@ -321,6 +325,30 @@ def _surjectivity(r: int, d: int, maxdeg: int) -> bool:
             and list(report["leading_coefficients"]) == degrees)
 
 
+def _hook_content(d: int, mu: tuple[int, ...]) -> bool:
+    # at r = 1 the image of s_mu is s_mu(Y_d) t^|mu| with Y_d = v^(1-d) + .. +
+    # v^(d-1), the q-hook-content product of Macdonald I.3 Ex. 1; mu has at
+    # most d rows, so every factor [d + c(u)] is a balanced q-integer
+    cells = [(i, j) for i, row in enumerate(mu) for j in range(row)]
+    cols = conjugate(mu)
+    value = prod(qint_balanced(d + j - i) for i, j in cells) / prod(
+        qint_balanced(mu[i] - j + cols[j] - i - 1) for i, j in cells)
+    return image_schur(TransferParams(r=1, d=d), mu) == SymPoly(1, {(sum(mu),): value})
+
+
+def _rank_one_short(r: int, d: int, degree: int) -> bool:
+    # the degree's power-sum product rows, full rank for r >= degree, with the
+    # first row replaced by (1 + v) times the last, the image of p_1^degree,
+    # which has no zero entry: the rank drops by one, and only an elimination
+    # that clears every other row sees it
+    p = TransferParams(r=r, d=d)
+    targets = [lam + (0,) * (r - len(lam)) for lam in partitions(degree, max_length=r)]
+    rows = [[prod(image_p(p, k) for k in lam).terms.get(key, ZERO) for key in targets]
+            for lam in partitions(degree)]
+    rows[0] = [(1 + V) * x for x in rows[-1]]
+    return rank_of_rows(rows) == len(targets) - 1
+
+
 # the checks of the closed-forms cases, each an (identity, params) pair
 _CLOSED_FORMS = {
     # at q = 1 the image of p_k under r = 2 is d * p_k
@@ -329,6 +357,13 @@ _CLOSED_FORMS = {
     "product_ep": _product_ep_extremes,
     "qint_nonzero": lambda d, k: not qint_balanced(d, k).is_zero(),
     "surjectivity": _surjectivity,
+    "hook_content": _hook_content,
+    # at d = 1 the transfer is the identity map, shapes longer than r included
+    "d1_identity": lambda rmax, maxsize: all(
+        image_schur(TransferParams(r=r, d=1), mu) == schur(r, mu)
+        for r in range(1, rmax + 1)
+        for size in range(maxsize + 1) for mu in partitions(size)),
+    "rank_one_short": _rank_one_short,
     "index_formula": lambda composition, q: all(
         parahoric_index(composition).specialize_q(c)
         == Fraction(gl_order(sum(composition), c), parabolic_order(composition, c))
@@ -383,7 +418,11 @@ SUITES = {
         + [("surjectivity", {"r": r, "d": d, "maxdeg": 3})
            for r in range(1, 5) for d in range(1, 4)]
         + [("index_formula", {"composition": comp, "q": (2, 3, 5)})
-           for n in range(1, 6) for comp in compositions(n)],
+           for n in range(1, 6) for comp in compositions(n)]
+        + [("hook_content", {"d": d, "mu": mu}) for d in range(1, 7)
+           for size in range(1, 7) for mu in partitions(size, max_length=d)]
+        + [("d1_identity", {"rmax": 4, "maxsize": 5}),
+           ("rank_one_short", {"r": 3, "d": 2, "degree": 3})],
         _closed_form_case),
 }
 

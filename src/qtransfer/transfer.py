@@ -20,14 +20,17 @@ Schur polynomial is the Jacobi-Trudi determinant of the images of the h_k
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
+from operator import itemgetter, mul
 from typing import Sequence
 
 from .algebra.partitions import as_partition, conjugate, orbit, partitions
 from .algebra.qcount import qbinom, qint_balanced
 from .algebra.scalars import QScalar
-from .algebra.sympoly import SymPoly, multiplicative_sum, powersum
+from .algebra.sympoly import SymPoly, fold_orbits, multiplicative_sum, powersum
 
 __all__ = [
     "TransferParams",
@@ -38,6 +41,7 @@ __all__ = [
     "image_h",
     "image_p",
     "image_schur",
+    "rank_of_rows",
     "surjectivity_witness",
 ]
 
@@ -68,31 +72,27 @@ def shift_vector(p: TransferParams) -> tuple[int, ...]:
     return block * p.r
 
 
-def _block_sums(p: TransferParams, a: Sequence[int]) -> tuple[int, ...]:
-    return tuple(sum(a[k * p.d:(k + 1) * p.d]) for k in range(p.r))
-
-
 def _v_exponent_counts(p: TransferParams, dom: tuple[int, ...]
                        ) -> dict[tuple[int, ...], dict[int, int]]:
     """Hits of the monomial map, per target key b and v-exponent a.x, over
-    the exponent vectors a in the orbit of the dominant key dom."""
-    x = shift_vector(p)
+    the exponent vectors a in the orbit of the dominant key dom: one Counter
+    over the block sums and a.x, streamed from the orbit by map and zip."""
+    members, d = orbit(dom), p.d
+    blocks = zip(*(map(sum, map(itemgetter(slice(k, k + d)), members)) for k in range(0, p.n, d)))
+    exponents = map(sum, map(map, repeat(mul), members, repeat(shift_vector(p))))
     counts: dict[tuple[int, ...], dict[int, int]] = {}
-    for a in orbit(dom):
-        hits = counts.setdefault(_block_sums(p, a), {})
-        e = sum(ai * xi for ai, xi in zip(a, x))
-        hits[e] = hits.get(e, 0) + 1
+    for (b, e), hits in Counter(zip(blocks, exponents)).items():
+        counts.setdefault(b, {})[e] = hits
     return counts
 
 
 @lru_cache(maxsize=None)
 def _monomial_image(p: TransferParams, dom: tuple[int, ...]) -> SymPoly:
-    """The image of m_dom, memoized per (p, dom): each target key b of the
-    orbit costs one Laurent polynomial, and SymPoly.from_expansion folds
-    them into dominant keys, checking S_r-invariance once per image.  The
-    cached SymPoly is shared; callers read its terms and never mutate them."""
-    return SymPoly.from_expansion(p.r, {b: QScalar.from_v_terms(hits)
-                                        for b, hits in _v_exponent_counts(p, dom).items()})
+    """The image of m_dom, memoized per (p, dom): ``fold_orbits`` checks the
+    S_r-invariance of the integer hit tables, and each dominant target key
+    costs one Laurent polynomial.  Callers never mutate the shared result."""
+    return SymPoly(p.r, {b: QScalar.from_v_terms(hits)
+                         for b, hits in fold_orbits(_v_exponent_counts(p, dom)).items()})
 
 
 def transfer_sym(p: TransferParams, f: SymPoly) -> SymPoly:
@@ -101,18 +101,14 @@ def transfer_sym(p: TransferParams, f: SymPoly) -> SymPoly:
 
     Each image(m_dom) comes from ``_monomial_image``, which checked its
     S_r-invariance when it was built; a sum of invariant images is
-    invariant, so the result is assembled with the plain constructor, which
-    still checks that every key is dominant.
+    invariant, and the ring operations add them with no check repeated.
     """
     if f.nvars != p.n:
         raise ValueError(f"input has {f.nvars} variables, expected n = {p.n}")
-    image: dict[tuple[int, ...], QScalar] = {}
+    image = SymPoly.zero(p.r)
     for dom, c in f.terms.items():
-        for b, cb in _monomial_image(p, dom).terms.items():
-            term = cb * c
-            acc = image.get(b)
-            image[b] = term if acc is None else acc + term
-    return SymPoly(p.r, image)
+        image = image + _monomial_image(p, dom).scale(c)
+    return image
 
 
 def substitution_image(p: TransferParams, f: SymPoly) -> SymPoly:
@@ -214,7 +210,7 @@ def _jacobi_trudi_entry(p: TransferParams, k: int, dual: bool) -> SymPoly | None
     return image_e(p, k) if dual and k else image_h(p, k)
 
 
-def _rank_of_rows(rows: list[list[QScalar]]) -> int:
+def rank_of_rows(rows: list[list[QScalar]]) -> int:
     """Exact rank by Gaussian elimination over the rational-function field."""
     mat = [row[:] for row in rows]
     rank = 0
@@ -268,7 +264,7 @@ def surjectivity_witness(p: TransferParams, maxdeg: int) -> dict:
             for key, c in prod.terms.items():
                 row[index[key]] = c
             rows.append(row)
-        rank = _rank_of_rows(rows)
+        rank = rank_of_rows(rows)
         degree_checks.append({
             "degree": m,
             "target_dimension": len(targets),

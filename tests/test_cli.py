@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import inspect
 import itertools
 import json
 import os
@@ -242,9 +243,35 @@ def _shift_one_monomial_hit(monkeypatch):
 def _drop_one_rank_of_many_rows(monkeypatch):
     # the rank of the power-sum products read one short whenever there is
     # more than one row; only the surjectivity cases of closed-forms reach it
-    rank_of_rows = transfer._rank_of_rows
-    monkeypatch.setattr(transfer, "_rank_of_rows",
+    rank_of_rows = transfer.rank_of_rows
+    monkeypatch.setattr(transfer, "rank_of_rows",
                         lambda rows: rank_of_rows(rows) - (len(rows) > 1))
+
+
+def _plant_mutant(monkeypatch, name, old, new):
+    # transfer.<name> with the one operator old replaced by new, compiled in
+    # a copy of the module's namespace and set in transfer and in cli, which
+    # imports it by name
+    source = inspect.getsource(getattr(transfer, name))
+    assert source.count(old) == 1
+    namespace = dict(vars(transfer))
+    exec(compile(source.replace(old, new), transfer.__file__, "exec"), namespace)
+    for module in (transfer, cli):
+        monkeypatch.setattr(module, name, namespace[name])
+
+
+def _flip_the_laplace_sign_at_3(monkeypatch):
+    # the minors at pos = 2 of image_schur's Laplace expansion enter with a
+    # minus sign, which only 3 x 3 determinants see; the r = 1 hook-content
+    # cases of closed-forms do
+    _plant_mutant(monkeypatch, "image_schur", "pos % 2", "pos % 3")
+
+
+def _eliminate_only_the_pivot_row(monkeypatch):
+    # rank_of_rows clears the pivot row in place of every other row; every
+    # rank still reads full on a full-rank matrix, so only the rank-deficient
+    # closed-forms case sees it
+    _plant_mutant(monkeypatch, "rank_of_rows", "i != rank", "i == rank")
 
 
 def _drop_the_top_degree_row(monkeypatch):
@@ -288,6 +315,8 @@ def _repeat_each_torus_d_times(monkeypatch):
     (_raise_two_part_flag_counts, ["--suite", "ep-shadow", "--n", "4", "--q", "2", "3"]),
     (_repeat_each_torus_d_times, ["--suite", "ep-shadow", "--n", "4", "--q", "2", "3"]),
     (_drop_one_rank_of_many_rows, ["--suite", "closed-forms"]),
+    (_eliminate_only_the_pivot_row, ["--suite", "closed-forms"]),
+    (_flip_the_laplace_sign_at_3, ["--suite", "closed-forms"]),
     (_drop_the_top_degree_row, ["--suite", "closed-forms"]),
 ], ids=lambda v: v.__name__.strip("_") if callable(v) else v[1])
 def test_verify_fails_on_a_planted_fault(capsys, monkeypatch, plant, argv):
@@ -308,7 +337,7 @@ def test_verify_fails_on_a_planted_fault(capsys, monkeypatch, plant, argv):
 def test_verify_workers_flag(capsys):
     # the closed-forms case tuples pickle, and no budget selects them
     _, serial = run_json(capsys, "verify", "--suite", "closed-forms")
-    assert len(serial["payload"]["closed-forms"]["cases"]) == 152
+    assert len(serial["payload"]["closed-forms"]["cases"]) == 280
     for argv in (["--workers", "2"], ["--nmax", "0", "--degmax", "0", "--dmax", "0", "--n", "0"]):
         code, report = run_json(capsys, "verify", "--suite", "closed-forms", *argv)
         assert code == 0

@@ -5,10 +5,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from qtransfer.algebra import (
     ONE,
+    ZERO,
     QScalar,
     SymPoly,
     V,
     elementary,
+    is_weakly_decreasing,
     monomial_sym,
     powersum,
     schur,
@@ -141,12 +143,19 @@ def test_ring_axioms(f, g, h):
 
 
 @settings(max_examples=60, deadline=None)
-@given(product_pairs())
+@given(product_pairs(), st.sampled_from(COEFFS + [ZERO]))
 # (m_1 + 1)(m_1 - 1) = m_1^2 - 1: the m_1 terms cancel
 @example((monomial_sym(2, (1,)) + monomial_sym(2, ()),
-          monomial_sym(2, (1,)) - monomial_sym(2, ())))
-def test_product_matches_double_expansion(pair):
+          monomial_sym(2, (1,)) - monomial_sym(2, ())), ZERO)
+def test_ring_operations_match_the_oracle_on_dominant_nonzero_keys(pair, c):
+    # the ring operations build their results without the constructor's
+    # checks, so this is where those checks live: every key dominant and of
+    # length n, no zero coefficient, and the product the oracle's
     f, g = pair
+    for h in (f + g, f - g, f * g, f.scale(c)):
+        assert h.nvars == f.nvars
+        assert all(len(key) == f.nvars and is_weakly_decreasing(key) and not coeff.is_zero()
+                   for key, coeff in h.terms.items()), h
     assert f * g == product_by_expansion(f, g)
 
 

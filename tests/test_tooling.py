@@ -271,7 +271,7 @@ NAMED_CALLERS = {
                     "the Laplace expansion of transfer.image_schur"),
     "QScalar.__add__": "SymPoly.__add__ and SymPoly.__mul__",
     "QScalar.__neg__": "SymPoly.__neg__ and QScalar.__sub__",
-    "QScalar.__sub__": "transfer._rank_of_rows",
+    "QScalar.__sub__": "transfer.rank_of_rows",
     "QScalar.__mul__": "SymPoly.scale and transfer.substitution_image",
     "QScalar.__rmul__": "math.prod from the int 1 in sympoly.multiplicative_sum",
     "QScalar.__truediv__": "epfun.to_e_basis",

@@ -288,7 +288,7 @@ def test_rank_of_rows_over_rational_functions():
     row = [1 + V, V ** 2, QScalar(0)]
     ratio = (1 + V) / (1 - V)
     rows = [row, [ratio * x for x in row], [V, 1 - V ** -1, QScalar(0)]]
-    assert transfer._rank_of_rows(rows) == 2
-    assert transfer._rank_of_rows(rows[:1] + rows[2:]) == 2
-    assert transfer._rank_of_rows(rows[:2]) == 1
-    assert transfer._rank_of_rows([r[:2] for r in rows]) == 2
+    assert transfer.rank_of_rows(rows) == 2
+    assert transfer.rank_of_rows(rows[:1] + rows[2:]) == 2
+    assert transfer.rank_of_rows(rows[:2]) == 1
+    assert transfer.rank_of_rows([r[:2] for r in rows]) == 2
