@@ -71,7 +71,10 @@ class SymPoly:
 
     @classmethod
     def zero(cls, nvars: int) -> "SymPoly":
-        return cls(nvars)
+        """The empty sum: only nvars is checked."""
+        if nvars < 1:
+            raise ValueError("nvars must be >= 1")
+        return cls._from_checked(nvars, {})
 
     @classmethod
     def from_expansion(cls, nvars: int,

@@ -12,10 +12,11 @@ subgroup are products of S_part class sizes; the Euler-Poincare sum over
 the subsets I collapses onto partitions (``ep_weights``).  Double-coset
 representatives are a filter, never a scan of S_d: D_{M,I} is the part of
 D_{M,empty} with no right descent in I (Geck-Pfeiffer, Characters of Finite
-Coxeter Groups and Iwahori-Hecke Algebras, 2.1.7), and D_{M,empty} is built
-as one list per composition of M, shared by every I against it.  Each word
-of the list keeps the positions where two adjacent values share a block of
-M, and the support J(w) is read off those labels, not off the values:
+Coxeter Groups and Iwahori-Hecke Algebras, 2.1.7).  D_{M,empty}, the
+shuffles of the increasing runs of M's blocks, is built value by value as
+one list per composition of M, each word interned once and the list shared
+by every I against it.  Each word keeps the positions where two adjacent
+values share a block of M, and J(w) is read off those labels, not values:
 W_M cap w W_I w^-1 = W_J(w) for minimal w (Kilmoyer's lemma, op. cit.
 2.1-2.2).  Each build keeps the tally of its J(w) and checks it by the
 sizes of the double cosets, which must sum to d!.  The tests' descent rule
@@ -41,8 +42,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import factorial, prod
-from typing import Iterable, Iterator, Mapping, Sequence
+from math import factorial, lcm, prod
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .algebra.partitions import (as_partition_of, block_composition, composition_count,
                                  dominant, partitions, sn_class_size, subsets)
@@ -81,10 +83,11 @@ class EnumerationBudgetError(RuntimeError):
     the message names the enumeration's size and the limit."""
 
 
-def _refuse_beyond_limit(what: str, size: int) -> None:
+def _refuse_beyond_limit(what: Callable[[], str], size: int) -> None:
+    """what() names the enumeration; it is called only on a refusal."""
     if size > ENUM_LIMIT:
         raise EnumerationBudgetError(
-            f"enumerating {what} ({size} elements) exceeds the enumeration "
+            f"enumerating {what()} ({size} elements) exceeds the enumeration "
             f"limit {ENUM_LIMIT}")
 
 
@@ -117,7 +120,7 @@ def cycle_type(w: Perm) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def all_perms(d: int) -> tuple[Perm, ...]:
-    _refuse_beyond_limit(f"S_{d}", factorial(d))
+    _refuse_beyond_limit(lambda: f"S_{d}", factorial(d))
     return tuple(itertools.permutations(range(1, d + 1)))
 
 
@@ -144,7 +147,7 @@ class YoungSubgroup:
                    for lo, hi in self.blocks)
 
     def elements(self) -> Iterator[Perm]:
-        _refuse_beyond_limit(f"W_{self.composition}", self.order)
+        _refuse_beyond_limit(lambda: f"W_{self.composition}", self.order)
         per_block = [itertools.permutations(range(lo, hi + 1)) for lo, hi in self.blocks]
         return (tuple(itertools.chain.from_iterable(choice))
                 for choice in itertools.product(*per_block))
@@ -224,7 +227,7 @@ def f_g_table(d: int) -> SdClassFunction:
     for lam, weight in ep_weights(d).items():
         counts = composition_class_counts(lam)
         terms += len(counts)
-        _refuse_beyond_limit(f"the terms of f_g_table({d}) summed so far", terms)
+        _refuse_beyond_limit(lambda: f"the terms of f_g_table({d}) summed so far", terms)
         weight /= sum(counts.values())  # |W_lam|
         for rho, count in counts.items():
             totals[rho] += weight * count
@@ -238,15 +241,19 @@ def one_adic_ep(d: int) -> dict[Perm, Fraction]:
 
     as a mapping on all of S_d.  Supported on the union of Young subgroups,
     so NOT a class function for d >= 3 (e.g. simple vs non-simple
-    transpositions); its orbital sums are the class-level data.
+    transpositions); its orbital sums are the class-level data.  The sum
+    runs in integers over the lcm of the coefficients' denominators, and
+    one Fraction is built per permutation.
     """
-    values = {w: Fraction(0) for w in all_perms(d)}
-    for I in subsets(d - 1):
-        W = young_subgroup(I, d)
-        coeff = _ep_coefficient(d - len(I)) / W.order
+    values = dict.fromkeys(all_perms(d), 0)
+    terms = [(W, _ep_coefficient(len(W.composition)) / W.order)
+             for W in (young_subgroup(I, d) for I in subsets(d - 1))]
+    den = lcm(*(coeff.denominator for _, coeff in terms))
+    for W, coeff in terms:
+        num = coeff.numerator * (den // coeff.denominator)
         for w in W.elements():
-            values[w] += coeff
-    return values
+            values[w] += num
+    return {w: Fraction(num, den) for w, num in values.items()}
 
 
 def orbital_sum(f: Mapping[Perm, Fraction], g: Perm) -> Fraction:
@@ -257,7 +264,7 @@ def orbital_sum(f: Mapping[Perm, Fraction], g: Perm) -> Fraction:
     transpositions generate S_d).  Refuses when d! exceeds ENUM_LIMIT, as
     the sum over S_d it stands for."""
     d = len(g)
-    _refuse_beyond_limit(f"S_{d}", factorial(d))
+    _refuse_beyond_limit(lambda: f"S_{d}", factorial(d))
     simple = [tuple(range(1, i)) + (i + 1, i) + tuple(range(i + 2, d + 1)) for i in range(1, d)]
     conjugates, todo = {g}, [g]
     while todo:
@@ -286,13 +293,14 @@ def min_double_coset_reps(M: Iterable[int], I: Iterable[int], d: int) -> DoubleC
 
     w is minimal in W_M w W_I exactly when w^-1 increases on each block of
     M and w at each position of I, so D_{M,I} is the part of D_{M,empty}
-    (``_shuffles``, built, not scanned) with no right descent in I.  J(w)
+    (``_shuffles``, built value by value, not scanned, its words interned
+    once) with no right descent in I: the kept words are the tuple.  J(w)
     is read off the positions where w keeps a block label of M, and by
     Kilmoyer's lemma the double cosets have sizes |W_M| |W_I| / |W_J(w)|,
     which must sum to d! (a failure raises).  When the list of M is longer
-    than ENUM_LIMIT, D_{I,M} is filtered from the list of I and inverted;
-    when both are, the build is refused on d!/max(|W_M|, |W_I|).  Results
-    are cached per (M, I, d).
+    than ENUM_LIMIT, D_{I,M} is filtered from the list of I, inverted and
+    interned; when both are, the build is refused on d!/max(|W_M|, |W_I|).
+    Results are cached per (M, I, d).
 
     The tests' descent rule shares the right-descent half of this filter;
     its left half is built here, not scanned, and the supports come from
@@ -306,56 +314,61 @@ def _bits(S: Iterable[int]) -> int:
     return sum(1 << i for i in S)
 
 
+# one shared tuple per permutation in the shuffle lists and the cached
+# representatives of all (M, I), so that they hold no more than S_d; likewise
+# one shared (J, count) pair per value in their supports
+_PERMS: dict[Perm, Perm] = {}
+_SUPPORTS: dict[tuple[frozenset, int], tuple[frozenset, int]] = {}
+
+
 @lru_cache(maxsize=1)
 def _shuffles(alpha: tuple[int, ...]) -> list[tuple[int, Perm, int, tuple[tuple[int, int], ...]]]:
     """D_{M,empty} for M of composition alpha as words (length, w, the bits
     of w's right descents, the pairs (1 << i, 1 << w(i)) for each i with
-    w(i) and w(i + 1) in one block of alpha), sorted by (length, w).  w^-1
-    is a concatenation of increasing sets of positions, one per block, each
-    chosen among the positions the earlier blocks left.  The block that
-    takes the indices c_1 < .. < c_a of those passes over c_k - (k - 1)
-    positions left to later blocks, so adds sum c - a(a - 1)/2 inversions.
-    One alpha is kept, as callers take the I for one M in a row."""
-    d = sum(alpha)
-    label = [k for k, part in enumerate(alpha) for _ in range(part)]
-    # (length, 0 then w^-1 so far, the positions left); the last block takes
-    # the positions left
-    partial, n = [(0, (0,), tuple(range(1, d + 1)))], d
-    for a in alpha[:-1]:
-        offset = a * (a - 1) // 2
-        choices = [(sum(c) - offset, c, tuple(k for k in range(n) if k not in c))
-                   for c in itertools.combinations(range(n), a)]
-        partial = [(length + added, w_inv + tuple([left[k] for k in c]),
-                    tuple([left[k] for k in rest]))
-                   for length, w_inv, left in partial for added, c, rest in choices]
-        n -= a
-    bits = [1 << i for i in range(d + 1)]
-    words, shared = [], {}
-    for length, w_inv, left in partial:
-        w = tuple(sorted(range(1, d + 1), key=(w_inv + left).__getitem__))
-        descents, pairs = 0, []
-        for i in range(1, d):
-            if w[i - 1] > w[i]:
-                descents |= bits[i]
-            elif label[w[i - 1] - 1] == label[w[i] - 1]:
-                pairs.append((bits[i], bits[w[i - 1]]))
-        pairs = tuple(pairs)
-        words.append((length, w, descents, shared.setdefault(pairs, pairs)))
-    words.sort()
-    return words
-
-
-# one shared tuple per permutation in the cached representatives of all
-# (M, I), so that the cache is no larger than S_d; likewise one shared
-# (J, count) pair per value in their supports
-_PERMS: dict[Perm, Perm] = {}
-_SUPPORTS: dict[tuple[frozenset, int], tuple[frozenset, int]] = {}
+    w(i) and w(i + 1) in one block of alpha), sorted by (length, w), each w
+    interned in ``_PERMS``.  w shuffles the blocks' increasing runs and is
+    built value by value: with c_j values of each block j placed, the next
+    value v of block k adds the sum of c_j over j > k inversions (the larger
+    values before it), a right descent when the value before it lies in a
+    later block and a pair when in block k.  As that depends on the prefix
+    only through (c, the block before), each such group of prefixes grows in
+    one pass.  The sort key puts the length above the block labels, which
+    order the words of one length by w.  One alpha is kept, as callers take
+    the I for one M in a row."""
+    d, n = sum(alpha), len(alpha)
+    first = list(itertools.accumulate(alpha, initial=1))
+    width = n.bit_length()  # the bits of one block label
+    shift = width * d
+    # c -> previous block -> [(sort key, w so far, descents, pairs)]
+    layer = {(0,) * n: {-1: [(0, (), 0, ())]}}
+    for i in range(d):  # position i + 1 takes its value
+        grown = {}
+        for c, by_last in layer.items():
+            for k, taken in enumerate(c):
+                if taken == alpha[k]:
+                    continue
+                v = first[k] + taken
+                step, tail = (sum(c[k + 1:]) << shift) + (k << width * (d - 1 - i)), (v,)
+                out = grown.setdefault(c[:k] + (taken + 1,) + c[k + 1:], {}).setdefault(k, [])
+                for last, prefixes in by_last.items():
+                    if last == k:
+                        pair = ((1 << i, 1 << (v - 1)),)
+                        out += [(key + step, w + tail, descents, pairs + pair)
+                                for key, w, descents, pairs in prefixes]
+                    else:
+                        bit = 1 << i if last > k else 0
+                        out += [(key + step, w + tail, descents | bit, pairs)
+                                for key, w, descents, pairs in prefixes]
+        layer = grown
+    words = sorted(itertools.chain.from_iterable(layer[alpha].values()))
+    return [(key >> shift, _PERMS.setdefault(w, w), descents, pairs)
+            for key, w, descents, pairs in words]
 
 
 @lru_cache(maxsize=None)
 def _min_double_coset_reps_cached(M: frozenset, I: frozenset, d: int) -> DoubleCosetReps:
     W_M, W_I = young_subgroup(M, d), young_subgroup(I, d)
-    _refuse_beyond_limit(f"the double cosets W_{sorted(M)} \\ S_{d} / W_{sorted(I)}",
+    _refuse_beyond_limit(lambda: f"the double cosets W_{sorted(M)} \\ S_{d} / W_{sorted(I)}",
                          factorial(d) // max(W_M.order, W_I.order))
     if factorial(d) // W_M.order <= ENUM_LIMIT:
         # w has no descent in I; J(w) is the values of its pairs there
@@ -365,12 +378,12 @@ def _min_double_coset_reps_cached(M: frozenset, I: frozenset, d: int) -> DoubleC
         # u's pairs there
         alpha, cut, side = W_I.composition, _bits(M), 0
     kept = [word for word in _shuffles(alpha) if not word[2] & cut]
-    built = ((w for _, w, _, _ in kept) if side else
-             (w for _, w in sorted((length, perm_inv(u)) for length, u, _, _ in kept)))
+    reps = DoubleCosetReps(map(itemgetter(1), kept) if side else
+                           (_PERMS.setdefault(w, w) for _, w in
+                            sorted((length, perm_inv(u)) for length, u, _, _ in kept)))
     masks = Counter()
-    for pairs, n in Counter(word[3] for word in kept).items():
+    for pairs, n in Counter(map(itemgetter(3), kept)).items():
         masks[sum(pair[side] for pair in pairs if pair[0] & cut)] += n
-    reps = DoubleCosetReps(_PERMS.setdefault(w, w) for w in built)
     supports = {frozenset(j for j in range(1, d) if mask >> j & 1): n
                 for mask, n in masks.items()}
     product = W_M.order * W_I.order

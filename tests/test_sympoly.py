@@ -168,3 +168,16 @@ def test_wrong_orbit_size_is_refused(monkeypatch):
     f = monomial_sym(3, (1,))
     with pytest.raises(AssertionError, match="non-integral"):
         f * f
+
+
+def test_zero_is_built_without_the_validating_constructor(monkeypatch):
+    expected = SymPoly(3)
+
+    def validate(self, nvars, terms=()):
+        raise AssertionError("SymPoly.zero went through the validating constructor")
+
+    monkeypatch.setattr(SymPoly, "__init__", validate)
+    zero = SymPoly.zero(3)
+    assert zero == expected and zero.terms == {} and not zero
+    with pytest.raises(ValueError, match="nvars must be >= 1"):
+        SymPoly.zero(0)

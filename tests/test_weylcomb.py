@@ -185,6 +185,27 @@ def test_one_adic_ep_is_not_a_class_function_for_d3():
     assert f[(3, 2, 1)] == Fraction(1, 6)
 
 
+def one_adic_ep_by_fractions(d: int) -> dict[Perm, Fraction]:
+    """The oracle for ``one_adic_ep``: one Fraction addition per element of
+    each W_I."""
+    values = {w: Fraction(0) for w in all_perms(d)}
+    for I in subsets(d - 1):
+        W = young_subgroup(I, d)
+        coeff = Fraction((-1) ** (d - 1 - len(I)), d - len(I)) / W.order
+        for w in W.elements():
+            values[w] += coeff
+    return values
+
+
+def test_one_adic_ep_matches_the_fraction_loop_to_d6():
+    for d in range(1, 7):
+        f, expected = one_adic_ep(d), one_adic_ep_by_fractions(d)
+        assert f == expected, d
+        assert all(type(value) is Fraction for value in f.values())
+        assert [w for w, value in f.items() if not value] == \
+            [w for w, value in expected.items() if not value]
+
+
 def test_orbital_sum_identity():
     # d * O_g(f) == |C_{S_d}(g)| * f_g, both sides computed independently
     from qtransfer.algebra import z_order
@@ -309,6 +330,48 @@ def test_min_double_coset_reps_independent_of_table_eviction():
         assert tuple(min_double_coset_reps(M, I, d)) == \
             descent_rule_reps(M, I, d), (d, M, I)
         assert weylcomb._shuffles.cache_info().currsize == 1
+
+
+def shuffles_by_scan(alpha: tuple[int, ...]) -> list:
+    """The oracle for ``_shuffles``: scan S_d for the w whose inverse
+    increases on each block of alpha, each with its inversion count, its
+    right-descent bits and its pairs (1 << i, 1 << w(i)) for the i where
+    w(i) and w(i + 1) share a block."""
+    d = sum(alpha)
+    block = [k for k, part in enumerate(alpha) for _ in range(part)]  # of each value
+    words = []
+    for w in all_perms(d):
+        w_inv = perm_inv(w)
+        if any(w_inv[v - 1] > w_inv[v] for v in range(1, d) if block[v - 1] == block[v]):
+            continue
+        descents = _bits(i for i in range(1, d) if w[i - 1] > w[i])
+        pairs = tuple((1 << i, 1 << w[i - 1]) for i in range(1, d)
+                      if block[w[i - 1] - 1] == block[w[i] - 1])
+        words.append((inversions(w), w, descents, pairs))
+    return sorted(words)
+
+
+def test_shuffles_match_the_scan_of_S_d_to_d7():
+    for d in range(1, 8):
+        for alpha in compositions(d):
+            assert weylcomb._shuffles(alpha) == shuffles_by_scan(alpha), alpha
+
+
+def test_representatives_are_shared_across_pairs():
+    # one tuple per permutation, whichever (M, I) or shuffle list holds it,
+    # the inverse route at d = 9 included
+    weylcomb._min_double_coset_reps_cached.cache_clear()
+    seen, total = {}, 0
+    for M in subsets(3):
+        for I in subsets(3):
+            reps = min_double_coset_reps(M, I, 4)
+            total += len(reps)
+            assert all(seen.setdefault(w, w) is w for w in reps)
+        assert all(seen[w] is w for _, w, _, _ in weylcomb._shuffles(young_subgroup(M, 4).composition))
+    assert len(seen) == factorial(4) < total
+    I = frozenset({1, 2, 4, 5, 7, 8})
+    first = {w: w for w in min_double_coset_reps(frozenset(), I, 9)}
+    assert all(first[w] is w for w in min_double_coset_reps({1}, I, 9))
 
 
 def test_min_double_coset_reps_checks_the_cardinality_invariant(monkeypatch):
@@ -521,6 +584,16 @@ def test_refused_builds_drop_the_step_table():
             min_double_coset_reps(*refused)
         assert weylcomb._shuffles.cache_info().currsize == 0
         assert len(min_double_coset_reps(M, frozenset(), 9)) == 630
+
+
+def test_refusal_messages_are_built_only_on_refusal():
+    def unnamed():
+        raise AssertionError("a refusal message built for an allowed size")
+
+    weylcomb._refuse_beyond_limit(unnamed, ENUM_LIMIT)
+    with pytest.raises(EnumerationBudgetError,
+                       match=r"^enumerating S_9 \(40321 elements\) exceeds the enumeration limit 40320$"):
+        weylcomb._refuse_beyond_limit(lambda: "S_9", ENUM_LIMIT + 1)
 
 
 def test_enumeration_bound():
