@@ -2,12 +2,13 @@
 virtual characters by inversion of the Weyl-averaging identity, and the
 finite-group identity checks.
 
-All values are exact rationals; the Deligne-Lusztig inversion runs in
-integers, as every R_rho value is one.  Induced-from-trivial characters
-are stable-flag counts in closed form: from the class labels alone, by
-Birkhoff's count of submodules of a primary F_q[t]-module, so they work for
-every group whose classes fit the class limit; a scan of every subspace of
-F_q^d is the oracle the tests compare them against.  The induction
+All values are exact rationals, ``int`` where integral, as every
+Ind_{P_c}(1) and R_rho value is; the inversion for R_rho runs in integers.
+Induced-from-trivial characters are stable-flag counts in closed form:
+from the class labels alone, by Birkhoff's count of submodules of a primary
+F_q[t]-module, so they work for every group whose classes fit the class
+limit; a scan of every subspace of F_q^d is the oracle the tests compare
+them against.  The induction
 identity sums over the Bruhat coset representatives of G/P and the
 P-classes of P, so it needs P and [G:P] within the scan limit but never
 enumerates G, and it conjugates by row and column operations, not general
@@ -15,8 +16,9 @@ products, which are the oracle in the tests, as is coset-sum induction
 over an enumerated group (``tests/coset_sum_oracle.py``).
 Induced characters and the R_rho are memoised in this module, per group
 object and validated key.  ``linear_combination`` is the one place
-ClassFunctions are combined: every weighted sum calls it, and it adds in
-integers over one common denominator.
+ClassFunctions are combined: every weighted sum calls it, and it scales
+the coefficients to integers over the lcm of their denominators and builds
+one Fraction per class.
 """
 
 from __future__ import annotations
@@ -53,10 +55,12 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class ClassFunction:
-    """Exact class function: one Fraction per conjugacy class of the group."""
+    """Exact class function: one value per conjugacy class of the group,
+    an exact rational, ``int`` where it is integral (Ind_{P_c}(1) and R_rho
+    are)."""
 
     group: GLGroup
-    values: tuple[Fraction, ...]
+    values: tuple[Fraction | int, ...]
 
     def __post_init__(self):
         if len(self.values) != len(self.group.classes):
@@ -70,9 +74,8 @@ class ClassFunction:
 
     def inner_with_trivial(self) -> Fraction:
         """<f, 1> = (1/|G|) sum over classes of size * value."""
-        total = sum(Fraction(c.size) * v
-                    for c, v in zip(self.group.classes, self.values))
-        return total / self.group.order
+        return Fraction(sum(c.size * v for c, v in zip(self.group.classes, self.values)),
+                        self.group.order)
 
 
 def linear_combination(group: GLGroup,
@@ -80,21 +83,18 @@ def linear_combination(group: GLGroup,
     """The sum of c * f over the (c, f) pairs (zero for no terms), with no
     ClassFunction per term; the one refusal of an f on another (d, q) than
     the group, before any arithmetic.  Every c is scaled to an integer over
-    the lcm C of the coefficient denominators and every value to one over
-    the lcm V of the value denominators, so the sum runs in integers and
-    one Fraction over C * V is built per class."""
+    the lcm C of the coefficient denominators, so integer values (every
+    Ind and R_rho) sum in integers, and one Fraction, the sum over C, is
+    built per class."""
     terms = [(Fraction(c), f) for c, f in terms]
     if any((f.group.d, f.group.q) != (group.d, group.q) for _, f in terms):
         raise ValueError("class functions live on different groups")
     c_den = math.lcm(*(c.denominator for c, _ in terms))
-    v_den = math.lcm(*(v.denominator for _, f in terms for v in f.values))
     total = [0] * len(group.classes)
     for c, f in terms:
         coef = c.numerator * (c_den // c.denominator)
-        total = [t + coef * v.numerator * (v_den // v.denominator)
-                 for t, v in zip(total, f.values)]
-    den = c_den * v_den
-    return ClassFunction(group, tuple(Fraction(t, den) for t in total))
+        total = [t + coef * v for t, v in zip(total, f.values)]
+    return ClassFunction(group, tuple(Fraction(t, c_den) for t in total))
 
 
 # -- stable-flag induction of the trivial character --------------------------
@@ -165,8 +165,7 @@ def parabolic_trivial_ind(group: GLGroup, comp: Sequence[int]) -> ClassFunction:
 @lru_cache(maxsize=None)
 def _trivial_ind(group: GLGroup, comp: tuple[int, ...]) -> ClassFunction:
     return ClassFunction(group, tuple(
-        Fraction(_flag_count(tuple(sorted((len(f) - 1, lam) for f, lam in cls.label)),
-                             comp, group.q))
+        _flag_count(tuple(sorted((len(f) - 1, lam) for f, lam in cls.label)), comp, group.q)
         for cls in group.classes))
 
 
@@ -203,7 +202,7 @@ def _dl_characters(group: GLGroup) -> dict[tuple[int, ...], ClassFunction]:
         if diag == 0:
             raise AssertionError("singular averaging system (implementation bug)")
         order = sum(row.values())
-        rhs = [order * int(v) for v in parabolic_trivial_ind(group, mu).values]
+        rhs = [order * v for v in parabolic_trivial_ind(group, mu).values]
         for tau, count in row.items():
             if tau != mu:
                 rhs = [a - count * b for a, b in zip(rhs, solved[tau])]
@@ -211,8 +210,7 @@ def _dl_characters(group: GLGroup) -> dict[tuple[int, ...], ClassFunction]:
         if any(rem for _, rem in quotients):
             raise AssertionError(f"R_{mu} on GL_{group.d}(F_{group.q}) is not integral")
         solved[mu] = [quo for quo, _ in quotients]
-    return {mu: ClassFunction(group, tuple(map(Fraction, values)))
-            for mu, values in solved.items()}
+    return {mu: ClassFunction(group, tuple(values)) for mu, values in solved.items()}
 
 
 def comb_prop_check(group: GLGroup) -> dict:
@@ -242,21 +240,6 @@ def comb_prop_check(group: GLGroup) -> dict:
 # -- the induced-class-function core identity --------------------------------
 
 
-def _conjugation_counts_grouped(group: GLGroup,
-                                parabolic: ParabolicSubgroup) -> list[dict[int, int]]:
-    """For each G-class, with x its representative, and each P-class index
-    c: #{t in G : t x t^-1 in class c}, by orbit-stabilizer as |Z_G(x)|
-    times |C intersect class_G(x)|, in one pass over the P-classes.
-    P-conjugate elements are G-conjugate, so each P-class C lies inside the
-    G-class of its representative and the intersection is all of C or
-    empty.  No pass over G or P; the tests compare it with the literal
-    oracle ``induced_values_averaged`` of ``tests/coset_sum_oracle.py``."""
-    counts: list[dict[int, int]] = [{} for _ in group.classes]
-    for pidx, (_, size, gidx) in enumerate(parabolic.classes):
-        counts[gidx][pidx] = group.order // group.classes[gidx].size * size
-    return counts
-
-
 def _ind_identity_cases(group: GLGroup, parabolic: ParabolicSubgroup) -> list[dict]:
     """For every class C of the parabolic, the three expressions
 
@@ -269,17 +252,22 @@ def _ind_identity_cases(group: GLGroup, parabolic: ParabolicSubgroup) -> list[di
     [G:P] before any class data is built), and s' = s g^-1 for the
     generators g = (i, j, c) of P taken in turn, so s'^-1 x s' is one more
     ``conjugate_elementary`` by the generator's step, built once per
-    generator; no general product, and no pass over G.  The
-    counts are scattered into the rows of the P-class they land in; every
-    other row is ("0", "0", "0"), and a P-class meets only its own G-class,
-    so each case has one nonzero row."""
+    generator; no general product, and no pass over G.  The two sums are
+    integer counts, scattered into the rows of the P-class they land in.
+    The middle count is |Z_G(x)| |C| by orbit-stabilizer, read off
+    ``parabolic.classes`` on the G-class of C, which holds all of C, and 0
+    elsewhere; it is the one Fraction of a row.  Every other row is ("0",
+    "0", "0"), so each case has one nonzero row."""
     conjugates = parabolic.coset_conjugator()
     d, q = group.d, group.q
     # with no generator (GL_1(F_2)) the twist is the identity diag(1)
     twists = [elementary_step(i, j, c, d, q)
               for i, j, c in parabolic.elementary or ((0, 0, 1),)]
-    grouped = _conjugation_counts_grouped(group, parabolic)
-    rows: list[dict[int, tuple]] = [{} for _ in parabolic.classes]  # G-class -> values
+    # per P-class, G-class -> values, seeded with the middle column; reading
+    # the P-classes refuses on |P| before any conjugate is walked
+    rows: list[dict[int, tuple]] = [
+        {gidx: (0, Fraction(group.order // group.classes[gidx].size * size, parabolic.order), 0)}
+        for _, size, gidx in parabolic.classes]
     for gidx, cls in enumerate(group.classes):
         first, twisted = Counter(), Counter()
         for y, step in zip(conjugates(cls.rep), itertools.cycle(twists)):
@@ -288,11 +276,9 @@ def _ind_identity_cases(group: GLGroup, parabolic: ParabolicSubgroup) -> list[di
             z = conjugate_elementary(y, step, q)
             if parabolic.contains(z):
                 twisted[parabolic.class_index_of(z)] += 1
-        middle = grouped[gidx]
-        for pidx in first.keys() | middle.keys() | twisted.keys():
-            rows[pidx][gidx] = (Fraction(first[pidx]),
-                                Fraction(middle.get(pidx, 0), parabolic.order),
-                                Fraction(twisted[pidx]))
+        for pidx in first.keys() | twisted.keys():
+            _, middle, _ = rows[pidx].get(gidx, (0, 0, 0))
+            rows[pidx][gidx] = (first[pidx], middle, twisted[pidx])
     zero = ("0", "0", "0")
     return [{
         "composition": list(parabolic.composition),

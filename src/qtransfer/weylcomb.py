@@ -142,10 +142,6 @@ class YoungSubgroup:
     def order(self) -> int:
         return prod(map(factorial, self.composition))
 
-    def __contains__(self, w: Perm) -> bool:
-        return all(all(lo <= w[i - 1] <= hi for i in range(lo, hi + 1))
-                   for lo, hi in self.blocks)
-
     def elements(self) -> Iterator[Perm]:
         _refuse_beyond_limit(lambda: f"W_{self.composition}", self.order)
         per_block = [itertools.permutations(range(lo, hi + 1)) for lo, hi in self.blocks]
@@ -404,9 +400,10 @@ def restriction_support(M: Iterable[int], I: Iterable[int], w: Perm) -> frozense
     w(i+1) = w(i) + 1 and w(i) is in M.
 
     The per-permutation check of the supports that ``min_double_coset_reps``
-    reads off its matrices.  Rejects non-minimal w: the loop over I that
-    finds J checks that w increases there, and the loop over M that m comes
-    before m + 1 in w.  Its oracle is ``support_by_enumeration``.
+    reads off the block labels of its words.  Rejects non-minimal w: the
+    loop over I that finds J checks that w increases there, and the loop
+    over M that m comes before m + 1 in w.  Its oracle is
+    ``support_by_enumeration``.
     """
     M = frozenset(M)
     J = []

@@ -7,8 +7,8 @@ matrices, from the cells of ``ParabolicSubgroup._bruhat_cells``;
 ``induce_class_function`` is coset-sum induction over an enumerated group
 and ``induced_values_averaged`` the representative-free average over G;
 both invert with ``mat_inv``.  These are what ``parabolic_trivial_ind``,
-``coset_conjugator`` and ``_conjugation_counts_grouped`` are compared
-against.
+``coset_conjugator`` and the orbit-stabilizer middle column of
+``ind_conjugate_identity_exhaustive`` are compared against.
 
 For ``ind_conjugate_identity_exhaustive``, each representative s of
 ``coset_reps`` is inverted with ``mat_inv`` and s^-1 x s is two ``mat_mul``

@@ -36,7 +36,6 @@ from qtransfer.finitegl import (
     linear_combination,
     parabolic_trivial_ind,
 )
-from qtransfer.finitegl.classfun import _conjugation_counts_grouped
 from qtransfer.finitegl.fqmat import (
     char_poly,
     companion_matrix,
@@ -289,6 +288,15 @@ def test_dl_borel_case_and_gl2_values():
         assert value_at_identity(r2) == 1 - q
 
 
+@pytest.mark.parametrize("d,q", [(2, 3), (3, 2), (4, 2)])
+def test_ind_and_dl_values_are_ints(d, q):
+    # stable-flag counts and R_rho values are integers, held as ints
+    group = cached_group(d, q)
+    chars = ([parabolic_trivial_ind(group, comp) for comp in compositions(d)]
+             + [dl_character(group, rho) for rho in partitions(d)])
+    assert {type(v) for cf in chars for v in cf.values} == {int}
+
+
 def test_linear_combination_edges():
     g2, g3 = cached_group(2, 2), cached_group(2, 3)
     for terms in ([(1, trivial_character(g2)), (2, trivial_character(g3))],
@@ -389,9 +397,10 @@ def test_ind_conjugate_identity_single_case():
 
 @pytest.mark.parametrize("d,q", SMALL_GROUPS + [(2, 5)])
 def test_grouped_conjugation_counts_against_literal_pass(d, q):
-    # the orbit-stabilizer counts against the literal pass over G.  One pass
-    # per class x of G: f weights the P-class c by B^c with B > |G|, so the
-    # base-B digits of |P| * (literal average) are the counts per P-class
+    # the identity's middle column, the orbit-stabilizer counts over |P|,
+    # against the literal pass over G.  One pass per class x of G: f weights
+    # the P-class c by B^c with B > |G|, so the base-B digits of
+    # |P| * (literal average) are the counts per P-class
     group = cached_group(d, q)
     base = group.order + 1
     for comp in compositions(d):
@@ -399,10 +408,11 @@ def test_grouped_conjugation_counts_against_literal_pass(d, q):
         f = {m: Fraction(base ** cidx)
              for cidx, members in enumerate(pclass_members(P))
              for m in members}
-        grouped = _conjugation_counts_grouped(group, P)
+        cases = ind_conjugate_identity_exhaustive(group, comp)["cases"]
         for gidx, cls in enumerate(group.classes):
             literal = P.order * induced_values_averaged(group, P.order, f, cls.rep)
-            assert sum(n * base ** c for c, n in grouped[gidx].items()) == literal
+            assert sum(P.order * Fraction(case["values"][gidx][1]) * base ** case["class_index"]
+                       for case in cases) == literal
 
 
 @pytest.mark.parametrize("d,q", SMALL_GROUPS + MEDIUM_GROUPS)
@@ -611,6 +621,25 @@ def test_induction_identity_refuses_on_index_before_class_data(monkeypatch):
     with pytest.raises(BudgetError, match="has 251680 cosets, beyond the scan limit 200000"):
         ind_conjugate_identity_exhaustive(GLGroup(5, 3), (1,) * 5)
     assert time.monotonic() - started < 1
+
+
+def test_induction_identity_refuses_on_p_before_walking_a_conjugate(monkeypatch):
+    # [GL_5(F_2) : P_(4,1)] = 31 passes and |P| = 322560 does not: reading
+    # the P-classes refuses before any class representative is conjugated
+    steps = 0
+    conjugate = fqmat.conjugate_elementary
+
+    def counted(*args):
+        nonlocal steps
+        steps += 1
+        return conjugate(*args)
+
+    monkeypatch.setattr("qtransfer.finitegl.group.conjugate_elementary", counted)
+    monkeypatch.setattr(classfun, "conjugate_elementary", counted)
+    with pytest.raises(BudgetError, match=r"^P_\(4, 1\) in GL_5\(F_2\) has 322560 elements, "
+                                          r"beyond the scan limit 200000$"):
+        ind_conjugate_identity_exhaustive(GLGroup(5, 2), (4, 1))
+    assert steps == 0
 
 
 @pytest.mark.parametrize("d,q", SMALL_GROUPS + MEDIUM_GROUPS)

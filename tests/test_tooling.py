@@ -189,10 +189,27 @@ def test_scalar_polynomial_helpers_are_integer_only():
                and node.name in INTEGER_ONLY_QSCALAR_METHODS]
     assert helpers and {node.name for node in methods} == INTEGER_ONLY_QSCALAR_METHODS
     helpers += methods
-    found = [f"{node.name}:{node.lineno}" for node in helpers
-             if "Fraction" in {name.id for name in ast.walk(node)
-                               if isinstance(name, ast.Name)}
-             | _string_annotation_names(node)]
+    found = [f"{node.name}:{node.lineno}" for node in helpers if _names_fraction(node)]
+    assert not found, found
+
+
+def _names_fraction(node: ast.AST) -> bool:
+    return "Fraction" in ({name.id for name in ast.walk(node) if isinstance(name, ast.Name)}
+                          | _string_annotation_names(node))
+
+
+INTEGER_ONLY_FINITEGL_HELPERS = {"_birkhoff", "_submodule_counts", "_flag_count",
+                                 "_trivial_ind", "_dl_characters"}
+
+
+def test_finite_gl_characters_are_integer_only():
+    # Ind_{P_c}(1) is a count of stable flags and every R_rho value an
+    # integer, so none of the helpers that build them may name Fraction
+    tree = ast.parse((SRC / "finitegl" / "classfun.py").read_text())
+    helpers = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+               and node.name in INTEGER_ONLY_FINITEGL_HELPERS]
+    assert {node.name for node in helpers} == INTEGER_ONLY_FINITEGL_HELPERS
+    found = [f"{node.name}:{node.lineno}" for node in helpers if _names_fraction(node)]
     assert not found, found
 
 
