@@ -8,12 +8,13 @@ Induced-from-trivial characters are stable-flag counts in closed form:
 from the class labels alone, by Birkhoff's count of submodules of a primary
 F_q[t]-module, so they work for every group whose classes fit the class
 limit; a scan of every subspace of F_q^d is the oracle the tests compare
-them against.  The induction
-identity sums over the Bruhat coset representatives of G/P and the
-P-classes of P, so it needs P and [G:P] within the scan limit but never
-enumerates G, and it conjugates by row and column operations, not general
-products, which are the oracle in the tests, as is coset-sum induction
-over an enumerated group (``tests/coset_sum_oracle.py``).
+them against.  The induction identity runs over the proper parabolics, and
+over G only in GL_1, whose Borel subgroup it is.  It sums over the Bruhat
+coset representatives of G/P and the P-classes of P, so it needs P and
+[G:P] within the scan limit but never enumerates G, and it conjugates by
+row and column operations, not general products, which are the oracle in
+the tests, as is coset-sum induction over an enumerated group
+(``tests/coset_sum_oracle.py``).
 Induced characters and the R_rho are memoised in this module, per group
 object and validated key.  ``linear_combination`` is the one place
 ClassFunctions are combined: every weighted sum calls it, and it scales
@@ -292,13 +293,16 @@ def _ind_identity_cases(group: GLGroup, parabolic: ParabolicSubgroup) -> list[di
 def ind_conjugate_identity_exhaustive(group: GLGroup,
                                       comp: Sequence[int] | None = None) -> dict:
     """Run the three-expression identity of ``_ind_identity_cases`` for every
-    parabolic class C (of the given composition, or of all compositions of
-    d) against every class of G.  Each parabolic refuses with BudgetError
-    when [G:P] exceeds SCAN_LIMIT, before its class data or that of G is
-    built, and a proper P when |P| does.  The tests compare the report,
-    case by case and row by row, with the coset sums by general products
-    of ``tests/coset_sum_oracle.py``."""
-    comps = compositions(group.d) if comp is None else [comp]
+    parabolic class C (of the given composition, or of every composition of
+    d but (d,)) against every class of G.  At P = G there is one coset and
+    Ind_G^G is the identity map, so the report holds no P = G case, except
+    in GL_1, whose Borel subgroup is G.  Each parabolic refuses with
+    BudgetError when [G:P] exceeds SCAN_LIMIT, before its class data or
+    that of G is built, and then when |P| does.  The tests compare the
+    report, case by case and row by row, with the coset sums by general
+    products of ``tests/coset_sum_oracle.py``."""
+    comps = ([c for c in compositions(group.d) if len(c) > 1 or group.d == 1]
+             if comp is None else [comp])
     cases = [case for c in comps
              for case in _ind_identity_cases(group, ParabolicSubgroup(group, c))]
     return {"d": group.d, "q": group.q,

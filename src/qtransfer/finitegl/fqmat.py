@@ -4,8 +4,9 @@ Matrices are flat row-major tuples of ints in range(q), so they hash and
 compare cheaply; all helpers but ``conjugate_elementary``, whose
 precomputed step carries d, take (mat, d, q) explicitly.  Polynomials are
 coefficient tuples, constant term first, trimmed; monic throughout where
-stated.  One forward elimination gives ``mat_rank`` and ``mat_det``; the
-class labels are read from ranks, not from a factorisation.
+stated.  Class labels are enumerated, not read off a matrix: ``char_poly``
+checks each class representative against its label, and the kernel-profile
+classifier is the tests' oracle, as is ``mat_mul``, the general product.
 """
 
 from __future__ import annotations
@@ -18,27 +19,20 @@ Mat = tuple[int, ...]
 Poly = tuple[int, ...]
 
 __all__ = [
-    "mat_identity",
     "mat_mul",
     "elementary_step",
     "conjugate_elementary",
     "mat_det",
-    "mat_rank",
     "char_poly",
     "poly_mul",
     "poly_pow",
     "poly_divmod",
-    "poly_eval_matrix",
     "monic_irreducibles",
     "companion_matrix",
     "block_diag",
     "rref_subspaces",
     "in_rowspace",
 ]
-
-
-def mat_identity(d: int) -> Mat:
-    return tuple(1 if i == j else 0 for i in range(d) for j in range(d))
 
 
 def mat_mul(a: Mat, b: Mat, d: int, q: int) -> Mat:
@@ -88,36 +82,27 @@ def conjugate_elementary(y: Mat, step: Step, q: int) -> Mat:
     return tuple(out)
 
 
-def _eliminate(a: Mat, d: int, q: int) -> tuple[int, int]:
-    """(rank, det) of a d x d matrix by one forward elimination: each pivot
-    row clears the rows below it, nothing above; det is 0 below full rank."""
+def mat_det(a: Mat, d: int, q: int) -> int:
+    """det of a d x d matrix by one forward elimination: each pivot row
+    clears the rows below it, nothing above; 0 at the first column without
+    a pivot."""
     rows = [list(a[i * d:(i + 1) * d]) for i in range(d)]
-    rank, det = 0, 1
+    det = 1
     for col in range(d):
-        pivot = next((r for r in range(rank, d) if rows[r][col]), None)
+        pivot = next((r for r in range(col, d) if rows[r][col]), None)
         if pivot is None:
-            det = 0
-            continue
-        if pivot != rank:
-            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            return 0
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
             det = -det
-        top = rows[rank]
+        top = rows[col]
         det = det * top[col] % q
         inv = pow(top[col], q - 2, q)
-        for r in range(rank + 1, d):
+        for r in range(col + 1, d):
             if rows[r][col]:
                 c = rows[r][col] * inv % q
                 rows[r] = [(x - c * y) % q for x, y in zip(rows[r], top)]
-        rank += 1
-    return rank, det % q
-
-
-def mat_rank(a: Mat, d: int, q: int) -> int:
-    return _eliminate(a, d, q)[0]
-
-
-def mat_det(a: Mat, d: int, q: int) -> int:
-    return _eliminate(a, d, q)[1]
+    return det % q
 
 
 def _principal_minor_sum(a: Mat, d: int, q: int, k: int) -> int:
@@ -183,17 +168,6 @@ def poly_divmod(f: Poly, g: Poly, q: int) -> tuple[Poly, Poly]:
             for i, y in enumerate(g):
                 rem[k + i] = (rem[k + i] - c * y) % q
     return _poly_trim(quo), _poly_trim(rem)
-
-
-def poly_eval_matrix(f: Poly, a: Mat, d: int, q: int) -> Mat:
-    """f(a) by Horner's rule, from the leading coefficient of f times I."""
-    ident = mat_identity(d)
-    out = tuple(f[-1] * x for x in ident)
-    for c in reversed(f[:-1]):
-        out = mat_mul(out, a, d, q)
-        if c:
-            out = tuple((x + c * y) % q for x, y in zip(out, ident))
-    return out
 
 
 @lru_cache(maxsize=None)

@@ -3,14 +3,12 @@ subgroups.
 
 Conjugacy classes are parametrized by their primary rational canonical
 form: an assignment of a partition to each monic irreducible polynomial
-(other than x), with total degree d.  A matrix is labelled by the kernel
-profiles of f(A)^j for the irreducibles f dividing its characteristic
-polynomial, each read up to the multiplicity of f; they are a complete
-conjugacy invariant.  Class sizes come from the classical centralizer
-order formula; representatives are block-diagonal companion matrices.
-The test suite re-derives the classes of every enumerable group by brute
-force (``tests/element_scan_oracle.py``) and checks them against this
-construction.
+(other than x), with total degree d.  The labels are enumerated, and no
+matrix is labelled: class sizes come from the classical centralizer order
+formula, representatives are block-diagonal companion matrices.  The test
+suite labels every element of each enumerable group by the kernel profiles
+of f(A)^j, a complete conjugacy invariant (``tests/element_scan_oracle.py``),
+and checks the classes against this construction.
 
 A parabolic P_c with k blocks is generated by 2d - 1 elements (2d - 1 - k
 when q = 2): the transvections I + E_{i,i+1} for every i, I + E_{i+1,i}
@@ -34,10 +32,9 @@ generator (``fqmat.elementary_step``); no element of G or of P is listed,
 and conjugation by all of P is the oracle in the tests.
 
 Each derived value has one builder, run on first use: ``conjugacy_classes``
-for the class data (the label lookup derives from it),
-``ParabolicSubgroup._bruhat_cells`` for the cells, ``_conjugates`` for the
-walk of the class representatives through them, and ``_class_data`` for
-P-classes and their lookup.
+for the class data, ``ParabolicSubgroup._bruhat_cells`` for the cells,
+``_conjugates`` for the walk of the class representatives through them, and
+``_class_data`` for P-classes and their lookup, P = G included.
 """
 
 from __future__ import annotations
@@ -56,15 +53,10 @@ from .fqmat import (
     Mat,
     Poly,
     block_diag,
-    char_poly,
     companion_matrix,
     conjugate_elementary,
     elementary_step,
-    mat_mul,
-    mat_rank,
     monic_irreducibles,
-    poly_divmod,
-    poly_eval_matrix,
     poly_mul,
     poly_pow,
 )
@@ -150,8 +142,8 @@ def _label_rep(label: Label, q: int) -> Mat:
 
 
 class GLGroup:
-    """GL_d(F_q) with exact conjugacy-class data and class labels; no
-    element of the group is listed."""
+    """GL_d(F_q) with exact conjugacy-class data; no element of the group
+    is listed."""
 
     def __init__(self, d: int, q: int):
         if d < 1:
@@ -196,10 +188,6 @@ class GLGroup:
     def classes(self) -> tuple[GLClass, ...]:
         return self.conjugacy_classes()
 
-    @cached_property
-    def _class_lookup(self) -> dict[Label, int]:
-        return {c.label: i for i, c in enumerate(self.conjugacy_classes())}
-
     def _all_labels(self) -> Iterator[Label]:
         irrs = [f for f in monic_irreducibles(self.q, self.d) if f != (0, 1)]
 
@@ -221,44 +209,6 @@ class GLGroup:
 
         for label in rec(0, self.d):
             yield tuple(sorted(label))
-
-    def label_of(self, mat: Mat) -> Label:
-        """Complete conjugacy invariant of an invertible matrix: for each
-        irreducible f that divides the characteristic polynomial m times,
-        the partition whose conjugate is the growth of the kernels of
-        f(A)^j over deg f, read until they reach m deg f, where they stop."""
-        d, q = self.d, self.q
-        cp = char_poly(mat, d, q)
-        label = []
-        for f in monic_irreducibles(q, d):
-            mult = 0
-            quo, rem = poly_divmod(cp, f, q)
-            while not rem:
-                cp, mult = quo, mult + 1
-                quo, rem = poly_divmod(cp, f, q)
-            if not mult:
-                continue
-            deg = len(f) - 1
-            B = poly_eval_matrix(f, mat, d, q)
-            power, kernel, profile = B, 0, []
-            while True:
-                k = d - mat_rank(power, d, q)
-                if k == kernel:
-                    raise AssertionError(f"the kernels of f(A)^j for f = {f} and A = {mat} "
-                                         f"stop at {kernel} of {mult * deg} dimensions")
-                profile.append((k - kernel) // deg)
-                kernel = k
-                if kernel == mult * deg:
-                    break
-                power = mat_mul(power, B, d, q)
-            label.append((f, conjugate(tuple(profile))))
-            if cp == (1,):
-                return tuple(sorted(label))
-        raise AssertionError(f"the characteristic polynomial of {mat} has a factor "
-                             f"{cp} of no irreducible of degree <= {d}")
-
-    def class_index_of(self, mat: Mat) -> int:
-        return self._class_lookup[self.label_of(mat)]
 
 
 def _primitive_root(q: int) -> int:
@@ -392,9 +342,8 @@ class ParabolicSubgroup:
     @cached_property
     def _class_data(self) -> tuple[tuple[tuple[Mat, int, int], ...], Callable[[Mat], int]]:
         """The P-classes and the lookup of an element's class index, built
-        together on first use.  P = G takes both from the group's class
-        data.  A proper P refuses, before any walk, when |P| exceeds
-        SCAN_LIMIT, as the orbits visit every element.  Its classes are
+        together on first use.  Refuses, before any walk, when |P| exceeds
+        SCAN_LIMIT, as the orbits visit every element.  The classes are
         seeded by the conjugates s^-1 x s in P of ``_conjugates``: an
         element y = g^-1 x g of P with g = s p is P-conjugate to s^-1 x s =
         p y p^-1.  Each seed not yet placed is closed under conjugation by
@@ -407,9 +356,6 @@ class ParabolicSubgroup:
         sum to |P|: a generating set that misses part of P leaves orbits
         short and raises."""
         group = self.group
-        if len(self.composition) == 1:
-            return (tuple((cls.rep, cls.size, gidx) for gidx, cls in enumerate(group.classes)),
-                    group.class_index_of)
         d, q = group.d, group.q
         if self.order > SCAN_LIMIT:
             raise BudgetError(

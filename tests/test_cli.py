@@ -14,7 +14,7 @@ import qtransfer
 from qtransfer import cli, epfun, transfer, weylcomb
 from qtransfer.algebra import SymPoly, sympoly
 from qtransfer.cli import main
-from qtransfer.finitegl import ParabolicSubgroup, classfun
+from qtransfer.finitegl import ClassFunction, GLGroup, ParabolicSubgroup, classfun
 
 
 def run(capsys, *argv):
@@ -183,6 +183,28 @@ def _drop_one_conjugate(monkeypatch):
     monkeypatch.setattr(ParabolicSubgroup, "coset_conjugator", faulty)
 
 
+def _swap_two_reps_of_equal_size(monkeypatch):
+    # in each group the representatives of the first two classes of equal
+    # size trade places, labels, sizes and char polys kept, on fresh groups
+    # that the undo drops.  The P-classes stay the right size, so only the
+    # char poly of each representative, checked in every row, sees it;
+    # GL_2(F_2) has no two classes of equal size
+    def swapped(d, q):
+        group = GLGroup(d, q)
+        classes = list(group.classes)
+        first_of_size = {}
+        for i, cls in enumerate(classes):
+            j = first_of_size.setdefault(cls.size, i)
+            if j != i:
+                classes[i] = dataclasses.replace(cls, rep=classes[j].rep)
+                classes[j] = dataclasses.replace(classes[j], rep=cls.rep)
+                break
+        group._classes = tuple(classes)
+        return group
+
+    monkeypatch.setattr(cli, "cached_group", functools.lru_cache(maxsize=None)(swapped))
+
+
 def _drop_the_boundary_transvections(monkeypatch):
     # without I + E_{s-1,s} at each block boundary s the generators give
     # only the Levi, so the orbits of a proper P fall short of |P|: the
@@ -310,6 +332,7 @@ def _repeat_each_torus_d_times(monkeypatch):
     (_drop_the_M_test_from_restriction_support, ["--suite", "weyl-vanishing", "--dmax", "4"]),
     (_drop_one_conjugate, ["--suite", "finite-gl", "--dmax", "2"]),
     (_drop_the_boundary_transvections, ["--suite", "finite-gl"]),
+    (_swap_two_reps_of_equal_size, ["--suite", "finite-gl"]),
     (_raise_two_part_flag_counts, ["--suite", "finite-gl"]),
     (_raise_two_part_flag_counts_keeping_transitivity, ["--suite", "finite-gl"]),
     (_raise_two_part_flag_counts, ["--suite", "ep-shadow", "--n", "4", "--q", "2", "3"]),
@@ -410,6 +433,23 @@ def test_ep_shadow_classfunction(capsys):
     assert code == 0
     (values,) = report["payload"]["functions"].values()
     assert len(values) == 8
+
+
+def test_ep_shadow_checks_each_group_once(capsys, monkeypatch):
+    # <Ind_{P_lam}(1), 1> = 1 runs once per GL_n(F_2), over the p(n)
+    # partitions of n: 1 + 2 + 3 + 5 + 7 = 18 at n <= 5, not once per
+    # parahoric type of each n (115)
+    calls = 0
+    inner_with_trivial = ClassFunction.inner_with_trivial
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        return inner_with_trivial(self)
+
+    monkeypatch.setattr(ClassFunction, "inner_with_trivial", counted)
+    code, _ = run_json(capsys, "verify", "--suite", "ep-shadow", "--n", "5", "--q", "2")
+    assert (code, calls) == (0, 18)
 
 
 @pytest.mark.parametrize("action", ["fj", "shadow"])

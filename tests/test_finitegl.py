@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
@@ -8,7 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import flag_scan_oracle
-from element_scan_oracle import group_elements, parabolic_elements
+from element_scan_oracle import (
+    class_index_of,
+    group_elements,
+    label_of,
+    mat_identity,
+    mat_rank,
+    parabolic_elements,
+)
 from coset_sum_oracle import (
     _left_coset_reps,
     coset_reps,
@@ -42,9 +50,7 @@ from qtransfer.finitegl.fqmat import (
     conjugate_elementary,
     elementary_step,
     mat_det,
-    mat_identity,
     mat_mul,
-    mat_rank,
     monic_irreducibles,
     rref_subspaces,
 )
@@ -61,7 +67,26 @@ def trivial_character(group):
 
 def value_at_identity(f):
     """f at the class of the identity matrix: its degree, for a character."""
-    return f.values[f.group.class_index_of(mat_identity(f.group.d))]
+    return f.values[class_index_of(f.group, mat_identity(f.group.d))]
+
+
+def count_calls(fns, thunk):
+    """(thunk(), the calls of each function of fns by name while it runs),
+    counted by code object, so a caller that bound a function by name at
+    import is counted too."""
+    codes = {fn.__code__: fn.__name__ for fn in fns}
+    counts = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            counts[codes[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        result = thunk()
+    finally:
+        sys.setprofile(None)
+    return result, counts
 
 
 def test_matrix_helpers():
@@ -104,8 +129,9 @@ def _largest_nonzero_minor(a, d, q):
 
 @pytest.mark.parametrize("d,q", [(2, 2), (2, 3), (2, 5), (3, 2)])
 def test_rank_and_det_match_leibniz_and_minors(d, q):
-    # every matrix: the one elimination against the Leibniz sum, and the
-    # rank against the size of the largest nonzero minor
+    # every matrix: the package's elimination for det against the Leibniz
+    # sum, and the labeller's rank against the size of the largest nonzero
+    # minor
     for a in itertools.product(range(q), repeat=d * d):
         assert mat_det(a, d, q) == _leibniz_det(a, d, q)
         assert mat_rank(a, d, q) == _largest_nonzero_minor(a, d, q)
@@ -137,7 +163,7 @@ def test_classes_partition_group_by_enumeration(d, q):
     group = cached_group(d, q)
     counts = Counter()
     for m in group_elements(group):
-        counts[group.label_of(m)] += 1
+        counts[label_of(group, m)] += 1
     assert counts == Counter({c.label: c.size for c in group.classes})
 
 
@@ -150,14 +176,14 @@ def test_invariant_buckets_are_single_classes(d, q):
         orbit = {mat_mul(mat_mul(t, cls.rep, d, q), mat_inv(t, d, q), d, q)
                  for t in elems}
         assert len(orbit) == cls.size
-        assert all(group.label_of(y) == cls.label for y in orbit)
+        assert all(label_of(group, y) == cls.label for y in orbit)
 
 
 def test_class_rep_has_its_own_label():
     for d, q in SMALL_GROUPS + MEDIUM_GROUPS + [(4, 3)]:
         group = cached_group(d, q)
         for cls in group.classes:
-            assert group.label_of(cls.rep) == cls.label
+            assert label_of(group, cls.rep) == cls.label
             assert char_poly(cls.rep, d, q) == cls.char_poly
 
 
@@ -172,7 +198,7 @@ def test_class_budget_refusal():
 
 def test_parabolic_elements_refuse_at_once():
     started = time.monotonic()
-    # P = G needs no elements; the first proper parabolic is too large
+    # the identity builds no P = G case; its first parabolic is too large
     with pytest.raises(BudgetError, match=r"P_\(3, 1\) in GL_4\(F_3\) has 606528 elements"):
         ind_conjugate_identity_exhaustive(cached_group(4, 3))
     # every block of the Borel is tiny, but |B| = 2^28: the P-classes refuse
@@ -188,7 +214,7 @@ def test_parabolic_elements_refuse_at_once():
 
 def pclass_members(P):
     """The elements of P grouped by ``P.class_index_of``, one list per
-    P-class in the order of ``P.classes``; P = G labels every element."""
+    P-class in the order of ``P.classes``."""
     members = [[] for _ in P.classes]
     for m in parabolic_elements(P):
         members[P.class_index_of(m)].append(m)
@@ -391,7 +417,7 @@ def test_ind_conjugate_identity_single_case():
     case = ind_conjugate_identity_exhaustive(group, (1, 1))["cases"][ident_idx]
     assert case["class_index"] == ident_idx
     assert case["equal"]
-    idx = group.class_index_of(mat_identity(group.d))
+    idx = class_index_of(group, mat_identity(group.d))
     assert case["values"][idx] == ("3", "3", "3")
 
 
@@ -439,37 +465,36 @@ def test_stable_subspace_memo_matches_fresh_scan(d, q):
         assert stable == fresh
 
 
-def test_induction_identity_labels_representatives_only(monkeypatch):
-    # a fresh group, so no earlier test has labelled anything on it
-    group = GLGroup(3, 3)
-    calls = 0
-    label_of = GLGroup.label_of
-
-    def counted(self, mat):
-        nonlocal calls
-        calls += 1
-        return label_of(self, mat)
-
-    monkeypatch.setattr(GLGroup, "label_of", counted)
-    assert ind_conjugate_identity_exhaustive(group)["ok"]
-    assert calls < group.order // 10
+def test_induction_identity_runs_over_the_proper_parabolics():
+    # Ind_G^G is the identity map, so no (d,) case is run but in GL_1, whose
+    # Borel subgroup is G
+    for d, q in SMALL_GROUPS + [(3, 3)]:
+        comps = {tuple(case["composition"])
+                 for case in ind_conjugate_identity_exhaustive(cached_group(d, q))["cases"]}
+        assert comps == {comp for comp in compositions(d) if len(comp) > 1 or d == 1}
+    cases = ind_conjugate_identity_exhaustive(cached_group(1, 2))["cases"]
+    assert [(case["composition"], case["class_index"]) for case in cases] == [([1], 0)]
 
 
 @pytest.mark.parametrize("d,q", SMALL_GROUPS)
 def test_parabolic_class_sizes_against_members(d, q):
     # the sizes and G-class indices of the production accessor against the
-    # member lists of its lookup
+    # member lists of its lookup; P = G, through the same orbit closure, has
+    # one P-class per class of G
     group = cached_group(d, q)
     for comp in compositions(d):
         P = ParabolicSubgroup(group, comp)
         for (rep, size, gidx), members in zip(P.classes, pclass_members(P), strict=True):
             assert rep in members
             assert size == len(members)
-            assert {group.class_index_of(m) for m in members} == {gidx}
+            assert {class_index_of(group, m) for m in members} == {gidx}
+    classes = ParabolicSubgroup(group, (d,)).classes
+    assert sorted((gidx, size) for _, size, gidx in classes) == \
+        [(gidx, cls.size) for gidx, cls in enumerate(group.classes)]
 
 
 def pclasses_by_conjugation(P):
-    """Oracle for ``ParabolicSubgroup.classes`` on a proper P: the elements
+    """Oracle for ``ParabolicSubgroup.classes``: the elements
     in order, each new one conjugated by every element of P.  Returns the
     (representative, size, G-class index) triples and the element -> class
     index map."""
@@ -485,7 +510,7 @@ def pclasses_by_conjugation(P):
         orbit = {mat_mul(mat_mul(p, x, d, q), inverses[p], d, q) for p in elems}
         for y in orbit:
             assigned[y] = len(classes)
-        classes.append((x, len(orbit), group.class_index_of(x)))
+        classes.append((x, len(orbit), class_index_of(group, x)))
     return tuple(classes), assigned
 
 
@@ -498,7 +523,7 @@ def test_generator_orbits_match_conjugation_oracle(d, q):
         assert all(P.contains(g) and mat_mul(g, g_inv, d, q) == mat_identity(d)
                    for g, g_inv in gens)
         if len(comp) == 1:
-            continue  # P = G takes the classes of the group
+            continue  # P = G: test_parabolic_class_sizes_against_members
         classes, assigned = pclasses_by_conjugation(P)
         assert P.classes == classes
         assert {m: P.class_index_of(m) for m in parabolic_elements(P)} == assigned
@@ -537,33 +562,18 @@ def test_generators_generate_the_parabolic(d, q):
         assert all(P.contains(m) for m in reached), comp
 
 
-def test_parabolic_classes_conjugate_without_matrix_products(monkeypatch):
+def test_parabolic_classes_conjugate_without_matrix_products():
     # |P_(2,1)| = 864 in GL_3(F_3); conjugating by its 5 generators with two
     # products each would take 8640 calls.  The classes are seeded by the
     # walked conjugates of G's class representatives, whose G-class is known,
-    # so no product is formed and nothing is labelled
+    # so no product is formed and no characteristic polynomial taken
     group = cached_group(3, 3)
     group.classes
-    products = labels = 0
-
-    def counted_mul(*args):
-        nonlocal products
-        products += 1
-        return mat_mul(*args)
-
-    label_of = GLGroup.label_of
-
-    def counted_label(self, mat):
-        nonlocal labels
-        labels += 1
-        return label_of(self, mat)
-
-    monkeypatch.setattr("qtransfer.finitegl.group.mat_mul", counted_mul)
-    monkeypatch.setattr(GLGroup, "label_of", counted_label)
     P = ParabolicSubgroup(group, (2, 1))
     assert P.order == 864 and len(P.elementary) == 5
-    assert P.classes
-    assert (products, labels) == (0, 0)
+    classes, calls = count_calls([mat_mul, char_poly], lambda: P.classes)
+    assert classes
+    assert calls == {}
 
 
 def test_dl_inversion_raises_on_a_remainder(monkeypatch):
@@ -664,44 +674,31 @@ def test_coset_conjugator_against_matrix_products(d, q):
                 mat_mul(mat_mul(s_inv, x, d, q), s, d, q) for s, s_inv in reps), (comp, x)
 
 
-def test_induction_identity_without_matrix_products(monkeypatch):
+def test_induction_identity_without_matrix_products():
     # two products per coset representative, for both sets of them, would
-    # take 7972 calls on GL_3(F_3) and 40648 on GL_4(F_2); labelling the
-    # P-class representatives takes a few per class
-    calls = 0
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return mat_mul(*args)
-
-    monkeypatch.setattr("qtransfer.finitegl.group.mat_mul", counted)
+    # take 7972 calls on GL_3(F_3) and 40648 on GL_4(F_2); the identity
+    # conjugates by row and column steps and labels nothing, so it takes none
     for d, q in [(3, 3), (4, 2)]:
         group = GLGroup(d, q)
         group.classes
-        calls = 0
-        assert ind_conjugate_identity_exhaustive(group)["ok"]
-        assert calls <= 1000, (d, q, calls)
+        report, calls = count_calls([mat_mul], lambda: ind_conjugate_identity_exhaustive(group))
+        assert report["ok"]
+        assert calls == {}, (d, q)
 
 
-def test_induction_identity_enumerates_no_element_of_g(monkeypatch):
-    # the package keeps no element list; the scan of the oracle tests each
-    # of the q^(d^2) candidates with a determinant, and the identity takes a
-    # few per label of its P = G case, from the characteristic polynomial
+def test_induction_identity_enumerates_no_element_of_g():
+    # the package keeps no element list and labels no matrix: the scan of
+    # the oracle tests each of the q^(d^2) candidates with a determinant,
+    # while a fresh group builds its class data from enumerated labels and
+    # the identity reads the G-class of each P-class off the walk, with no
+    # determinant and no characteristic polynomial
     assert not hasattr(GLGroup, "elements") and not hasattr(ParabolicSubgroup, "elements")
+    assert not hasattr(GLGroup, "label_of")
     group = GLGroup(3, 3)
-    group.classes
-    calls = 0
-    mat_det = fqmat.mat_det
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return mat_det(*args)
-
-    monkeypatch.setattr(fqmat, "mat_det", counted)
-    assert ind_conjugate_identity_exhaustive(group)["ok"]
-    assert calls < group.order // 10
+    report, calls = count_calls([char_poly, mat_det],
+                                lambda: ind_conjugate_identity_exhaustive(group))
+    assert report["ok"]
+    assert calls == {}
 
 
 @pytest.mark.parametrize("d,q", [(4, 2), (2, 5), (2, 7), (3, 5)])

@@ -240,6 +240,7 @@ UNCALLED_PUBLIC_NAMES = {
     "orbital_sum": "perfbench/bench_cases.py",
     "rref_subspaces": "the flag-scan oracle's; perfbench looks it up in fqmat by name",
     "in_rowspace": "the flag-scan oracle's; perfbench looks it up in fqmat by name",
+    "mat_mul": "perfbench counts its calls by name",
 }
 
 
@@ -304,8 +305,6 @@ NAMED_CALLERS = {
     "TransferParams.n": "transfer.transfer_sym",
     "GLGroup.classes": "finitegl.linear_combination",
     "ParabolicSubgroup.classes": "the induction identity of finitegl.classfun",
-    "GLGroup.class_index_of": "ParabolicSubgroup's class lookup when P = G",
-    "ParabolicSubgroup.class_index_of": "the induction identity of finitegl.classfun",
 }
 
 
