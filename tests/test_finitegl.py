@@ -686,16 +686,26 @@ def test_induction_identity_without_matrix_products():
         assert calls == {}, (d, q)
 
 
-def test_induction_identity_enumerates_no_element_of_g():
-    # the package keeps no element list and labels no matrix: the scan of
-    # the oracle tests each of the q^(d^2) candidates with a determinant,
-    # while a fresh group builds its class data from enumerated labels and
+def test_induction_identity_labels_representatives_only():
+    # the package labels no matrix: a fresh group, so no earlier test has
+    # built anything on it, builds its class data from enumerated labels and
     # the identity reads the G-class of each P-class off the walk, with no
-    # determinant and no characteristic polynomial
-    assert not hasattr(GLGroup, "elements") and not hasattr(ParabolicSubgroup, "elements")
+    # characteristic polynomial and no call of the tests' labeller
     assert not hasattr(GLGroup, "label_of")
     group = GLGroup(3, 3)
-    report, calls = count_calls([char_poly, mat_det],
+    report, calls = count_calls([char_poly, label_of, class_index_of],
+                                lambda: ind_conjugate_identity_exhaustive(group))
+    assert report["ok"]
+    assert calls == {}
+
+
+def test_induction_identity_enumerates_no_element_of_g():
+    # the package keeps no element list: the scan of the oracle tests each
+    # of the q^(d^2) candidates with a determinant, while the identity on a
+    # fresh group, class data build included, takes no determinant
+    assert not hasattr(GLGroup, "elements") and not hasattr(ParabolicSubgroup, "elements")
+    group = GLGroup(3, 3)
+    report, calls = count_calls([mat_det],
                                 lambda: ind_conjugate_identity_exhaustive(group))
     assert report["ok"]
     assert calls == {}
